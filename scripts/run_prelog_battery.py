@@ -28,7 +28,6 @@ from mimodof import (
     fit_slope,
     ic_classify,
     simulate_scheme,
-    simulate_solo,
     tdm_rates,
     trace_to_csv,
     verdict_report,
@@ -60,8 +59,8 @@ def capped_tdm_trace(config: BcConfig, grid, trials, seed, threads):
     the points back onto the nominal grid; user 1 keeps full power.
     """
     half = tuple(s / 2.0 for s in grid)
-    solo1 = simulate_solo(config, 1, grid, trials, seed, threads)
-    solo2 = simulate_solo(config, 2, half, trials, seed, threads)
+    solo1 = simulate_scheme(SchemeSpec("point-to-point", user=1), config, grid, trials, seed, threads)
+    solo2 = simulate_scheme(SchemeSpec("point-to-point", user=2), config, half, trials, seed, threads)
     solo2 = dataclasses.replace(solo2, snr_db=grid)
     return tdm_rates(solo1, solo2, 0.5)
 

@@ -48,32 +48,19 @@ from .catalog import (
     ic_outer_bound,
 )
 from .simulate import (
-    ChannelDraw,
     GridMismatch,
     InfeasibleZf,
-    PowerConstraint,
     RateTrace,
     SchemeShapeError,
     SchemeSpec,
     SimulationError,
     bc_link_dims,
     db_to_linear,
-    draw_channel,
-    ia_power_scaling_rates,
     ic_link_dims,
-    isotropic_bc_rate,
-    p2p_rate,
-    simulate_ia,
-    simulate_isotropic_bc,
-    simulate_p2p,
     simulate_scheme,
-    simulate_solo,
-    simulate_tdm,
-    simulate_zf_ic,
     tdm_rates,
     trace_from_csv,
     trace_to_csv,
-    zf_ic_rates,
 )
 from .slopes import (
     DEFAULT_TOL,

@@ -17,7 +17,9 @@ is MIMODOF_THREADS, which sets the default worker count for trials.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -33,6 +35,7 @@ from .regions import (
     DofRegion,
     InfeasibleBound,
     UnboundedRegion,
+    contains,
     equals,
     fraction_to_str,
     is_subset,
@@ -45,7 +48,7 @@ from .simulate import (
     simulate_scheme,
     trace_to_csv,
 )
-from .slopes import DEFAULT_TOL, DEFAULT_WINDOW, fit_slope, verdict_report
+from .slopes import DEFAULT_TOL, DEFAULT_WINDOW, SlopeEstimate, fit_slope, verdict_report
 
 EXIT_OK = 0
 EXIT_VERDICT = 2
@@ -101,6 +104,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise _UsageError(f"--snr-db must look like start:stop:step, got {text!r}")
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise _UsageError(f"--snr-db needs a finite start, stop and step, got {text!r}")
     if step <= 0 or stop < start:
         raise _UsageError("--snr-db needs stop >= start and step > 0")
     grid = []
@@ -199,9 +204,8 @@ def _region_for_verify(channel: str, config, against: str) -> DofRegion:
     return cr.no_csit
 
 
-def _run_simulation(args) -> tuple[SchemeSpec, RateTrace]:
-    antennas = _parse_antennas(args.antennas, args.channel)
-    config = _config_for(args.channel, antennas)
+def _run_simulation(args) -> tuple[object, SchemeSpec, RateTrace, SlopeEstimate]:
+    config = _config_for(args.channel, _parse_antennas(args.antennas, args.channel))
     spec = _scheme_from_args(args)
     grid = _parse_grid(args.snr_db)
     if args.trials < 1:
@@ -209,12 +213,24 @@ def _run_simulation(args) -> tuple[SchemeSpec, RateTrace]:
     if args.seed < 0:
         raise _UsageError("--seed must be nonnegative")
     trace = simulate_scheme(spec, config, grid, args.trials, args.seed)
-    return spec, trace
+    return config, spec, trace, fit_slope(trace, args.window)
+
+
+def _grade(args, config, spec: SchemeSpec, estimate: SlopeEstimate, against: str) -> tuple[dict, int]:
+    """Verdict report against the requested region, plus its exit code."""
+    region = _region_for_verify(args.channel, config, against)
+    report = verdict_report(
+        {"channel": args.channel, "antennas": list(dataclasses.astuple(config))},
+        spec.to_dict(),
+        estimate,
+        region,
+        args.tol,
+    )
+    return report, EXIT_VERDICT if report["verdict"] == "outside" else EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    spec, trace = _run_simulation(args)
-    estimate = fit_slope(trace, args.window)
+    config, spec, trace, estimate = _run_simulation(args)
     if args.trace_out:
         with open(args.trace_out, "w") as fh:
             fh.write(trace_to_csv(trace))
@@ -224,7 +240,7 @@ def cmd_simulate(args) -> int:
     doc = {
         "command": "simulate",
         "channel": args.channel,
-        "antennas": list(_parse_antennas(args.antennas, args.channel)),
+        "antennas": list(dataclasses.astuple(config)),
         "scheme": spec.to_dict(),
         "snr_db": list(trace.snr_db),
         "trials": trace.trials,
@@ -243,35 +259,22 @@ def cmd_simulate(args) -> int:
     }
     code = EXIT_OK
     if args.verify_against:
-        config = _config_for(args.channel, tuple(doc["antennas"]))
-        region = _region_for_verify(args.channel, config, args.verify_against)
-        report = verdict_report(None, None, estimate, region, args.tol)
+        report, code = _grade(args, config, spec, estimate, args.verify_against)
         doc["verify"] = {
             "against": args.verify_against,
             "tol": args.tol,
             "region_tag": report["region_tag"],
             "verdict": report["verdict"],
         }
-        if report["verdict"] == "outside":
-            code = EXIT_VERDICT
     _emit(args, _dump(doc))
     return code
 
 
 def cmd_verify(args) -> int:
-    spec, trace = _run_simulation(args)
-    estimate = fit_slope(trace, args.window)
-    config = _config_for(args.channel, _parse_antennas(args.antennas, args.channel))
-    region = _region_for_verify(args.channel, config, args.against)
-    report = verdict_report(
-        {"channel": args.channel, "antennas": list(_parse_antennas(args.antennas, args.channel))},
-        spec.to_dict(),
-        estimate,
-        region,
-        args.tol,
-    )
+    config, spec, _, estimate = _run_simulation(args)
+    report, code = _grade(args, config, spec, estimate, args.against)
     _emit(args, _dump(report))
-    return EXIT_VERDICT if report["verdict"] == "outside" else EXIT_OK
+    return code
 
 
 def cmd_compare(args) -> int:
@@ -283,7 +286,7 @@ def cmd_compare(args) -> int:
     lost = [
         [fraction_to_str(v[0]), fraction_to_str(v[1])]
         for v in cr.csit.vertices
-        if not _inside(achievable, v)
+        if not contains(achievable, v)
     ]
     doc = {
         "csit_region": region_to_dict(cr.csit),
@@ -298,10 +301,6 @@ def cmd_compare(args) -> int:
     }
     _emit(args, _dump(doc))
     return EXIT_OK
-
-
-def _inside(region: DofRegion, vertex) -> bool:
-    return all(h.contains(*vertex) for h in region.halfspaces)
 
 
 def _add_sim_flags(parser: argparse.ArgumentParser) -> None:

@@ -7,6 +7,12 @@ order, and per-SNR averages are reduced with ``math.fsum``, which is exactly
 rounded and therefore independent of accumulation order. Results are
 bit-identical for any thread count.
 
+Each scheme is one entry of a table keyed by ``SchemeSpec.kind``: the links
+it draws, a shape check, and a kernel that maps the stacked draws and one
+linear power to per-trial rates for both users. ``simulate_scheme`` is the
+single driver. It checks the grid and the scheme before any draw, draws
+every trial once, evaluates the kernel at each SNR point and reduces.
+
 Rates are log-det mutual informations in bits. Gram matrices pass a
 Hermitian-symmetry check (relative tolerance 1e-12) before the Cholesky
 factorization that evaluates the determinant.
@@ -18,48 +24,21 @@ import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .catalog import BcConfig, IcConfig
 
 __all__ = [
-    "HERMITIAN_TOL",
-    "ORTHONORMAL_TOL",
-    "THREADS_ENV",
-    "SCHEME_KINDS",
-    "SimulationError",
-    "InfeasibleZf",
-    "SchemeShapeError",
-    "GridMismatch",
-    "PowerConstraint",
-    "ChannelDraw",
-    "SchemeSpec",
-    "RateTrace",
-    "db_to_linear",
-    "bc_link_dims",
-    "ic_link_dims",
-    "draw_channel",
-    "p2p_rate",
-    "zf_ic_rates",
-    "ia_power_scaling_rates",
-    "isotropic_bc_rate",
-    "tdm_rates",
-    "trace_to_csv",
-    "trace_from_csv",
-    "simulate_p2p",
-    "simulate_solo",
-    "simulate_tdm",
-    "simulate_zf_ic",
-    "simulate_ia",
-    "simulate_isotropic_bc",
-    "simulate_scheme",
+    "HERMITIAN_TOL", "THREADS_ENV", "SCHEME_KINDS",
+    "SimulationError", "InfeasibleZf", "SchemeShapeError", "GridMismatch",
+    "SchemeSpec", "RateTrace", "db_to_linear", "bc_link_dims", "ic_link_dims",
+    "tdm_rates", "trace_to_csv", "trace_from_csv", "simulate_scheme",
 ]
 
 HERMITIAN_TOL = 1e-12
-ORTHONORMAL_TOL = 1e-10
 THREADS_ENV = "MIMODOF_THREADS"
 
 CSV_HEADER = "snr_db,rate1,stderr1,rate2,stderr2,trials"
@@ -81,42 +60,8 @@ class GridMismatch(SimulationError):
     """Two traces to be combined were run on different SNR grids."""
 
 
-@dataclass(frozen=True)
-class PowerConstraint:
-    """Total transmit power in linear scale."""
-
-    power: float
-
-    def __post_init__(self) -> None:
-        p = float(self.power)
-        if not math.isfinite(p) or p <= 0:
-            raise ValueError(f"power must be positive and finite, got {self.power!r}")
-        object.__setattr__(self, "power", p)
-
-    @classmethod
-    def from_db(cls, snr_db: float) -> "PowerConstraint":
-        return cls(db_to_linear(snr_db))
-
-
 def db_to_linear(snr_db: float) -> float:
     return 10.0 ** (float(snr_db) / 10.0)
-
-
-def _power_value(p) -> float:
-    if isinstance(p, PowerConstraint):
-        return p.power
-    return PowerConstraint(float(p)).power
-
-
-@dataclass
-class ChannelDraw:
-    """One trial's fading matrices plus the (seed, trial) that produced them."""
-
-    matrices: dict[str, np.ndarray]
-    seed_path: tuple[int, int]
-
-    def __getitem__(self, link: str) -> np.ndarray:
-        return self.matrices[link]
 
 
 def bc_link_dims(config: BcConfig) -> dict[str, tuple[int, int]]:
@@ -128,33 +73,9 @@ def ic_link_dims(config: IcConfig) -> dict[str, tuple[int, int]]:
     """Interference link shapes, in canonical draw order. Hji is the matrix
     from transmitter i to receiver j, of shape Nj x Mi."""
     return {
-        "H11": (config.N1, config.M1),
-        "H12": (config.N1, config.M2),
-        "H21": (config.N2, config.M1),
-        "H22": (config.N2, config.M2),
+        "H11": (config.N1, config.M1), "H12": (config.N1, config.M2),
+        "H21": (config.N2, config.M1), "H22": (config.N2, config.M2),
     }
-
-
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    if seed < 0 or trial < 0:
-        raise ValueError("seed and trial must be nonnegative")
-    return np.random.default_rng([seed, trial])
-
-
-def draw_channel(link_dims: Mapping[str, tuple[int, int]], seed: int, trial: int) -> ChannelDraw:
-    """Draw every link matrix for one trial.
-
-    Entries are CN(0, 1): independent real and imaginary parts of variance
-    one half each. Matrices are drawn in the mapping's iteration order, so
-    the same (dims, seed, trial) always yields the same draw.
-    """
-    rng = _trial_rng(seed, trial)
-    matrices = {}
-    for name, (rows, cols) in link_dims.items():
-        re = rng.standard_normal((rows, cols))
-        im = rng.standard_normal((rows, cols))
-        matrices[name] = (re + 1j * im) / math.sqrt(2.0)
-    return ChannelDraw(matrices, (seed, trial))
 
 
 def _hermitian_part(gram: np.ndarray) -> np.ndarray:
@@ -162,9 +83,7 @@ def _hermitian_part(gram: np.ndarray) -> np.ndarray:
     asym = float(np.max(np.abs(gram - adjoint))) if gram.size else 0.0
     scale = max(1.0, float(np.max(np.abs(gram)))) if gram.size else 1.0
     if asym > HERMITIAN_TOL * scale:
-        raise SimulationError(
-            f"Gram matrix lost Hermitian symmetry (deviation {asym:.3e})"
-        )
+        raise SimulationError(f"Gram matrix lost Hermitian symmetry (deviation {asym:.3e})")
     return 0.5 * (gram + adjoint)
 
 
@@ -194,136 +113,6 @@ def _capacity_log2det(channels: np.ndarray, scale: float) -> np.ndarray:
     return _log2det_eye_plus(gram)
 
 
-def p2p_rate(channel: np.ndarray, p) -> float:
-    """Single-link rate log2 det(I + (P/m) H H*) with equal power per
-    transmit antenna."""
-    power = _power_value(p)
-    H = np.asarray(channel, dtype=complex)
-    if H.ndim != 2:
-        raise ValueError("channel must be a 2-D matrix")
-    m = H.shape[1]
-    return float(_capacity_log2det(H, power / m))
-
-
-def _zf_check(config: IcConfig, s1: int, s2: int) -> None:
-    for name, s, m in (("s1", s1, config.M1), ("s2", s2, config.M2)):
-        if not isinstance(s, int) or isinstance(s, bool) or s < 0:
-            raise InfeasibleZf(f"{name} must be a nonnegative integer")
-        if s > m:
-            raise InfeasibleZf(f"{name}={s} exceeds the transmitter's {m} antennas")
-    total = s1 + s2
-    if total > config.N1 or total > config.N2:
-        raise InfeasibleZf(
-            f"receivers need at least {total} antennas to zero-force "
-            f"{s1}+{s2} streams, have N1={config.N1}, N2={config.N2}"
-        )
-
-
-def _zf_user_rates(own: np.ndarray, cross: np.ndarray, s_own: int, s_int: int, power: float) -> np.ndarray:
-    # own: (..., N, M_own) link to this receiver, cross: (..., N, M_int)
-    # interference link. Project onto the orthocomplement of the first s_int
-    # interfering beams, then decode s_own own beams in white noise.
-    if s_own == 0:
-        return np.zeros(own.shape[:-2])
-    beams = own[..., :, :s_own]
-    if s_int > 0:
-        q, _ = np.linalg.qr(cross[..., :, :s_int], mode="complete")
-        basis = q[..., :, s_int:]
-        effective = np.matmul(basis.conj().swapaxes(-1, -2), beams)
-    else:
-        effective = beams
-    return _capacity_log2det(effective, power / s_own)
-
-
-def zf_ic_rates(draw: ChannelDraw, config: IcConfig, s1: int, s2: int, p) -> tuple[float, float]:
-    """Per-user rates of the receiver zero-forcing scheme.
-
-    Transmitter i sends si streams on its first si antennas at power P/si
-    each; receiver i projects out the other user's streams and decodes its
-    own. With s_int = 0 the projection is the identity, so the rate equals
-    the plain single-user rate of the used subchannel.
-    """
-    _zf_check(config, s1, s2)
-    power = _power_value(p)
-    r1 = _zf_user_rates(draw["H11"], draw["H12"], s1, s2, power)
-    r2 = _zf_user_rates(draw["H22"], draw["H21"], s2, s1, power)
-    return float(r1), float(r2)
-
-
-def _ia_check(config: IcConfig, beams: Optional[int]) -> int:
-    if not (config.M1 == 1 and config.N1 == 1 and config.M2 <= config.N2 - 1):
-        raise SchemeShapeError(
-            "interference-alignment power scaling needs M1 = N1 = 1 and "
-            f"M2 <= N2 - 1, got {config}"
-        )
-    nb = config.M2 if beams is None else beams
-    if not isinstance(nb, int) or isinstance(nb, bool) or nb < 0 or nb > config.M2:
-        raise SchemeShapeError(f"beams must be in [0, {config.M2}], got {beams!r}")
-    return nb
-
-
-def ia_power_scaling_rates(
-    draw: ChannelDraw,
-    config: IcConfig,
-    p,
-    beams: Optional[int] = None,
-    power_exponent: float = 0.5,
-) -> tuple[float, float]:
-    """Rates of the reduced-power-interference scheme on a (1, M2, 1, N2) net.
-
-    User 1 sends a single stream at full power P; user 2 sends ``beams``
-    streams at P**power_exponent each. Receiver 1 treats the partially
-    scaled interference as noise; receiver 2 has enough antennas to decode
-    everything and is credited the joint log-det rate of its own streams.
-    Requires P > 1 so the interference power actually shrinks relative to P.
-    """
-    nb = _ia_check(config, beams)
-    power = _power_value(p)
-    if power <= 1.0:
-        raise ValueError("power scaling schemes need P > 1")
-    beam_power = power ** float(power_exponent)
-
-    h11 = draw["H11"][..., 0, 0]
-    if nb > 0:
-        cross = draw["H12"][..., 0, :nb]
-        interference = beam_power * np.sum(np.abs(cross) ** 2, axis=-1)
-    else:
-        interference = np.zeros(np.shape(h11))
-    r1 = np.log2(1.0 + power * np.abs(h11) ** 2 / (1.0 + interference))
-    r2 = _capacity_log2det(draw["H22"][..., :, :nb], beam_power)
-    return float(r1), float(r2)
-
-
-def isotropic_bc_rate(h_fixed: np.ndarray, p, trials: int, seed: int) -> tuple[float, float]:
-    """Mean and standard error of log2 det(I + (P/m) H Q (Q H)* / 1) where
-    H is a fixed matrix with orthonormal rows and Q is a fresh i.i.d.
-    complex Gaussian m x m mixing matrix per trial.
-
-    The input covariance Q (P/m) Q* is isotropic in expectation, which is
-    the natural input for a transmitter that knows nothing about H.
-    """
-    H = np.asarray(h_fixed, dtype=complex)
-    if H.ndim != 2:
-        raise ValueError("h_fixed must be a 2-D matrix")
-    n, m = H.shape
-    if n > m:
-        raise ValueError("h_fixed must have at most as many rows as columns")
-    gram = H @ H.conj().T
-    if float(np.max(np.abs(gram - np.eye(n)))) > ORTHONORMAL_TOL:
-        raise ValueError("h_fixed must have orthonormal rows")
-    power = _power_value(p)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-
-    mixed = np.empty((trials, n, m), dtype=complex)
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        q = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / math.sqrt(2.0)
-        mixed[t] = H @ q
-    rates = _capacity_log2det(mixed, power / m)
-    return _mean_stderr(rates)
-
-
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     # fsum is exactly rounded, so the reduction is independent of trial
     # order and of how trials were distributed over threads.
@@ -333,6 +122,17 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
         return mean, 0.0
     var = math.fsum((float(v) - mean) ** 2 for v in values) / (count - 1)
     return mean, math.sqrt(var / count)
+
+
+def _validate_grid(snr_db: Sequence[float]) -> tuple[float, ...]:
+    grid = tuple(float(s) for s in snr_db)
+    if not grid:
+        raise ValueError("SNR grid must be nonempty")
+    if not all(math.isfinite(s) for s in grid):
+        raise ValueError(f"SNR grid points must be finite, got {list(grid)}")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("SNR grid must be strictly ascending")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -348,11 +148,7 @@ class RateTrace:
     seed: int
 
     def __post_init__(self) -> None:
-        grid = tuple(float(s) for s in self.snr_db)
-        if not grid:
-            raise ValueError("SNR grid must be nonempty")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("SNR grid must be strictly ascending")
+        grid = _validate_grid(self.snr_db)
         columns = {}
         for name in ("rate1", "stderr1", "rate2", "stderr2"):
             col = tuple(float(v) for v in getattr(self, name))
@@ -376,13 +172,7 @@ def trace_to_csv(trace: RateTrace) -> str:
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
     for i, snr in enumerate(trace.snr_db):
-        row = (
-            snr,
-            trace.rate1[i],
-            trace.stderr1[i],
-            trace.rate2[i],
-            trace.stderr2[i],
-        )
+        row = (snr, trace.rate1[i], trace.stderr1[i], trace.rate2[i], trace.stderr2[i])
         out.write(",".join(f"{v:.12g}" for v in row) + f",{trace.trials}\n")
     return out.getvalue()
 
@@ -404,15 +194,8 @@ def trace_from_csv(text: str, seed: int = 0) -> RateTrace:
         trials = int(parts[5])
     if trials is None:
         raise ValueError("no data rows")
-    return RateTrace(
-        snr_db=tuple(columns[0]),
-        rate1=tuple(columns[1]),
-        stderr1=tuple(columns[2]),
-        rate2=tuple(columns[3]),
-        stderr2=tuple(columns[4]),
-        trials=trials,
-        seed=seed,
-    )
+    # Columns follow the field order snr_db, rate1, stderr1, rate2, stderr2.
+    return RateTrace(*(tuple(col) for col in columns), trials=trials, seed=seed)
 
 
 def tdm_rates(trace1: RateTrace, trace2: RateTrace, tau: float) -> RateTrace:
@@ -446,14 +229,17 @@ def _stack_draws(
     link_dims: Mapping[str, tuple[int, int]],
     seed: int,
     trials: int,
-    threads: Optional[int],
+    threads: Optional[int] = None,
 ) -> dict[str, np.ndarray]:
-    """Materialize all trials as stacked (trials, rows, cols) arrays.
+    """Draw every trial as stacked (trials, rows, cols) arrays.
 
-    Each trial is derived independently from (seed, trial), so splitting the
-    loop over threads changes nothing about the values, only who fills the
-    slot.
+    Entries are CN(0, 1): independent real and imaginary parts of variance
+    one half each. Trial t draws its links in the mapping's iteration order
+    from ``default_rng([seed, t])``, so splitting the loop over threads
+    changes nothing about the values, only who fills the slot.
     """
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     threads = _resolve_threads(threads)
@@ -464,9 +250,11 @@ def _stack_draws(
 
     def fill(lo: int, hi: int) -> None:
         for t in range(lo, hi):
-            draw = draw_channel(link_dims, seed, t)
-            for name, matrix in draw.matrices.items():
-                stacked[name][t] = matrix
+            rng = np.random.default_rng([seed, t])
+            for name, (rows, cols) in link_dims.items():
+                re = rng.standard_normal((rows, cols))
+                im = rng.standard_normal((rows, cols))
+                stacked[name][t] = (re + 1j * im) / math.sqrt(2.0)
 
     if threads == 1:
         fill(0, trials)
@@ -479,63 +267,17 @@ def _stack_draws(
     return stacked
 
 
-def _validate_grid(snr_db: Sequence[float]) -> tuple[float, ...]:
-    grid = tuple(float(s) for s in snr_db)
-    if not grid:
-        raise ValueError("SNR grid must be nonempty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("SNR grid must be strictly ascending")
-    return grid
+# --- scheme table ----------------------------------------------------------
+# An entry is link_dims(config, spec) -> links to draw, check(config, spec,
+# grid) -> raises before any draw if the scheme does not fit, the kernel
+# rates(stacked, config, spec, power) -> per-trial rates of both users, and
+# finish(trace, spec) applied to the reduced trace. Single-user kernels fill
+# the served user's column and leave zeros in the other.
 
 
-def _trace_from_samples(
-    grid: tuple[float, ...],
-    samples1: list[np.ndarray],
-    samples2: list[np.ndarray],
-    trials: int,
-    seed: int,
-) -> RateTrace:
-    stats1 = [_mean_stderr(s) for s in samples1]
-    stats2 = [_mean_stderr(s) for s in samples2]
-    return RateTrace(
-        snr_db=grid,
-        rate1=tuple(m for m, _ in stats1),
-        stderr1=tuple(e for _, e in stats1),
-        rate2=tuple(m for m, _ in stats2),
-        stderr2=tuple(e for _, e in stats2),
-        trials=trials,
-        seed=seed,
-    )
-
-
-def simulate_p2p(
-    n_rx: int,
-    n_tx: int,
-    snr_db: Sequence[float],
-    trials: int,
-    seed: int,
-    threads: Optional[int] = None,
-) -> RateTrace:
-    """Single-link baseline. The rate lands in the rate1 column."""
-    grid = _validate_grid(snr_db)
-    stacked = _stack_draws({"H": (n_rx, n_tx)}, seed, trials, threads)["H"]
-    zeros = np.zeros(trials)
-    samples1 = []
-    for snr in grid:
-        power = db_to_linear(snr)
-        samples1.append(_capacity_log2det(stacked, power / n_tx))
-    return _trace_from_samples(grid, samples1, [zeros] * len(grid), trials, seed)
-
-
-def _solo_link(config, user: int) -> str:
-    if user not in (1, 2):
-        raise ValueError("user must be 1 or 2")
-    if isinstance(config, BcConfig):
-        return f"H{user}"
-    return f"H{user}{user}"
-
-
-def _network_dims(config) -> dict[str, tuple[int, int]]:
+def _network_dims(config, spec) -> dict[str, tuple[int, int]]:
+    # The whole network is drawn even when one link is used, so every
+    # scheme on a configuration sees the same channel realizations.
     if isinstance(config, BcConfig):
         return bc_link_dims(config)
     if isinstance(config, IcConfig):
@@ -543,142 +285,159 @@ def _network_dims(config) -> dict[str, tuple[int, int]]:
     raise TypeError(f"expected BcConfig or IcConfig, got {type(config).__name__}")
 
 
-def simulate_solo(
-    config,
-    user: int,
-    snr_db: Sequence[float],
-    trials: int,
-    seed: int,
-    threads: Optional[int] = None,
-) -> RateTrace:
-    """One user served alone over its own link of the network.
-
-    The full network is drawn each trial so that solo traces for both users
-    (and any scheme sharing the seed) see the same channel realizations.
-    The rate lands in the served user's column.
-    """
-    grid = _validate_grid(snr_db)
-    dims = _network_dims(config)
-    link = _solo_link(config, user)
-    stacked = _stack_draws(dims, seed, trials, threads)[link]
-    n_tx = dims[link][1]
-    zeros = np.zeros(trials)
-    samples = []
-    for snr in grid:
-        power = db_to_linear(snr)
-        samples.append(_capacity_log2det(stacked, power / n_tx))
-    blanks = [zeros] * len(grid)
-    if user == 1:
-        return _trace_from_samples(grid, samples, blanks, trials, seed)
-    return _trace_from_samples(grid, blanks, samples, trials, seed)
+def _any_network(config, spec, grid) -> None:
+    """Point-to-point and time division run on every configuration."""
 
 
-def simulate_tdm(
-    config,
-    tau: float,
-    snr_db: Sequence[float],
-    trials: int,
-    seed: int,
-    threads: Optional[int] = None,
-) -> RateTrace:
-    """Time division over a broadcast or interference network."""
-    solo1 = simulate_solo(config, 1, snr_db, trials, seed, threads)
-    solo2 = simulate_solo(config, 2, snr_db, trials, seed, threads)
-    return tdm_rates(solo1, solo2, tau)
+def _served(user: int, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    zeros = np.zeros(rates.shape)
+    return (rates, zeros) if user == 1 else (zeros, rates)
 
 
-def simulate_zf_ic(
-    config: IcConfig,
-    s1: int,
-    s2: int,
-    snr_db: Sequence[float],
-    trials: int,
-    seed: int,
-    threads: Optional[int] = None,
-) -> RateTrace:
-    """Receiver zero-forcing with a fixed stream split (s1, s2)."""
-    _zf_check(config, s1, s2)
-    grid = _validate_grid(snr_db)
-    stacked = _stack_draws(ic_link_dims(config), seed, trials, threads)
-    samples1, samples2 = [], []
-    for snr in grid:
-        power = db_to_linear(snr)
-        samples1.append(_zf_user_rates(stacked["H11"], stacked["H12"], s1, s2, power))
-        samples2.append(_zf_user_rates(stacked["H22"], stacked["H21"], s2, s1, power))
-    return _trace_from_samples(grid, samples1, samples2, trials, seed)
+def _solo_rate(stacked, config, user: int, power: float) -> np.ndarray:
+    # Full power P over the user's direct link, P/m per transmit antenna.
+    link = f"H{user}" if isinstance(config, BcConfig) else f"H{user}{user}"
+    channels = stacked[link]
+    return _capacity_log2det(channels, power / channels.shape[-1])
 
 
-def simulate_ia(
-    config: IcConfig,
-    snr_db: Sequence[float],
-    trials: int,
-    seed: int,
-    beams: Optional[int] = None,
-    power_exponent: float = 0.5,
-    threads: Optional[int] = None,
-) -> RateTrace:
-    """Reduced-power-interference scheme on a (1, M2, 1, N2) network."""
-    nb = _ia_check(config, beams)
-    grid = _validate_grid(snr_db)
-    stacked = _stack_draws(ic_link_dims(config), seed, trials, threads)
-    h11 = stacked["H11"][:, 0, 0]
-    gain = np.abs(h11) ** 2
-    if nb > 0:
-        cross_gain = np.sum(np.abs(stacked["H12"][:, 0, :nb]) ** 2, axis=-1)
+def _point_to_point(stacked, config, spec, power):
+    return _served(spec.user, _solo_rate(stacked, config, spec.user, power))
+
+
+def _time_division(stacked, config, spec, power):
+    return _solo_rate(stacked, config, 1, power), _solo_rate(stacked, config, 2, power)
+
+
+def _tdm_share(trace: RateTrace, spec) -> RateTrace:
+    # tau scales the reduced means, not the per-trial rates, so the trace is
+    # exactly tdm_rates of the two solo traces.
+    return tdm_rates(trace, trace, spec.tau)
+
+
+def _as_reduced(trace: RateTrace, spec) -> RateTrace:
+    return trace
+
+
+def _require(config, kind: type, message: str) -> None:
+    if not isinstance(config, kind):
+        raise SchemeShapeError(message)
+
+
+def _zf_check(config, spec, grid) -> None:
+    _require(config, IcConfig, "receiver zero-forcing runs on interference configs")
+    s1, s2 = spec.streams
+    for name, s, m in (("s1", s1, config.M1), ("s2", s2, config.M2)):
+        if not isinstance(s, int) or isinstance(s, bool) or s < 0:
+            raise InfeasibleZf(f"{name} must be a nonnegative integer")
+        if s > m:
+            raise InfeasibleZf(f"{name}={s} exceeds the transmitter's {m} antennas")
+    total = s1 + s2
+    if total > config.N1 or total > config.N2:
+        raise InfeasibleZf(
+            f"receivers need at least {total} antennas to zero-force "
+            f"{s1}+{s2} streams, have N1={config.N1}, N2={config.N2}"
+        )
+
+
+def _zf_user_rates(own: np.ndarray, cross: np.ndarray, s_own: int, s_int: int, power: float) -> np.ndarray:
+    # own: (..., N, M_own) link to this receiver, cross: (..., N, M_int)
+    # interference link. Project onto the orthocomplement of the first s_int
+    # interfering beams, then decode s_own own beams in white noise.
+    if s_own == 0:
+        return np.zeros(own.shape[:-2])
+    beams = own[..., :, :s_own]
+    if s_int > 0:
+        q, _ = np.linalg.qr(cross[..., :, :s_int], mode="complete")
+        basis = q[..., :, s_int:]
+        effective = np.matmul(basis.conj().swapaxes(-1, -2), beams)
     else:
-        cross_gain = np.zeros(trials)
-    own2 = stacked["H22"][:, :, :nb]
-    samples1, samples2 = [], []
-    for snr in grid:
-        power = db_to_linear(snr)
-        if power <= 1.0:
-            raise ValueError("power scaling schemes need every grid point above 0 dB")
-        beam_power = power ** float(power_exponent)
-        samples1.append(np.log2(1.0 + power * gain / (1.0 + beam_power * cross_gain)))
-        if nb > 0:
-            samples2.append(_capacity_log2det(own2, beam_power))
-        else:
-            samples2.append(np.zeros(trials))
-    return _trace_from_samples(grid, samples1, samples2, trials, seed)
+        effective = beams
+    return _capacity_log2det(effective, power / s_own)
 
 
-def simulate_isotropic_bc(
-    n_rx: int,
-    n_tx: int,
-    snr_db: Sequence[float],
-    trials: int,
-    seed: int,
-    h_fixed: Optional[np.ndarray] = None,
-    threads: Optional[int] = None,
-) -> RateTrace:
-    """Fixed semi-orthogonal channel driven by an isotropic Gaussian input.
-
-    Defaults to H = [I 0], whose rows are orthonormal. The rate lands in
-    the rate1 column.
-    """
-    del threads  # trial count is small here; draws are derived per trial anyway
-    grid = _validate_grid(snr_db)
-    H = np.eye(n_rx, n_tx) if h_fixed is None else np.asarray(h_fixed, dtype=complex)
-    stats = [isotropic_bc_rate(H, db_to_linear(snr), trials, seed) for snr in grid]
-    zeros = (0.0,) * len(grid)
-    return RateTrace(
-        snr_db=grid,
-        rate1=tuple(m for m, _ in stats),
-        stderr1=tuple(e for _, e in stats),
-        rate2=zeros,
-        stderr2=zeros,
-        trials=trials,
-        seed=seed,
+def _zero_forcing(stacked, config, spec, power):
+    """Transmitter i sends si streams on its first si antennas at power
+    P/si each; receiver i projects out the other user's streams and decodes
+    its own. With s_int = 0 the projection is the identity."""
+    s1, s2 = spec.streams
+    return (
+        _zf_user_rates(stacked["H11"], stacked["H12"], s1, s2, power),
+        _zf_user_rates(stacked["H22"], stacked["H21"], s2, s1, power),
     )
 
 
-SCHEME_KINDS = (
-    "point-to-point",
-    "time-division",
-    "receiver-zero-forcing",
-    "ia-power-scaling",
-    "isotropic-bc",
-)
+def _ia_beams(config: IcConfig, spec) -> int:
+    return config.M2 if spec.beams is None else spec.beams
+
+
+def _ia_check(config, spec, grid) -> None:
+    _require(config, IcConfig, "the alignment scheme runs on interference configs")
+    if not (config.M1 == 1 and config.N1 == 1 and config.M2 <= config.N2 - 1):
+        raise SchemeShapeError(
+            "interference-alignment power scaling needs M1 = N1 = 1 and "
+            f"M2 <= N2 - 1, got {config}"
+        )
+    nb = _ia_beams(config, spec)
+    if not isinstance(nb, int) or isinstance(nb, bool) or nb < 0 or nb > config.M2:
+        raise SchemeShapeError(f"beams must be in [0, {config.M2}], got {spec.beams!r}")
+    # Interference at P**exponent only shrinks relative to P when P > 1.
+    if any(db_to_linear(snr) <= 1.0 for snr in grid):
+        raise ValueError("power scaling schemes need every grid point above 0 dB")
+
+
+def _alignment(stacked, config, spec, power):
+    """User 1 sends a single stream at full power P; user 2 sends ``beams``
+    streams at P**power_exponent each. Receiver 1 treats the scaled
+    interference as noise; receiver 2 has enough antennas to decode
+    everything and is credited the joint log-det rate of its own streams."""
+    nb = _ia_beams(config, spec)
+    beam_power = power ** float(spec.power_exponent)
+    gain = np.abs(stacked["H11"][:, 0, 0]) ** 2
+    cross_gain = np.sum(np.abs(stacked["H12"][:, 0, :nb]) ** 2, axis=-1)
+    r1 = np.log2(1.0 + power * gain / (1.0 + beam_power * cross_gain))
+    return r1, _capacity_log2det(stacked["H22"][:, :, :nb], beam_power)
+
+
+def _iso_rx(config: BcConfig, user: int) -> int:
+    return config.N1 if user == 1 else config.N2
+
+
+def _iso_dims(config, spec) -> dict[str, tuple[int, int]]:
+    return {"Q": (config.M, config.M)}
+
+
+def _iso_check(config, spec, grid) -> None:
+    _require(config, BcConfig, "the isotropic input scheme runs on broadcast configs")
+    if _iso_rx(config, spec.user) > config.M:
+        raise SchemeShapeError("isotropic input needs the served receiver to have at most M antennas")
+
+
+def _isotropic(stacked, config, spec, power):
+    """The fixed channel H = [I 0] has orthonormal rows and sees a fresh
+    complex Gaussian M x M mixing matrix Q per trial, so the input
+    covariance (P/M) Q Q* is isotropic in expectation. H Q is the first n
+    rows of Q."""
+    n = _iso_rx(config, spec.user)
+    return _served(spec.user, _capacity_log2det(stacked["Q"][:, :n, :], power / config.M))
+
+
+class _Scheme(NamedTuple):
+    link_dims: Callable
+    check: Callable
+    rates: Callable
+    finish: Callable = _as_reduced
+
+
+_SCHEMES = {
+    "point-to-point": _Scheme(_network_dims, _any_network, _point_to_point),
+    "time-division": _Scheme(_network_dims, _any_network, _time_division, _tdm_share),
+    "receiver-zero-forcing": _Scheme(_network_dims, _zf_check, _zero_forcing),
+    "ia-power-scaling": _Scheme(_network_dims, _ia_check, _alignment),
+    "isotropic-bc": _Scheme(_iso_dims, _iso_check, _isotropic),
+}
+
+SCHEME_KINDS = tuple(_SCHEMES)
 
 
 @dataclass(frozen=True)
@@ -708,28 +467,7 @@ class SchemeSpec:
             raise ValueError("streams must be a pair")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "tau": self.tau,
-            "streams": list(self.streams),
-            "beams": self.beams,
-            "power_exponent": self.power_exponent,
-            "user": self.user,
-        }
-
-
-def _reslot(trace: RateTrace, user: int) -> RateTrace:
-    if user == 1:
-        return trace
-    return RateTrace(
-        snr_db=trace.snr_db,
-        rate1=trace.rate2,
-        stderr1=trace.stderr2,
-        rate2=trace.rate1,
-        stderr2=trace.stderr1,
-        trials=trace.trials,
-        seed=trace.seed,
-    )
+        return {**asdict(self), "streams": list(self.streams)}
 
 
 def simulate_scheme(
@@ -740,27 +478,19 @@ def simulate_scheme(
     seed: int,
     threads: Optional[int] = None,
 ) -> RateTrace:
-    """Run one scheme on one network configuration."""
-    if spec.kind == "point-to-point":
-        return simulate_solo(config, spec.user, snr_db, trials, seed, threads)
-    if spec.kind == "time-division":
-        return simulate_tdm(config, spec.tau, snr_db, trials, seed, threads)
-    if spec.kind == "receiver-zero-forcing":
-        if not isinstance(config, IcConfig):
-            raise SchemeShapeError("receiver zero-forcing runs on interference configs")
-        return simulate_zf_ic(config, spec.streams[0], spec.streams[1], snr_db, trials, seed, threads)
-    if spec.kind == "ia-power-scaling":
-        if not isinstance(config, IcConfig):
-            raise SchemeShapeError("the alignment scheme runs on interference configs")
-        return simulate_ia(config, snr_db, trials, seed, spec.beams, spec.power_exponent, threads)
-    if spec.kind == "isotropic-bc":
-        if not isinstance(config, BcConfig):
-            raise SchemeShapeError("the isotropic input scheme runs on broadcast configs")
-        n = config.N1 if spec.user == 1 else config.N2
-        if n > config.M:
-            raise SchemeShapeError(
-                "isotropic input needs the served receiver to have at most M antennas"
-            )
-        trace = simulate_isotropic_bc(n, config.M, snr_db, trials, seed, threads=threads)
-        return _reslot(trace, spec.user)
-    raise ValueError(f"unknown scheme kind {spec.kind!r}")
+    """Run one scheme on one network configuration.
+
+    The grid and the scheme's fit to the configuration are checked before
+    any draw. Every trial is drawn once and shared by all SNR points.
+    """
+    scheme = _SCHEMES[spec.kind]
+    grid = _validate_grid(snr_db)
+    scheme.check(config, spec, grid)
+    stacked = _stack_draws(scheme.link_dims(config, spec), seed, trials, threads)
+    columns = ([], [], [], [])  # rate1, stderr1, rate2, stderr2
+    for snr in grid:
+        r1, r2 = scheme.rates(stacked, config, spec, db_to_linear(snr))
+        for column, value in zip(columns, _mean_stderr(r1) + _mean_stderr(r2)):
+            column.append(value)
+    trace = RateTrace(grid, *columns, trials=trials, seed=seed)
+    return scheme.finish(trace, spec)

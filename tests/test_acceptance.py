@@ -17,17 +17,13 @@ import pytest
 from mimodof import (
     BcConfig,
     IcConfig,
+    SchemeSpec,
     bc_region,
     boundary_slope,
     case_partition_check,
     fit_slope,
     ic_classify,
-    simulate_ia,
-    simulate_isotropic_bc,
-    simulate_p2p,
-    simulate_solo,
-    simulate_tdm,
-    simulate_zf_ic,
+    simulate_scheme,
     tdm_rates,
     verify_point,
 )
@@ -57,21 +53,21 @@ def battery():
     """All Monte Carlo runs used by criteria 4, 5 and 7."""
     runs = {}
 
-    def record(key, fn):
+    def record(key, spec, config):
         start = time.perf_counter()
-        trace = fn()
+        trace = simulate_scheme(spec, config, GRID, TRIALS, SEED)
         runs[key] = {
             "trace": trace,
             "estimate": fit_slope(trace),
             "elapsed": time.perf_counter() - start,
         }
 
-    record("p2p", lambda: simulate_p2p(2, 2, GRID, TRIALS, SEED))
-    record("zf", lambda: simulate_zf_ic(IcConfig(2, 1, 2, 3), 1, 1, GRID, TRIALS, SEED))
-    record("tdm", lambda: simulate_tdm(BcConfig(4, 2, 3), 0.5, GRID, TRIALS, SEED))
-    record("ia", lambda: simulate_ia(IcConfig(1, 3, 1, 4), GRID, TRIALS, SEED))
-    record("iso1", lambda: simulate_isotropic_bc(1, 4, GRID, TRIALS, SEED))
-    record("iso2", lambda: simulate_isotropic_bc(2, 4, GRID, TRIALS, SEED))
+    record("p2p", SchemeSpec("point-to-point"), BcConfig(2, 2, 2))
+    record("zf", SchemeSpec("receiver-zero-forcing", streams=(1, 1)), IcConfig(2, 1, 2, 3))
+    record("tdm", SchemeSpec("time-division", tau=0.5), BcConfig(4, 2, 3))
+    record("ia", SchemeSpec("ia-power-scaling"), IcConfig(1, 3, 1, 4))
+    record("iso1", SchemeSpec("isotropic-bc"), BcConfig(4, 1, 1))
+    record("iso2", SchemeSpec("isotropic-bc"), BcConfig(4, 2, 2))
     return runs
 
 
@@ -155,9 +151,10 @@ def test_criterion_5_alignment_beats_capped_time_division(battery):
         # grid before fitting against log2(P).
         config = IcConfig(1, 3, 1, 4)
         capped_grid = tuple(s / 2 for s in GRID)
-        solo1 = simulate_solo(config, 1, GRID, TRIALS, SEED)
+        solo1 = simulate_scheme(SchemeSpec("point-to-point", user=1), config, GRID, TRIALS, SEED)
         solo2 = replace(
-            simulate_solo(config, 2, capped_grid, TRIALS, SEED), snr_db=GRID
+            simulate_scheme(SchemeSpec("point-to-point", user=2), config, capped_grid, TRIALS, SEED),
+            snr_db=GRID,
         )
         capped_tdm = fit_slope(tdm_rates(solo1, solo2, 0.5))
         assert capped_tdm.d2_hat == pytest.approx(0.75, abs=0.1)

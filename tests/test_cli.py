@@ -1,6 +1,7 @@
 """Command line tests, run in process through main()."""
 
 import json
+import warnings
 
 import pytest
 
@@ -182,6 +183,19 @@ class TestVerifyCommand:
         assert doc["config"]["antennas"] == [2, 1, 2]
         assert len(doc["estimate"]) == 2
 
+    def test_same_verdict_as_simulate(self, capsys):
+        _, out, _ = run(capsys, "verify", *SIM_FLAGS, "--against", "inner")
+        report = json.loads(out)
+        _, out, _ = run(capsys, "simulate", *SIM_FLAGS, "--verify-against", "inner")
+        doc = json.loads(out)
+        assert doc["verify"] == {
+            "against": "inner",
+            "tol": 0.1,
+            "region_tag": report["region_tag"],
+            "verdict": report["verdict"],
+        }
+        assert report["estimate"] == [doc["estimate"]["d1_hat"], doc["estimate"]["d2_hat"]]
+
     def test_outside_exits_two(self, capsys, monkeypatch):
         # No honest scheme lands outside a valid bound, so fake a steep
         # trace to exercise the verdict-to-exit-code mapping.
@@ -207,3 +221,28 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert json.loads(out)["verdict"] == "outside"
+
+
+class TestSnrGridCommand:
+    @pytest.mark.parametrize("point", ["inf", "-inf", "nan"])
+    def test_non_finite_point_exits_three(self, capsys, point):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys,
+                "simulate", "--channel", "bc", "--antennas", "2,2,2", "--scheme", "p2p",
+                f"--snr-db={point}", "--trials", "10",
+            )
+        assert code == 3
+        assert out == ""
+        assert "SNR grid" in err
+        assert "Warning" not in err
+
+    def test_non_finite_range_exits_three(self, capsys):
+        code, _, err = run(
+            capsys,
+            "verify", "--channel", "bc", "--antennas", "2,2,2", "--scheme", "p2p",
+            "--snr-db", "10:inf:10", "--trials", "10", "--against", "exact",
+        )
+        assert code == 3
+        assert "--snr-db" in err

@@ -1,4 +1,4 @@
-"""Monte Carlo layer tests: draws, rate primitives, drivers, CSV."""
+"""Monte Carlo layer tests: draws, scheme kernels, the driver, CSV."""
 
 import math
 
@@ -10,60 +10,74 @@ from mimodof import (
     GridMismatch,
     IcConfig,
     InfeasibleZf,
-    PowerConstraint,
     RateTrace,
     SchemeShapeError,
     SchemeSpec,
     bc_link_dims,
     db_to_linear,
-    draw_channel,
-    ia_power_scaling_rates,
+    fit_slope,
     ic_link_dims,
-    isotropic_bc_rate,
-    p2p_rate,
-    simulate_ia,
-    simulate_isotropic_bc,
-    simulate_p2p,
     simulate_scheme,
-    simulate_solo,
-    simulate_tdm,
-    simulate_zf_ic,
     tdm_rates,
     trace_from_csv,
     trace_to_csv,
-    zf_ic_rates,
 )
+from mimodof.simulate import SCHEME_KINDS, _SCHEMES, _mean_stderr, _stack_draws
 
 GRID = (10.0, 20.0, 30.0)
+
+P2P = SchemeSpec("point-to-point")
+ZF = SchemeSpec("receiver-zero-forcing", streams=(1, 1))
+IA = SchemeSpec("ia-power-scaling")
+
+# One run of every scheme kind on a configuration it fits.
+ONE_OF_EACH = [
+    (P2P, BcConfig(3, 2, 2)),
+    (SchemeSpec("time-division", tau=0.3), IcConfig(2, 3, 2, 3)),
+    (ZF, IcConfig(2, 1, 2, 3)),
+    (IA, IcConfig(1, 3, 1, 4)),
+    (SchemeSpec("isotropic-bc", user=2), BcConfig(4, 2, 3)),
+]
+
+
+def kernel(spec, stacked, config, power):
+    """Per-trial rate pair of one scheme's table kernel."""
+    return _SCHEMES[spec.kind].rates(stacked, config, spec, power)
+
+
+def solo(config, user, grid, trials, seed, threads=None):
+    spec = SchemeSpec("point-to-point", user=user)
+    return simulate_scheme(spec, config, grid, trials, seed, threads)
 
 
 class TestDraws:
     def test_deterministic_per_seed_and_trial(self):
         dims = ic_link_dims(IcConfig(2, 1, 2, 3))
-        a = draw_channel(dims, 7, 3)
-        b = draw_channel(dims, 7, 3)
-        c = draw_channel(dims, 7, 4)
+        a = _stack_draws(dims, 7, 5)
+        b = _stack_draws(dims, 7, 4)
         for link in dims:
-            assert np.array_equal(a[link], b[link])
-            assert not np.array_equal(a[link], c[link])
-        assert a.seed_path == (7, 3)
+            # Trial 3 is the same draw whatever the trial count around it.
+            assert np.array_equal(a[link][3], b[link][3])
+            assert not np.array_equal(a[link][3], a[link][4])
+        other_seed = _stack_draws(dims, 8, 5)
+        assert not np.array_equal(a["H11"], other_seed["H11"])
 
     def test_shapes(self):
-        draw = draw_channel(bc_link_dims(BcConfig(4, 2, 3)), 0, 0)
-        assert draw["H1"].shape == (2, 4)
-        assert draw["H2"].shape == (3, 4)
+        stacked = _stack_draws(bc_link_dims(BcConfig(4, 2, 3)), 0, 1)
+        assert stacked["H1"].shape == (1, 2, 4)
+        assert stacked["H2"].shape == (1, 3, 4)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
-            draw_channel({"H": (1, 1)}, -1, 0)
+            _stack_draws({"H": (1, 1)}, -1, 1)
+        with pytest.raises(ValueError):
+            _stack_draws({"H": (1, 1)}, 0, 0)
 
     def test_entry_statistics(self):
         # 1e5 independent scalar draws: mean, variance and the real/imag
         # correlation all sit within 3 sigma of their estimators.
         n = 100_000
-        values = np.array(
-            [draw_channel({"H": (1, 1)}, 123, t)["H"][0, 0] for t in range(n)]
-        )
+        values = _stack_draws({"H": (1, 1)}, 123, n)["H"][:, 0, 0]
         assert abs(values.mean()) < 3.0 * math.sqrt(1.0 / n)
         var = np.mean(np.abs(values) ** 2)
         assert 0.99 < var < 1.01
@@ -73,59 +87,65 @@ class TestDraws:
 
 class TestRatePrimitives:
     def test_scalar_rate_exact(self):
-        assert p2p_rate(np.array([[1.0 + 0j]]), 3.0) == pytest.approx(2.0, abs=1e-12)
+        one = np.ones((1, 1, 1), dtype=complex)
+        r1, r2 = kernel(P2P, {"H1": one, "H2": one}, BcConfig(1, 1, 1), 3.0)
+        assert r1[0] == pytest.approx(2.0, abs=1e-12)
+        assert r2[0] == 0.0
 
     def test_orthonormal_rows_closed_form(self):
-        H = np.eye(2, 4)
+        H = np.eye(2, 4, dtype=complex)[None]
         # H H* = I, so the rate is 2 log2(1 + P/4) exactly.
         for p in (1.0, 10.0, 1000.0):
-            assert p2p_rate(H, p) == pytest.approx(2 * math.log2(1 + p / 4), abs=1e-9)
+            r1, _ = kernel(P2P, {"H1": H, "H2": H}, BcConfig(4, 2, 2), p)
+            assert r1[0] == pytest.approx(2 * math.log2(1 + p / 4), abs=1e-9)
 
     def test_monotone_in_power(self):
-        draw = draw_channel({"H": (3, 2)}, 5, 0)
-        rates = [p2p_rate(draw["H"], p) for p in (0.1, 1, 10, 100, 1000)]
+        config = BcConfig(2, 3, 1)
+        stacked = _stack_draws(bc_link_dims(config), 5, 1)
+        rates = [kernel(P2P, stacked, config, p)[0][0] for p in (0.1, 1, 10, 100, 1000)]
         assert all(b > a for a, b in zip(rates, rates[1:]))
         assert all(r >= 0 for r in rates)
 
     def test_bad_power_rejected(self):
-        with pytest.raises(ValueError):
-            p2p_rate(np.eye(2), 0.0)
-        with pytest.raises(ValueError):
-            PowerConstraint(-1.0)
-
-    def test_power_constraint_from_db(self):
-        assert PowerConstraint.from_db(20.0).power == pytest.approx(100.0)
+        # Power is 10**(dB/10); -inf dB would be zero power, inf and nan no
+        # power at all. All are refused before any draw.
+        for point in (-math.inf, math.inf, math.nan):
+            with pytest.raises(ValueError, match="SNR grid"):
+                simulate_scheme(P2P, BcConfig(2, 2, 2), (10.0, point), 10, 0)
+            with pytest.raises(ValueError, match="SNR grid"):
+                RateTrace((point,), (1,), (0,), (1,), (0,), 10, 0)
 
 
 class TestZeroForcing:
     CONFIG = IcConfig(2, 1, 2, 3)
 
+    def draws(self, seed, trials=1):
+        return _stack_draws(ic_link_dims(self.CONFIG), seed, trials)
+
     def test_silenced_interferer_matches_plain_rate(self):
-        draw = draw_channel(ic_link_dims(self.CONFIG), 11, 0)
-        r1, r2 = zf_ic_rates(draw, self.CONFIG, 1, 0, 100.0)
-        assert r1 == pytest.approx(p2p_rate(draw["H11"][:, :1], 100.0), abs=1e-12)
-        assert r2 == 0.0
+        stacked = self.draws(11)
+        spec = SchemeSpec("receiver-zero-forcing", streams=(1, 0))
+        r1, r2 = kernel(spec, stacked, self.CONFIG, 100.0)
+        plain, _ = kernel(P2P, {"H11": stacked["H11"][:, :, :1]}, IcConfig(1, 1, 2, 3), 100.0)
+        assert r1[0] == pytest.approx(plain[0], abs=1e-12)
+        assert r2[0] == 0.0
 
     def test_projection_keeps_rate_positive_and_monotone(self):
-        draw = draw_channel(ic_link_dims(self.CONFIG), 11, 1)
-        rates = [zf_ic_rates(draw, self.CONFIG, 1, 1, p) for p in (1, 10, 100)]
+        stacked = self.draws(11, trials=2)
+        rates = [kernel(ZF, stacked, self.CONFIG, p) for p in (1, 10, 100)]
         for r1, r2 in rates:
-            assert r1 > 0 and r2 > 0
-        assert all(b[0] > a[0] and b[1] > a[1] for a, b in zip(rates, rates[1:]))
+            assert r1[1] > 0 and r2[1] > 0
+        assert all(b[0][1] > a[0][1] and b[1][1] > a[1][1] for a, b in zip(rates, rates[1:]))
 
     def test_infeasible_splits_rejected(self):
-        draw = draw_channel(ic_link_dims(self.CONFIG), 11, 0)
-        with pytest.raises(InfeasibleZf):
-            zf_ic_rates(draw, self.CONFIG, 2, 1, 10.0)  # N1 = 2 < 3 streams
-        with pytest.raises(InfeasibleZf):
-            zf_ic_rates(draw, self.CONFIG, 1, 2, 10.0)  # s2 > M2
-        with pytest.raises(InfeasibleZf):
-            zf_ic_rates(draw, self.CONFIG, -1, 1, 10.0)
+        for streams in ((2, 1), (1, 2), (-1, 1)):  # N1 = 2 < 3 streams; s2 > M2; negative
+            with pytest.raises(InfeasibleZf):
+                simulate_scheme(
+                    SchemeSpec("receiver-zero-forcing", streams=streams), self.CONFIG, GRID, 10, 11
+                )
 
     def test_driver_slopes(self):
-        trace = simulate_zf_ic(self.CONFIG, 1, 1, (30, 40, 50, 60), 2000, 7)
-        from mimodof import fit_slope
-
+        trace = simulate_scheme(ZF, self.CONFIG, (30, 40, 50, 60), 2000, 7)
         est = fit_slope(trace)
         assert est.d1_hat == pytest.approx(1.0, abs=0.1)
         assert est.d2_hat == pytest.approx(1.0, abs=0.1)
@@ -134,50 +154,52 @@ class TestZeroForcing:
 class TestAlignmentScheme:
     CONFIG = IcConfig(1, 3, 1, 4)
 
+    def draws(self, seed, trials=1):
+        return _stack_draws(ic_link_dims(self.CONFIG), seed, trials)
+
     def test_shape_validation(self):
-        draw = draw_channel(ic_link_dims(IcConfig(2, 3, 2, 4)), 3, 0)
         with pytest.raises(SchemeShapeError):
-            ia_power_scaling_rates(draw, IcConfig(2, 3, 2, 4), 100.0)
-        draw = draw_channel(ic_link_dims(IcConfig(1, 4, 1, 4)), 3, 0)
+            simulate_scheme(IA, IcConfig(2, 3, 2, 4), GRID, 10, 3)
         with pytest.raises(SchemeShapeError):
-            ia_power_scaling_rates(draw, IcConfig(1, 4, 1, 4), 100.0)
+            simulate_scheme(IA, IcConfig(1, 4, 1, 4), GRID, 10, 3)
+        with pytest.raises(SchemeShapeError):
+            simulate_scheme(IA, BcConfig(1, 1, 4), GRID, 10, 3)
 
     def test_beams_out_of_range_rejected(self):
-        draw = draw_channel(ic_link_dims(self.CONFIG), 3, 0)
         with pytest.raises(SchemeShapeError):
-            ia_power_scaling_rates(draw, self.CONFIG, 100.0, beams=4)
+            simulate_scheme(SchemeSpec("ia-power-scaling", beams=4), self.CONFIG, GRID, 10, 3)
 
     def test_power_must_exceed_one(self):
-        draw = draw_channel(ic_link_dims(self.CONFIG), 3, 0)
-        with pytest.raises(ValueError):
-            ia_power_scaling_rates(draw, self.CONFIG, 0.5)
+        # P > 1 at every grid point, so 0 dB (P = 1) and below are refused.
+        for grid in ((0.0, 10.0, 20.0), (-3.0, 10.0, 20.0)):
+            with pytest.raises(ValueError, match="above 0 dB"):
+                simulate_scheme(IA, self.CONFIG, grid, 10, 3)
 
     def test_no_beams_means_clean_link(self):
-        draw = draw_channel(ic_link_dims(self.CONFIG), 3, 1)
-        r1, r2 = ia_power_scaling_rates(draw, self.CONFIG, 100.0, beams=0)
-        h = draw["H11"][0, 0]
-        assert r1 == pytest.approx(math.log2(1 + 100.0 * abs(h) ** 2), abs=1e-12)
-        assert r2 == 0.0
+        stacked = self.draws(3)
+        spec = SchemeSpec("ia-power-scaling", beams=0)
+        r1, r2 = kernel(spec, stacked, self.CONFIG, 100.0)
+        h = stacked["H11"][0, 0, 0]
+        assert r1[0] == pytest.approx(math.log2(1 + 100.0 * abs(h) ** 2), abs=1e-12)
+        assert r2[0] == 0.0
 
     def test_full_exponent_kills_user_one_slope(self):
-        trace = simulate_ia(self.CONFIG, (30, 40, 50, 60), 2000, 7, power_exponent=1.0)
-        from mimodof import fit_slope
-
-        est = fit_slope(trace)
+        spec = SchemeSpec("ia-power-scaling", power_exponent=1.0)
+        est = fit_slope(simulate_scheme(spec, self.CONFIG, (30, 40, 50, 60), 2000, 7))
         assert abs(est.d1_hat) < 0.1
         # user 2 now rides full power, slope still M2 * exponent-free
         assert est.d2_hat == pytest.approx(3.0, abs=0.15)
 
     def test_monotone_in_power(self):
-        draw = draw_channel(ic_link_dims(self.CONFIG), 3, 2)
-        rates = [ia_power_scaling_rates(draw, self.CONFIG, p) for p in (10, 100, 1000)]
-        assert all(b[0] > a[0] and b[1] > a[1] for a, b in zip(rates, rates[1:]))
+        stacked = self.draws(3)
+        rates = [kernel(IA, stacked, self.CONFIG, p) for p in (10, 100, 1000)]
+        assert all(b[0][0] > a[0][0] and b[1][0] > a[1][0] for a, b in zip(rates, rates[1:]))
 
 
 class TestTimeDivision:
     def test_endpoints(self):
-        solo1 = simulate_solo(BcConfig(2, 1, 2), 1, GRID, 100, 5)
-        solo2 = simulate_solo(BcConfig(2, 1, 2), 2, GRID, 100, 5)
+        solo1 = solo(BcConfig(2, 1, 2), 1, GRID, 100, 5)
+        solo2 = solo(BcConfig(2, 1, 2), 2, GRID, 100, 5)
         full = tdm_rates(solo1, solo2, 1.0)
         assert full.rate1 == solo1.rate1
         assert full.rate2 == (0.0,) * len(GRID)
@@ -186,52 +208,38 @@ class TestTimeDivision:
         assert handoff.rate1 == (0.0,) * len(GRID)
 
     def test_grid_mismatch_rejected(self):
-        solo1 = simulate_solo(BcConfig(2, 1, 2), 1, GRID, 50, 5)
-        solo2 = simulate_solo(BcConfig(2, 1, 2), 2, (10.0, 20.0), 50, 5)
+        solo1 = solo(BcConfig(2, 1, 2), 1, GRID, 50, 5)
+        solo2 = solo(BcConfig(2, 1, 2), 2, (10.0, 20.0), 50, 5)
         with pytest.raises(GridMismatch):
             tdm_rates(solo1, solo2, 0.5)
 
     def test_bad_tau_rejected(self):
-        solo = simulate_solo(BcConfig(2, 1, 2), 1, GRID, 50, 5)
+        one = solo(BcConfig(2, 1, 2), 1, GRID, 50, 5)
         with pytest.raises(ValueError):
-            tdm_rates(solo, solo, 1.5)
+            tdm_rates(one, one, 1.5)
 
     def test_driver_matches_combiner(self):
         config = IcConfig(2, 2, 2, 2)
-        direct = simulate_tdm(config, 0.25, GRID, 200, 9)
-        composed = tdm_rates(
-            simulate_solo(config, 1, GRID, 200, 9),
-            simulate_solo(config, 2, GRID, 200, 9),
-            0.25,
-        )
+        direct = simulate_scheme(SchemeSpec("time-division", tau=0.25), config, GRID, 200, 9)
+        composed = tdm_rates(solo(config, 1, GRID, 200, 9), solo(config, 2, GRID, 200, 9), 0.25)
         assert direct == composed
 
 
 class TestIsotropicInput:
-    def test_orthonormal_rows_enforced(self):
-        with pytest.raises(ValueError):
-            isotropic_bc_rate(np.array([[1.0, 1.0]]), 10.0, 10, 0)
-        with pytest.raises(ValueError):
-            isotropic_bc_rate(np.eye(3, 2), 10.0, 10, 0)
-
-    def test_rotated_rows_accepted(self):
-        H, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 2)))
-        mean, stderr = isotropic_bc_rate(H.T, 10.0, 50, 3)
-        assert mean > 0 and stderr >= 0
+    SPEC = SchemeSpec("isotropic-bc")
 
     def test_vanishing_power_limit(self):
-        mean, _ = isotropic_bc_rate(np.eye(1, 4), 1e-9, 200, 1)
-        assert mean < 1e-6
+        trace = simulate_scheme(self.SPEC, BcConfig(4, 1, 1), (-90.0,), 200, 1)
+        assert trace.rate1[0] < 1e-6
 
     def test_mean_below_deterministic_benchmark(self):
         # The random isotropic input loses to n log2(1 + P) at finite SNR.
-        p = 100.0
-        mean, _ = isotropic_bc_rate(np.eye(1, 4), p, 3000, 2)
-        assert mean < math.log2(1 + p)
+        trace = simulate_scheme(self.SPEC, BcConfig(4, 1, 1), (20.0,), 3000, 2)
+        assert trace.rate1[0] < math.log2(1 + db_to_linear(20.0))
 
     def test_driver_deterministic(self):
-        a = simulate_isotropic_bc(2, 4, GRID, 100, 7)
-        b = simulate_isotropic_bc(2, 4, GRID, 100, 7)
+        a = simulate_scheme(self.SPEC, BcConfig(4, 2, 2), GRID, 100, 7)
+        b = simulate_scheme(self.SPEC, BcConfig(4, 2, 2), GRID, 100, 7)
         assert a == b
 
 
@@ -247,7 +255,7 @@ class TestTraces:
             RateTrace((10.0,), (1,), (0,), (1,), (0,), 0, 0)
 
     def test_csv_round_trip(self):
-        trace = simulate_p2p(2, 2, GRID, 64, 3)
+        trace = simulate_scheme(P2P, BcConfig(2, 2, 2), GRID, 64, 3)
         text = trace_to_csv(trace)
         lines = text.strip().splitlines()
         assert lines[0] == "snr_db,rate1,stderr1,rate2,stderr2,trials"
@@ -265,42 +273,64 @@ class TestTraces:
 
 class TestDrivers:
     def test_thread_count_does_not_change_results(self):
-        one = simulate_zf_ic(IcConfig(2, 1, 2, 3), 1, 1, GRID, 500, 7, threads=1)
-        four = simulate_zf_ic(IcConfig(2, 1, 2, 3), 1, 1, GRID, 500, 7, threads=4)
+        one = simulate_scheme(ZF, IcConfig(2, 1, 2, 3), GRID, 500, 7, threads=1)
+        four = simulate_scheme(ZF, IcConfig(2, 1, 2, 3), GRID, 500, 7, threads=4)
         assert one == four
-        solo_one = simulate_p2p(2, 3, GRID, 500, 7, threads=1)
-        solo_three = simulate_p2p(2, 3, GRID, 500, 7, threads=3)
+        solo_one = simulate_scheme(P2P, BcConfig(3, 2, 1), GRID, 500, 7, threads=1)
+        solo_three = simulate_scheme(P2P, BcConfig(3, 2, 1), GRID, 500, 7, threads=3)
         assert solo_one == solo_three
+
+    @pytest.mark.parametrize("spec, config", ONE_OF_EACH, ids=[s.kind for s, _ in ONE_OF_EACH])
+    def test_every_scheme_thread_invariant(self, spec, config):
+        one = simulate_scheme(spec, config, GRID, 301, 7, threads=1)
+        three = simulate_scheme(spec, config, GRID, 301, 7, threads=3)
+        assert one == three
+
+    def test_thread_cases_cover_every_kind(self):
+        assert {s.kind for s, _ in ONE_OF_EACH} == set(SCHEME_KINDS)
 
     def test_env_var_sets_default_threads(self, monkeypatch):
         monkeypatch.setenv("MIMODOF_THREADS", "2")
-        a = simulate_p2p(2, 2, GRID, 200, 7)
+        a = simulate_scheme(P2P, BcConfig(2, 2, 2), GRID, 200, 7)
         monkeypatch.setenv("MIMODOF_THREADS", "1")
-        b = simulate_p2p(2, 2, GRID, 200, 7)
+        b = simulate_scheme(P2P, BcConfig(2, 2, 2), GRID, 200, 7)
         assert a == b
 
     def test_solo_users_share_draws(self):
         # Both solos see the same trial matrices, only different links.
         config = BcConfig(3, 2, 2)
-        solo1 = simulate_solo(config, 1, GRID, 100, 13)
-        solo2 = simulate_solo(config, 2, GRID, 100, 13)
+        solo1 = solo(config, 1, GRID, 100, 13)
+        solo2 = solo(config, 2, GRID, 100, 13)
         assert solo1.rate2 == (0.0,) * len(GRID)
         assert solo2.rate1 == (0.0,) * len(GRID)
-        assert solo1.seed == solo2.seed
+        stacked = _stack_draws(bc_link_dims(config), 13, 100)
+        for i, snr in enumerate(GRID):
+            r1, _ = kernel(P2P, stacked, config, db_to_linear(snr))
+            _, r2 = kernel(SchemeSpec("point-to-point", user=2), stacked, config, db_to_linear(snr))
+            assert _mean_stderr(r1)[0] == solo1.rate1[i]
+            assert _mean_stderr(r2)[0] == solo2.rate2[i]
 
     def test_scheme_dispatch(self):
-        spec = SchemeSpec(kind="receiver-zero-forcing", streams=(1, 1))
-        trace = simulate_scheme(spec, IcConfig(2, 1, 2, 3), GRID, 50, 7)
-        direct = simulate_zf_ic(IcConfig(2, 1, 2, 3), 1, 1, GRID, 50, 7)
-        assert trace == direct
+        # The driver is the table kernel over one stacked draw, reduced per
+        # SNR point.
+        config = IcConfig(2, 1, 2, 3)
+        trace = simulate_scheme(ZF, config, GRID, 50, 7)
+        stacked = _stack_draws(ic_link_dims(config), 7, 50)
+        for i, snr in enumerate(GRID):
+            r1, r2 = kernel(ZF, stacked, config, db_to_linear(snr))
+            assert (trace.rate1[i], trace.stderr1[i]) == _mean_stderr(r1)
+            assert (trace.rate2[i], trace.stderr2[i]) == _mean_stderr(r2)
         with pytest.raises(SchemeShapeError):
-            simulate_scheme(spec, BcConfig(2, 2, 2), GRID, 10, 7)
+            simulate_scheme(ZF, BcConfig(2, 2, 2), GRID, 10, 7)
 
     def test_isotropic_dispatch_reslots_user_two(self):
         spec = SchemeSpec(kind="isotropic-bc", user=2)
         trace = simulate_scheme(spec, BcConfig(4, 2, 3), GRID, 50, 7)
         assert trace.rate1 == (0.0,) * len(GRID)
         assert all(r > 0 for r in trace.rate2)
+        # Only the served receiver's antenna count enters the rate.
+        mirror = simulate_scheme(SchemeSpec(kind="isotropic-bc"), BcConfig(4, 3, 2), GRID, 50, 7)
+        assert (trace.rate2, trace.stderr2) == (mirror.rate1, mirror.stderr1)
         tall = SchemeSpec(kind="isotropic-bc", user=1)
         with pytest.raises(SchemeShapeError):
             simulate_scheme(tall, BcConfig(2, 3, 2), GRID, 10, 7)
