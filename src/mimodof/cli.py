@@ -108,12 +108,11 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise _UsageError(f"--snr-db needs a finite start, stop and step, got {text!r}")
     if step <= 0 or stop < start:
         raise _UsageError("--snr-db needs stop >= start and step > 0")
-    grid = []
-    value = start
-    while value <= stop + 1e-9:
-        grid.append(round(value, 9))
-        value += step
-    return tuple(grid)
+    # Each point is start + i*step, so rounding error does not build up.
+    count = 0
+    while start + count * step <= stop + 1e-9:
+        count += 1
+    return tuple(round(start + i * step, 9) for i in range(count))
 
 
 def _config_for(channel: str, antennas: tuple[int, ...]):

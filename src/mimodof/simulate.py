@@ -1,11 +1,13 @@
 """Monte Carlo rate simulation for two-user MIMO fading networks.
 
 Channels are i.i.d. circularly symmetric complex Gaussian with unit entry
-variance, redrawn per trial. Reproducibility contract: every trial owns the
-substream ``default_rng([seed, trial])``, matrices are drawn in a fixed link
+variance, redrawn per trial. Reproducibility contract: trials are grouped in
+fixed blocks of ``BLOCK``, block b owns the substream
+``default_rng([seed, b])`` and fills its trials row by row in a fixed link
 order, and per-SNR averages are reduced with ``math.fsum``, which is exactly
-rounded and therefore independent of accumulation order. Results are
-bit-identical for any thread count.
+rounded and therefore independent of accumulation order. A trial's draws do
+not depend on the trial count, and results are bit-identical for any thread
+count.
 
 Each scheme is one entry of a table keyed by ``SchemeSpec.kind``: the links
 it draws, a shape check, and a kernel that maps the stacked draws and one
@@ -40,6 +42,9 @@ __all__ = [
 
 HERMITIAN_TOL = 1e-12
 THREADS_ENV = "MIMODOF_THREADS"
+# Trials per random substream. Fixed, so that draws never depend on the
+# thread count.
+BLOCK = 1024
 
 CSV_HEADER = "snr_db,rate1,stderr1,rate2,stderr2,trials"
 
@@ -117,10 +122,10 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     # fsum is exactly rounded, so the reduction is independent of trial
     # order and of how trials were distributed over threads.
     count = len(values)
-    mean = math.fsum(values) / count
+    mean = math.fsum(values.tolist()) / count
     if count < 2:
         return mean, 0.0
-    var = math.fsum((float(v) - mean) ** 2 for v in values) / (count - 1)
+    var = math.fsum(((values - mean) ** 2).tolist()) / (count - 1)
     return mean, math.sqrt(var / count)
 
 
@@ -168,12 +173,13 @@ class RateTrace:
 
 
 def trace_to_csv(trace: RateTrace) -> str:
-    """CSV export, one row per SNR point, 12 significant digits."""
+    """CSV export, one row per SNR point. Floats are written with ``repr``,
+    which round-trips exactly."""
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
     for i, snr in enumerate(trace.snr_db):
         row = (snr, trace.rate1[i], trace.stderr1[i], trace.rate2[i], trace.stderr2[i])
-        out.write(",".join(f"{v:.12g}" for v in row) + f",{trace.trials}\n")
+        out.write(",".join(repr(v) for v in row) + f",{trace.trials}\n")
     return out.getvalue()
 
 
@@ -234,35 +240,43 @@ def _stack_draws(
     """Draw every trial as stacked (trials, rows, cols) arrays.
 
     Entries are CN(0, 1): independent real and imaginary parts of variance
-    one half each. Trial t draws its links in the mapping's iteration order
-    from ``default_rng([seed, t])``, so splitting the loop over threads
-    changes nothing about the values, only who fills the slot.
+    one half each. Trials come in blocks of ``BLOCK``; block b fills its
+    trials with one ``standard_normal((n_b, K, 2))`` call on
+    ``default_rng([seed, b])``, where K counts the entries of all links.
+    Each trial's row holds its links in the mapping's iteration order, each
+    entry a (real, imaginary) pair. The fill is row-major, so a trial's
+    values do not depend on the trial count, and threads take whole blocks,
+    so splitting the work changes nothing about the values.
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     threads = _resolve_threads(threads)
+    entries = sum(rows * cols for rows, cols in link_dims.values())
     stacked = {
         name: np.empty((trials, rows, cols), dtype=complex)
         for name, (rows, cols) in link_dims.items()
     }
 
-    def fill(lo: int, hi: int) -> None:
-        for t in range(lo, hi):
-            rng = np.random.default_rng([seed, t])
-            for name, (rows, cols) in link_dims.items():
-                re = rng.standard_normal((rows, cols))
-                im = rng.standard_normal((rows, cols))
-                stacked[name][t] = (re + 1j * im) / math.sqrt(2.0)
+    def fill(block: int) -> None:
+        lo = block * BLOCK
+        hi = min(lo + BLOCK, trials)
+        normals = np.random.default_rng([seed, block]).standard_normal((hi - lo, entries, 2))
+        values = normals.view(complex)[..., 0]
+        values /= math.sqrt(2.0)
+        start = 0
+        for name, (rows, cols) in link_dims.items():
+            stacked[name][lo:hi] = values[:, start:start + rows * cols].reshape(hi - lo, rows, cols)
+            start += rows * cols
 
+    blocks = range(-(-trials // BLOCK))
     if threads == 1:
-        fill(0, trials)
+        for block in blocks:
+            fill(block)
     else:
-        chunk = -(-trials // threads)
-        bounds = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for future in [pool.submit(fill, lo, hi) for lo, hi in bounds]:
+            for future in [pool.submit(fill, block) for block in blocks]:
                 future.result()
     return stacked
 

@@ -246,3 +246,14 @@ class TestSnrGridCommand:
         )
         assert code == 3
         assert "--snr-db" in err
+
+    def test_grid_points_do_not_accumulate_error(self):
+        tenths = cli._parse_grid("0:1:0.1")
+        assert len(tenths) == 11
+        assert tenths[-1] == 1.0
+        assert cli._parse_grid("30:70:10") == (30.0, 40.0, 50.0, 60.0, 70.0)
+        # Summing 0.01 a hundred thousand times drifts the end point past
+        # the 9-digit rounding; start + i*step does not.
+        hundredths = cli._parse_grid("0:1000:0.01")
+        assert len(hundredths) == 100_001
+        assert hundredths[-1] == 1000.0

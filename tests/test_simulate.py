@@ -22,7 +22,7 @@ from mimodof import (
     trace_from_csv,
     trace_to_csv,
 )
-from mimodof.simulate import SCHEME_KINDS, _SCHEMES, _mean_stderr, _stack_draws
+from mimodof.simulate import BLOCK, SCHEME_KINDS, _SCHEMES, _mean_stderr, _stack_draws
 
 GRID = (10.0, 20.0, 30.0)
 
@@ -62,6 +62,15 @@ class TestDraws:
         other_seed = _stack_draws(dims, 8, 5)
         assert not np.array_equal(a["H11"], other_seed["H11"])
 
+    def test_prefix_across_block_boundary(self):
+        # The short run draws the second block only up to trial BLOCK + 3,
+        # the long run in full; every shared trial agrees.
+        dims = ic_link_dims(IcConfig(2, 1, 2, 3))
+        short = _stack_draws(dims, 7, BLOCK + 4)
+        long = _stack_draws(dims, 7, 3 * BLOCK)
+        for link in dims:
+            assert np.array_equal(short[link], long[link][: BLOCK + 4])
+
     def test_shapes(self):
         stacked = _stack_draws(bc_link_dims(BcConfig(4, 2, 3)), 0, 1)
         assert stacked["H1"].shape == (1, 2, 4)
@@ -83,6 +92,25 @@ class TestDraws:
         assert 0.99 < var < 1.01
         corr = np.mean(values.real * values.imag) / 0.5
         assert abs(corr) < 3.0 / math.sqrt(n)
+
+
+class TestMeanStderr:
+    @staticmethod
+    def reference(values):
+        # The element-by-element form the vectorised reduction replaces.
+        count = len(values)
+        mean = math.fsum(values) / count
+        if count < 2:
+            return mean, 0.0
+        var = math.fsum((float(v) - mean) ** 2 for v in values) / (count - 1)
+        return mean, math.sqrt(var / count)
+
+    def test_matches_elementwise_reference(self):
+        rng = np.random.default_rng(2024)
+        for size in (1, 2, 3, 1000, 10_000):
+            for scale in (1e-3, 1.0, 1e6):
+                values = scale * rng.standard_exponential(size)
+                assert _mean_stderr(values) == self.reference(values)
 
 
 class TestRatePrimitives:
@@ -262,9 +290,7 @@ class TestTraces:
         assert len(lines) == 1 + len(GRID)
         again = trace_from_csv(text, seed=trace.seed)
         assert again.snr_db == trace.snr_db
-        for a, b in zip(again.rate1, trace.rate1):
-            assert a == pytest.approx(b, rel=1e-11)
-        assert again.trials == trace.trials
+        assert again == trace
 
     def test_csv_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -284,6 +310,12 @@ class TestDrivers:
     def test_every_scheme_thread_invariant(self, spec, config):
         one = simulate_scheme(spec, config, GRID, 301, 7, threads=1)
         three = simulate_scheme(spec, config, GRID, 301, 7, threads=3)
+        assert one == three
+
+    @pytest.mark.parametrize("spec, config", ONE_OF_EACH, ids=[s.kind for s, _ in ONE_OF_EACH])
+    def test_every_scheme_thread_invariant_across_blocks(self, spec, config):
+        one = simulate_scheme(spec, config, GRID, 2 * BLOCK + 7, 7, threads=1)
+        three = simulate_scheme(spec, config, GRID, 2 * BLOCK + 7, 7, threads=3)
         assert one == three
 
     def test_thread_cases_cover_every_kind(self):
