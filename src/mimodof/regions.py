@@ -1,9 +1,11 @@
 """Exact rational geometry for two-user degrees-of-freedom regions.
 
 A region is the intersection of closed halfspaces ``a1*d1 + a2*d2 <= b``
-with the nonnegative quadrant. Every coefficient is a ``fractions.Fraction``
-and no floating-point arithmetic enters any predicate, so vertex lists and
-minimal facet sets are bit-stable and safe to freeze as golden values.
+with the nonnegative quadrant. Every halfspace is stored as coprime ``int``
+coefficients and every vertex is a ``fractions.Fraction``. The reduction
+kernel compares by integer cross-multiplication and no floating-point
+arithmetic enters any predicate, so vertex lists and minimal facet sets are
+bit-stable and safe to freeze as golden values.
 
 The quadrant constraints ``d1 >= 0`` and ``d2 >= 0`` are implicit: they are
 never stored in a region's halfspace list, but every feasibility test
@@ -15,10 +17,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 __all__ = [
     "Rational",
@@ -65,23 +66,23 @@ def as_fraction(value: Rational) -> Fraction:
     so that rounding error can never leak into exact predicates."""
     if isinstance(value, float):
         raise TypeError(f"expected an exact rational, got float {value!r}")
-    return Fraction(value)
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 @dataclass(frozen=True)
 class Halfspace:
     """Closed halfspace a1*d1 + a2*d2 <= b.
 
-    Coefficients are canonicalized at construction: the inequality is scaled
-    by the unique positive rational that turns (a1, a2, b) into coprime
-    integers. Two Halfspace values describe the same inequality iff they
-    compare equal, which also makes structural equality of reduced regions
-    meaningful.
+    The constructor takes any exact rationals and canonicalizes them: the
+    inequality is scaled by the unique positive rational that turns
+    (a1, a2, b) into coprime integers, stored as ``int``. Two Halfspace
+    values describe the same inequality iff they compare equal, which also
+    makes structural equality of reduced regions meaningful.
     """
 
-    a1: Fraction
-    a2: Fraction
-    b: Fraction
+    a1: int
+    a2: int
+    b: int
 
     def __post_init__(self) -> None:
         a1 = as_fraction(self.a1)
@@ -90,17 +91,19 @@ class Halfspace:
         if a1 == 0 and a2 == 0:
             raise ValueError("halfspace normal must be nonzero")
         mult = lcm(a1.denominator, a2.denominator, b.denominator)
-        i1, i2, ib = int(a1 * mult), int(a2 * mult), int(b * mult)
+        i1, i2, ib = (q.numerator * (mult // q.denominator) for q in (a1, a2, b))
         g = gcd(i1, i2, ib)
-        object.__setattr__(self, "a1", Fraction(i1 // g))
-        object.__setattr__(self, "a2", Fraction(i2 // g))
-        object.__setattr__(self, "b", Fraction(ib // g))
+        object.__setattr__(self, "a1", i1 // g)
+        object.__setattr__(self, "a2", i2 // g)
+        object.__setattr__(self, "b", ib // g)
 
     def evaluate(self, d1: Rational, d2: Rational) -> Fraction:
         return self.a1 * as_fraction(d1) + self.a2 * as_fraction(d2)
 
     def contains(self, d1: Rational, d2: Rational) -> bool:
-        return self.evaluate(d1, d2) <= self.b
+        # Cross-multiplied over the denominators q1, q2 > 0 of the point.
+        (p1, q1), (p2, q2) = (as_fraction(d).as_integer_ratio() for d in (d1, d2))
+        return self.a1 * p1 * q2 + self.a2 * p2 * q1 <= self.b * q1 * q2
 
 
 @dataclass(frozen=True)
@@ -137,91 +140,72 @@ class DofRegion:
     tag: str = ""
 
 
+# The kernel below works on integer rows (a1, a2, b), one per halfspace,
+# and integer points (n1, n2, den): the vertex (n1/den, n2/den) when
+# den > 0, the recession direction (n1, n2) when den == 0. Either way a row
+# holds at a point iff a1*n1 + a2*n2 <= b*den.
+_Row = tuple[int, int, int]
+
 # Implicit quadrant constraints, only ever used internally.
-_AXES = (Halfspace(-1, 0, 0), Halfspace(0, -1, 0))
+_AXES = ((-1, 0, 0), (0, -1, 0))
 
 
-def _solve_pair(g: Halfspace, h: Halfspace) -> Optional[Vertex]:
-    # Intersection point of the two boundary lines, if they are independent.
-    det = g.a1 * h.a2 - g.a2 * h.a1
-    if det == 0:
-        return None
-    d1 = (g.b * h.a2 - h.b * g.a2) / det
-    d2 = (g.a1 * h.b - h.a1 * g.b) / det
-    return (d1, d2)
+def _rows(halfspaces: Iterable[Halfspace]) -> list[_Row]:
+    """The halfspaces' rows followed by the two axis rows."""
+    return [(h.a1, h.a2, h.b) for h in halfspaces] + list(_AXES)
 
 
-def _feasible_vertices(cons: Sequence[Halfspace]) -> list[Vertex]:
-    """All basic feasible points of the constraint list (axes included by
-    the caller). In two dimensions these are exactly the extreme points."""
-    found: set[Vertex] = set()
-    for g, h in combinations(cons, 2):
-        point = _solve_pair(g, h)
-        if point is None:
+def _feasible_vertices(rows: Sequence[_Row]) -> Iterator[tuple[int, int, int]]:
+    """Every basic feasible point of ``rows``, axis rows included.
+    In two dimensions these are exactly the extreme points. A point is
+    yielded once per pair of rows whose boundary lines meet there."""
+    for (a1, a2, b), (c1, c2, c) in combinations(rows, 2):
+        det = a1 * c2 - a2 * c1
+        if det == 0:
             continue
-        if all(c.contains(*point) for c in cons):
-            found.add(point)
-    return sorted(found)
+        n1, n2 = b * c2 - c * a2, a1 * c - c1 * b
+        if det < 0:
+            n1, n2, det = -n1, -n2, -det
+        if all(r1 * n1 + r2 * n2 <= rb * det for r1, r2, rb in rows):
+            yield n1, n2, det
 
 
-def _ray_candidates(cons: Sequence[Halfspace]) -> list[Vertex]:
-    # Candidate extreme rays of the recession cone {u >= 0 : a.u <= 0}.
-    # Every extreme ray lies on some constraint boundary, so the axis
-    # directions plus the two perpendiculars of each normal cover them all.
-    cands: set[Vertex] = {(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))}
-    for h in cons:
-        for u in ((h.a2, -h.a1), (-h.a2, h.a1)):
-            if u[0] >= 0 and u[1] >= 0 and u != (0, 0):
-                cands.add((Fraction(u[0]), Fraction(u[1])))
-    return sorted(cands)
+def _recession_rays(rows: Sequence[_Row]) -> Iterator[tuple[int, int, int]]:
+    # Extreme rays of the recession cone {u >= 0 : a.u <= 0}. Every extreme
+    # ray lies on some constraint boundary, so the two perpendiculars of each
+    # normal cover them all; the axis rows contribute the axis directions. A
+    # perpendicular is never zero because Halfspace rejects a zero normal.
+    cands = [u for a1, a2, _ in rows for u in ((a2, -a1), (-a2, a1))]
+    for n1, n2 in cands:
+        if n1 >= 0 and n2 >= 0 and all(r1 * n1 + r2 * n2 <= 0 for r1, r2, _ in rows):
+            yield n1, n2, 0
 
 
-def _recession_rays(cons: Sequence[Halfspace]) -> list[Vertex]:
-    rays = []
-    for u in _ray_candidates(cons):
-        if all(c.a1 * u[0] + c.a2 * u[1] <= 0 for c in cons):
-            rays.append(u)
-    return rays
-
-
-def _implied(h: Halfspace, cons: Sequence[Halfspace]) -> bool:
-    """True iff the polyhedron cut out by ``cons`` already satisfies ``h``.
-
-    The polyhedron may be unbounded, so both its extreme points and its
-    recession rays are checked.
-    """
-    for u in _recession_rays(cons):
-        if h.a1 * u[0] + h.a2 * u[1] > 0:
-            return False
-    return all(h.contains(*v) for v in _feasible_vertices(cons))
-
-
-@lru_cache(maxsize=None)
 def _reduce(halfspaces: tuple[Halfspace, ...]) -> tuple[tuple[Halfspace, ...], tuple[Vertex, ...]]:
     """Drop redundant halfspaces and enumerate vertices.
 
-    ``halfspaces`` must already be deduplicated and canonically sorted; the
-    cache makes repeated catalog constructions for the same inequality set
-    essentially free.
+    ``halfspaces`` must already be deduplicated and canonically sorted.
     """
-    cons = halfspaces + _AXES
-    if _recession_rays(cons):
+    if any(_recession_rays(_rows(halfspaces))):
         raise UnboundedRegion(
             "halfspace intersection is unbounded within the quadrant"
         )
     kept = list(halfspaces)
     for h in list(kept):
-        rest = tuple(x for x in kept if x is not h) + _AXES
-        if _implied(h, rest):
+        rest = _rows(x for x in kept if x is not h)
+        # h is redundant iff the polyhedron cut out by the rest, which may
+        # be unbounded, satisfies it at every extreme point and every ray.
+        extremes = chain(_recession_rays(rest), _feasible_vertices(rest))
+        if all(h.a1 * n1 + h.a2 * n2 <= h.b * den for n1, n2, den in extremes):
             kept.remove(h)
-    vertices = tuple(_feasible_vertices(tuple(kept) + _AXES))
-    return tuple(kept), vertices
-
-
-def _coerce_halfspace(h) -> Halfspace:
-    if isinstance(h, Halfspace):
-        return h
-    return Halfspace(*h)
+    # Dividing by the gcd gives each point one integer form, so duplicates
+    # merge before any Fraction is built.
+    points = set()
+    for n1, n2, den in _feasible_vertices(_rows(kept)):
+        g = gcd(n1, n2, den)
+        points.add((n1 // g, n2 // g, den // g))
+    vertices = sorted((Fraction(n1, den), Fraction(n2, den)) for n1, n2, den in points)
+    return tuple(kept), tuple(vertices)
 
 
 def region_from_halfspaces(halfspaces: Iterable, tag: str = "") -> DofRegion:
@@ -232,7 +216,7 @@ def region_from_halfspaces(halfspaces: Iterable, tag: str = "") -> DofRegion:
     so the region is never empty) and UnboundedRegion if the intersection
     is unbounded. Input order and duplicates do not affect the result.
     """
-    hs = tuple(_coerce_halfspace(h) for h in halfspaces)
+    hs = tuple(h if isinstance(h, Halfspace) else Halfspace(*h) for h in halfspaces)
     if not hs:
         raise ValueError("need at least one halfspace")
     for h in hs:
@@ -282,7 +266,7 @@ def boundary_slope(region: DofRegion) -> Optional[Fraction]:
     h = region.halfspaces[0]
     if h.a2 == 0:
         return None
-    return -h.a1 / h.a2
+    return Fraction(-h.a1, h.a2)
 
 
 def mirrored(region: DofRegion) -> DofRegion:

@@ -475,6 +475,8 @@ class SchemeSpec:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if not 0.0 <= float(self.tau) <= 1.0:
             raise ValueError("tau must be in [0, 1]")
+        if not math.isfinite(float(self.power_exponent)):
+            raise ValueError("power_exponent must be finite")
         if self.user not in (1, 2):
             raise ValueError("user must be 1 or 2")
         if len(self.streams) != 2:

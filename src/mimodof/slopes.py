@@ -111,8 +111,8 @@ def verify_point(estimate: SlopeEstimate, region: DofRegion, tol: float = DEFAUL
     the DoF problem, not boundary cases.
     """
     tol = float(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     d1, d2 = estimate.d1_hat, estimate.d2_hat
     slacks = [
         float(h.a1) * d1 + float(h.a2) * d2 - float(h.b) for h in region.halfspaces

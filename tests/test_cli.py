@@ -107,6 +107,8 @@ SIM_FLAGS = [
     "--channel", "ic", "--antennas", "2,1,2,3", "--scheme", "zf",
     "--streams", "1,1", "--snr-db", "10:30:10", "--trials", "60", "--seed", "3",
 ]
+P2P_BC = ("--channel", "bc", "--antennas", "2,2,2", "--scheme", "p2p")
+IA_IC = ("--channel", "ic", "--antennas", "1,3,1,4", "--scheme", "ia", "--snr-db", "20:50:10")
 
 
 class TestSimulateCommand:
@@ -196,6 +198,15 @@ class TestVerifyCommand:
         }
         assert report["estimate"] == [doc["estimate"]["d1_hat"], doc["estimate"]["d2_hat"]]
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_three(self, capsys, tol):
+        code, out, err = run(
+            capsys, "verify", *P2P_BC, "--trials", "10", "--against", "exact", f"--tol={tol}"
+        )
+        assert code == 3
+        assert out == ""
+        assert "tol must be positive and finite" in err
+
     def test_outside_exits_two(self, capsys, monkeypatch):
         # No honest scheme lands outside a valid bound, so fake a steep
         # trace to exercise the verdict-to-exit-code mapping.
@@ -224,18 +235,23 @@ class TestVerifyCommand:
 
 
 class TestSnrGridCommand:
-    @pytest.mark.parametrize("point", ["inf", "-inf", "nan"])
-    def test_non_finite_point_exits_three(self, capsys, point):
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            pytest.param((*P2P_BC, "--snr-db=inf"), "SNR grid", id="inf"),
+            pytest.param((*P2P_BC, "--snr-db=-inf"), "SNR grid", id="-inf"),
+            pytest.param((*P2P_BC, "--snr-db=nan"), "SNR grid", id="nan"),
+            pytest.param((*IA_IC, "--exponent=inf"), "power_exponent", id="exponent-inf"),
+            pytest.param((*IA_IC, "--exponent=nan"), "power_exponent", id="exponent-nan"),
+        ],
+    )
+    def test_non_finite_point_exits_three(self, capsys, argv, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(
-                capsys,
-                "simulate", "--channel", "bc", "--antennas", "2,2,2", "--scheme", "p2p",
-                f"--snr-db={point}", "--trials", "10",
-            )
+            code, out, err = run(capsys, "simulate", *argv, "--trials", "10")
         assert code == 3
         assert out == ""
-        assert "SNR grid" in err
+        assert message in err
         assert "Warning" not in err
 
     def test_non_finite_range_exits_three(self, capsys):

@@ -2,10 +2,14 @@
 
 Golden vertex sets below were derived by hand: enumerate all pairwise
 intersections of constraint lines (axes included), keep the feasible ones.
-Everything here is Fraction arithmetic, so assertions are exact.
+Halfspace coefficients are coprime ints and vertices are Fractions, so
+assertions are exact.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction as F
+from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +19,9 @@ from mimodof import (
     DofPoint,
     Halfspace,
     InfeasibleBound,
+    RegionError,
     UnboundedRegion,
+    as_fraction,
     boundary_slope,
     contains,
     equals,
@@ -36,6 +42,10 @@ class TestHalfspace:
     def test_canonical_integer_form(self):
         h = Halfspace(F(1, 2), F(1, 3), 1)
         assert (h.a1, h.a2, h.b) == (3, 2, 6)
+        for g in (h, Halfspace(2, "4/3", 0), Halfspace(-1, 1, 0)):
+            assert type(g.a1) is int
+            assert type(g.a2) is int
+            assert type(g.b) is int
 
     def test_scaling_gives_equal_value(self):
         assert Halfspace(2, 2, 4) == Halfspace(1, 1, 2)
@@ -123,9 +133,9 @@ class TestPredicates:
         assert is_subset(seg, tri)
 
     def test_boundary_slope(self):
-        assert boundary_slope(
-            region_from_halfspaces([Halfspace(F(1, 2), F(1, 3), 1)])
-        ) == F(-3, 2)
+        slope = boundary_slope(region_from_halfspaces([Halfspace(F(1, 2), F(1, 3), 1)]))
+        assert isinstance(slope, F)
+        assert slope == F(-3, 2)
         assert boundary_slope(region_from_halfspaces([Halfspace(1, 1, 1)])) == -1
         two_facets = region_from_halfspaces(
             [Halfspace(1, 0, 2), Halfspace(0, 1, 1), Halfspace(1, 1, 2)]
@@ -202,8 +212,8 @@ class TestProperties:
     def test_subset_reflexive_and_scaling_chain(self, hs):
         r = region_from_halfspaces(hs)
         assert is_subset(r, r)
-        half = region_from_halfspaces([Halfspace(h.a1, h.a2, h.b / 2) for h in hs])
-        quarter = region_from_halfspaces([Halfspace(h.a1, h.a2, h.b / 4) for h in hs])
+        half = region_from_halfspaces([Halfspace(h.a1, h.a2, F(h.b, 2)) for h in hs])
+        quarter = region_from_halfspaces([Halfspace(h.a1, h.a2, F(h.b, 4)) for h in hs])
         assert is_subset(quarter, half)
         assert is_subset(half, r)
         assert is_subset(quarter, r)
@@ -227,3 +237,144 @@ class TestProperties:
     def test_json_round_trip(self, hs):
         r = region_from_halfspaces(hs)
         assert region_from_json(region_to_json(r)) == r
+
+
+# Reference: the Fraction-based kernel that the integer kernel replaced,
+# kept as it was (without its memo) so the two can be compared on inputs
+# the catalog never produces: b = 0, negative coefficients, unbounded and
+# infeasible lists.
+
+
+@dataclass(frozen=True)
+class _RefHalfspace:
+    a1: F
+    a2: F
+    b: F
+
+    def __post_init__(self) -> None:
+        a1 = as_fraction(self.a1)
+        a2 = as_fraction(self.a2)
+        b = as_fraction(self.b)
+        if a1 == 0 and a2 == 0:
+            raise ValueError("halfspace normal must be nonzero")
+        mult = lcm(a1.denominator, a2.denominator, b.denominator)
+        i1, i2, ib = int(a1 * mult), int(a2 * mult), int(b * mult)
+        g = gcd(i1, i2, ib)
+        object.__setattr__(self, "a1", F(i1 // g))
+        object.__setattr__(self, "a2", F(i2 // g))
+        object.__setattr__(self, "b", F(ib // g))
+
+    def contains(self, d1, d2) -> bool:
+        return self.a1 * as_fraction(d1) + self.a2 * as_fraction(d2) <= self.b
+
+
+_REF_AXES = (_RefHalfspace(-1, 0, 0), _RefHalfspace(0, -1, 0))
+
+
+def _ref_solve_pair(g, h):
+    det = g.a1 * h.a2 - g.a2 * h.a1
+    if det == 0:
+        return None
+    d1 = (g.b * h.a2 - h.b * g.a2) / det
+    d2 = (g.a1 * h.b - h.a1 * g.b) / det
+    return (d1, d2)
+
+
+def _ref_feasible_vertices(cons):
+    found = set()
+    for g, h in combinations(cons, 2):
+        point = _ref_solve_pair(g, h)
+        if point is None:
+            continue
+        if all(c.contains(*point) for c in cons):
+            found.add(point)
+    return sorted(found)
+
+
+def _ref_ray_candidates(cons):
+    cands = {(F(1), F(0)), (F(0), F(1))}
+    for h in cons:
+        for u in ((h.a2, -h.a1), (-h.a2, h.a1)):
+            if u[0] >= 0 and u[1] >= 0 and u != (0, 0):
+                cands.add((F(u[0]), F(u[1])))
+    return sorted(cands)
+
+
+def _ref_recession_rays(cons):
+    rays = []
+    for u in _ref_ray_candidates(cons):
+        if all(c.a1 * u[0] + c.a2 * u[1] <= 0 for c in cons):
+            rays.append(u)
+    return rays
+
+
+def _ref_implied(h, cons):
+    for u in _ref_recession_rays(cons):
+        if h.a1 * u[0] + h.a2 * u[1] > 0:
+            return False
+    return all(h.contains(*v) for v in _ref_feasible_vertices(cons))
+
+
+def _ref_reduce(halfspaces):
+    cons = halfspaces + _REF_AXES
+    if _ref_recession_rays(cons):
+        raise UnboundedRegion("halfspace intersection is unbounded within the quadrant")
+    kept = list(halfspaces)
+    for h in list(kept):
+        rest = tuple(x for x in kept if x is not h) + _REF_AXES
+        if _ref_implied(h, rest):
+            kept.remove(h)
+    vertices = tuple(_ref_feasible_vertices(tuple(kept) + _REF_AXES))
+    return tuple(kept), vertices
+
+
+def _ref_region(triples):
+    hs = tuple(_RefHalfspace(*t) for t in triples)
+    if not hs:
+        raise ValueError("need at least one halfspace")
+    for h in hs:
+        if h.b < 0:
+            raise InfeasibleBound(f"halfspace {h} excludes the origin")
+    key = tuple(sorted(set(hs), key=lambda h: (h.a1, h.a2, h.b)))
+    return _ref_reduce(key)
+
+
+def _outcome(build, triples):
+    """(halfspace triples, vertices) of the built region, or the type of
+    the error raised while building it."""
+    try:
+        halfspaces, vertices = build(triples)
+    except (ValueError, RegionError) as exc:
+        return type(exc)
+    return tuple((h.a1, h.a2, h.b) for h in halfspaces), vertices
+
+
+def _integer_region(triples):
+    r = region_from_halfspaces(triples)
+    return r.halfspaces, r.vertices
+
+
+signed = st.one_of(
+    st.just(F(0)), st.fractions(min_value=F(-4), max_value=F(4), max_denominator=4)
+)
+
+
+@st.composite
+def any_halfspace_lists(draw):
+    triples = draw(st.lists(st.tuples(signed, signed, signed), max_size=4))
+    if draw(st.booleans()):
+        # A positive cap makes a bounded region likely.
+        triples.append((draw(pos_rationals), draw(pos_rationals), draw(rationals)))
+    return triples
+
+
+class TestAgainstFractionReference:
+    @given(any_halfspace_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_same_halfspaces_vertices_and_errors(self, triples):
+        expected = _outcome(_ref_region, triples)
+        got = _outcome(_integer_region, triples)
+        assert got == expected
+        if isinstance(got, tuple):
+            assert all(type(c) is int for h in got[0] for c in h)
+            assert all(type(c) is F for v in got[1] for c in v)

@@ -115,8 +115,9 @@ class TestVerdicts:
         assert verify_point(est, self.REGION, tol=0.3) == "boundary"
 
     def test_bad_tol_rejected(self):
-        with pytest.raises(ValueError):
-            verify_point(self.estimate(0, 0), self.REGION, tol=0.0)
+        for tol in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                verify_point(self.estimate(0, 0), self.REGION, tol=tol)
 
     def test_report_fields(self):
         region = region_from_halfspaces([Halfspace(1, 1, 2)], tag="demo-region")
