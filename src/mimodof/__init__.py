@@ -22,7 +22,6 @@ from .regions import (
     equals,
     fraction_to_str,
     is_subset,
-    mirrored,
     region_from_dict,
     region_from_halfspaces,
     region_from_json,

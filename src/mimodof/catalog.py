@@ -14,24 +14,19 @@ configurations split into cases after normalizing so that N1 <= N2:
   d1/N1 + d2/min(M2, N2) <= 1;
 * case III (N1 < N2, N1 < M2 and M1 < N1): the exact region is open, so the
   classifier reports an outer bound and an achievable inner hull instead.
+
+The classifier picks the case on the normalized ordering but writes each
+region's facets in the caller's user order, so every distinct region is
+reduced exactly once.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .regions import (
-    DofRegion,
-    Halfspace,
-    equals,
-    is_subset,
-    mirrored,
-    region_from_halfspaces,
-    region_to_dict,
-)
+from .regions import DofRegion, equals, is_subset, region_from_halfspaces, region_to_dict
 
 __all__ = [
     "SCHEME_RX_ZF",
@@ -114,8 +109,9 @@ class CaseLabel:
 class ClassifiedRegions:
     """Full classifier output: exact region when known, bounds otherwise.
 
-    When ``no_csit`` is present, ``inner`` and ``outer`` are the same region,
-    so downstream code can always work with the (inner, outer) pair.
+    Every region is in the caller's user order. When ``no_csit`` is
+    present, ``inner`` and ``outer`` are that same object, so downstream code
+    can always work with the (inner, outer) pair.
     """
 
     label: CaseLabel
@@ -143,124 +139,79 @@ class CasePartitionError(Exception):
         self.reason = reason
 
 
+def _triangle(p: int, q: int) -> tuple[int, int, int]:
+    """Integer row of the facet d1/p + d2/q <= 1."""
+    return (q, p, p * q)
+
+
 def bc_region(config: BcConfig) -> DofRegion:
     """No-CSIT broadcast region: d1/min(M,N1) + d2/min(M,N2) <= 1."""
-    p = min(config.M, config.N1)
-    q = min(config.M, config.N2)
-    h = Halfspace(Fraction(1, p), Fraction(1, q), 1)
-    return region_from_halfspaces([h], tag="bc-no-csit")
+    row = _triangle(min(config.M, config.N1), min(config.M, config.N2))
+    return region_from_halfspaces([row], tag="bc-no-csit")
 
 
 def bc_csit_region(config: BcConfig) -> DofRegion:
     """Full-CSIT broadcast region: per-user caps plus the sum cap min(M, N1+N2)."""
-    hs = [
-        Halfspace(1, 0, min(config.M, config.N1)),
-        Halfspace(0, 1, min(config.M, config.N2)),
-        Halfspace(1, 1, min(config.M, config.N1 + config.N2)),
+    rows = [
+        (1, 0, min(config.M, config.N1)),
+        (0, 1, min(config.M, config.N2)),
+        (1, 1, min(config.M, config.N1 + config.N2)),
     ]
-    return region_from_halfspaces(hs, tag="bc-csit")
+    return region_from_halfspaces(rows, tag="bc-csit")
 
 
 def ic_csit_region(config: IcConfig) -> DofRegion:
-    """Full-CSIT interference region: per-link caps plus the usual sum cap."""
+    """Full-CSIT interference region: per-link caps plus the usual sum cap.
+
+    The formula is symmetric in the two users, so it needs no normalizing.
+    """
     m1, m2, n1, n2 = config.M1, config.M2, config.N1, config.N2
     sum_cap = min(m1 + m2, n1 + n2, max(m1, n2), max(m2, n1))
-    hs = [
-        Halfspace(1, 0, min(m1, n1)),
-        Halfspace(0, 1, min(m2, n2)),
-        Halfspace(1, 1, sum_cap),
-    ]
-    return region_from_halfspaces(hs, tag="ic-csit")
-
-
-def _zf_pentagon(config: IcConfig, tag: str) -> DofRegion:
-    # Case I shape: individual caps plus the first receiver's dimension as
-    # sum cap. Stated for the normalized ordering N1 <= N2.
-    hs = [
-        Halfspace(1, 0, min(config.M1, config.N1)),
-        Halfspace(0, 1, min(config.M2, config.N2)),
-        Halfspace(1, 1, config.N1),
-    ]
-    return region_from_halfspaces(hs, tag=tag)
-
-
-def _tdm_triangle(config: IcConfig, tag: str) -> DofRegion:
-    q = min(config.M2, config.N2)
-    h = Halfspace(Fraction(1, config.N1), Fraction(1, q), 1)
-    return region_from_halfspaces([h], tag=tag)
-
-
-def _outer_formula(config: IcConfig, tag: str) -> DofRegion:
-    # Valid whenever N1 <= N2 and N1 < M2 (normalized ordering).
-    q = min(config.M2, config.N2)
-    hs = [
-        Halfspace(Fraction(1, config.N1), Fraction(1, q), 1),
-        Halfspace(1, 0, min(config.M1, config.N1)),
-        Halfspace(0, 1, q),
-    ]
-    return region_from_halfspaces(hs, tag=tag)
-
-
-def _inner_hull(config: IcConfig, tag: str) -> DofRegion:
-    # Convex hull of (0,0), (M1,0), the zero-forcing corner (M1, N1-M1) and
-    # the time-division endpoint (0, min(M2,N2)). Only used when M1 < N1 < M2,
-    # so the hull is a proper quadrilateral.
-    a = config.M1
-    c = config.N1 - config.M1
-    q = min(config.M2, config.N2)
-    hs = [
-        Halfspace(1, 0, a),
-        Halfspace(q - c, a, a * q),
-    ]
-    return region_from_halfspaces(hs, tag=tag)
+    rows = [(1, 0, min(m1, n1)), (0, 1, min(m2, n2)), (1, 1, sum_cap)]
+    return region_from_halfspaces(rows, tag="ic-csit")
 
 
 def ic_classify(config: IcConfig) -> ClassifiedRegions:
     """Classify an interference configuration and build its regions.
 
-    Users are swapped first if needed so the classifier works on N1 <= N2,
-    and every returned region is mirrored back to the caller's ordering.
+    The case is decided on the normalized ordering N1 <= N2, whose facets
+    are then written in the caller's user order, so each distinct region is
+    reduced once. A known region is one object shared by ``no_csit``,
+    ``outer`` and ``inner``.
     """
     swapped = config.N1 > config.N2
     n = config.swapped() if swapped else config
 
+    def build(rows: list[tuple[int, int, int]], tag: str) -> DofRegion:
+        if swapped:
+            rows = [(a2, a1, b) for a1, a2, b in rows]
+        return region_from_halfspaces(rows, tag=tag)
+
+    q = min(n.M2, n.N2)
     no_csit: Optional[DofRegion]
-    if n.N1 < n.N2:
-        table = TABLE_UNEQUAL
-        if n.M2 <= n.N1:
-            case_id, scheme = "I", SCHEME_RX_ZF
-            no_csit = _zf_pentagon(n, "ic-no-csit")
-        elif n.N1 <= n.M1:
-            case_id, scheme = "II", SCHEME_TDM
-            no_csit = _tdm_triangle(n, "ic-no-csit")
-        else:
-            case_id, scheme = "III", SCHEME_UNKNOWN
-            no_csit = None
+    if n.M2 <= n.N1 or (n.N1 == n.N2 and n.M1 <= n.N1):
+        # Receiver zero-forcing: the caps plus the first receiver's
+        # dimension as sum cap.
+        case_id, scheme = "I", SCHEME_RX_ZF
+        no_csit = outer = inner = build(
+            [(1, 0, min(n.M1, n.N1)), (0, 1, q), (1, 1, n.N1)], "ic-no-csit"
+        )
+    elif n.N1 <= n.M1:
+        case_id, scheme = "II", SCHEME_TDM
+        no_csit = outer = inner = build([_triangle(n.N1, q)], "ic-no-csit")
     else:
-        table = TABLE_EQUAL
-        if n.M2 <= n.N1 or n.M1 <= n.N1:
-            case_id, scheme = "I", SCHEME_RX_ZF
-            no_csit = _zf_pentagon(n, "ic-no-csit")
-        else:
-            case_id, scheme = "II", SCHEME_TDM
-            no_csit = _tdm_triangle(n, "ic-no-csit")
-
-    if no_csit is None:
-        outer = _outer_formula(n, "ic-outer")
-        inner = _inner_hull(n, "ic-inner")
-    else:
-        outer = no_csit
-        inner = no_csit
-    csit = ic_csit_region(n)
-
-    if swapped:
-        no_csit = mirrored(no_csit) if no_csit is not None else None
-        outer = mirrored(outer)
-        inner = mirrored(inner)
-        csit = mirrored(csit)
+        # Here M1 < N1 < M2. The inner bound is the hull of (0,0), (M1,0),
+        # the zero-forcing corner (M1, N1-M1) and the time-division endpoint
+        # (0, q), a proper quadrilateral.
+        case_id, scheme = "III", SCHEME_UNKNOWN
+        no_csit = None
+        a, c = n.M1, n.N1 - n.M1
+        outer = build([_triangle(n.N1, q), (1, 0, a), (0, 1, q)], "ic-outer")
+        inner = build([(1, 0, a), (q - c, a, a * q)], "ic-inner")
+    csit = ic_csit_region(config)
 
     label = CaseLabel(
-        table=table,
+        table=TABLE_UNEQUAL if n.N1 < n.N2 else TABLE_EQUAL,
         case_id=case_id,
         swapped=swapped,
         region_known=no_csit is not None,
@@ -304,13 +255,21 @@ def case_partition_check(limit: int) -> bool:
     for m1, m2, n1, n2 in product(range(1, limit + 1), repeat=4):
         config = IcConfig(m1, m2, n1, n2)
         cr = ic_classify(config)
-        norm = config.swapped() if cr.label.swapped else config
+        swapped = config.N1 > config.N2
+        norm = config.swapped() if swapped else config
 
         def fail(reason: str) -> None:
             raise CasePartitionError(config, reason)
 
-        if sum(_normalized_conditions(norm)) != 1:
+        if cr.label.swapped != swapped:
+            fail("swapped flag disagrees with the receiver counts")
+        conditions = _normalized_conditions(norm)
+        if sum(conditions) != 1:
             fail("case conditions do not pick exactly one case")
+        if cr.label.case_id != ("I", "II", "III")[conditions.index(True)]:
+            fail("classifier picked a case other than the one its conditions give")
+        if cr.label.table != (TABLE_UNEQUAL if norm.N1 < norm.N2 else TABLE_EQUAL):
+            fail("table disagrees with the normalized receiver counts")
         if not is_subset(cr.inner, cr.outer):
             fail("inner bound not contained in outer bound")
         if not is_subset(cr.outer, cr.csit):

@@ -48,7 +48,7 @@ from .simulate import (
     simulate_scheme,
     trace_to_csv,
 )
-from .slopes import DEFAULT_TOL, DEFAULT_WINDOW, SlopeEstimate, fit_slope, verdict_report
+from .slopes import DEFAULT_TOL, DEFAULT_WINDOW, SlopeEstimate, check_tol, fit_slope, verdict_report
 
 EXIT_OK = 0
 EXIT_VERDICT = 2
@@ -132,6 +132,13 @@ def _dump(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _known_or_bounds(cr) -> dict:
+    """The exact no-CSIT region when it is known, else both bounds."""
+    if cr.no_csit is not None:
+        return {"no_csit": region_to_dict(cr.no_csit)}
+    return {"inner": region_to_dict(cr.inner), "outer": region_to_dict(cr.outer)}
+
+
 def cmd_region(args) -> int:
     antennas = _parse_antennas(args.antennas, args.channel)
     config = _config_for(args.channel, antennas)
@@ -143,12 +150,8 @@ def cmd_region(args) -> int:
         _emit(args, _dump(region_to_dict(ic_csit_region(config))))
         return EXIT_OK
     cr = ic_classify(config)
-    doc = {"label": cr.to_dict()["label"], "csit": region_to_dict(cr.csit)}
-    if cr.no_csit is not None:
-        doc["no_csit"] = region_to_dict(cr.no_csit)
-    else:
-        doc["inner"] = region_to_dict(cr.inner)
-        doc["outer"] = region_to_dict(cr.outer)
+    doc = {"label": dataclasses.asdict(cr.label), "csit": region_to_dict(cr.csit)}
+    doc.update(_known_or_bounds(cr))
     _emit(args, _dump(doc))
     return EXIT_OK
 
@@ -189,21 +192,20 @@ def _region_for_verify(channel: str, config, against: str) -> DofRegion:
         # exact region, the inner bound and the outer bound all coincide.
         return bc_region(config)
     cr = ic_classify(config)
-    if against == "csit":
-        return cr.csit
-    if against == "inner":
-        return cr.inner
-    if against == "outer":
-        return cr.outer
-    if cr.no_csit is None:
+    region = {"exact": cr.no_csit, "inner": cr.inner, "outer": cr.outer, "csit": cr.csit}[against]
+    if region is None:
         raise _UsageError(
             "the exact region for this configuration is not known; "
             "verify against inner or outer instead"
         )
-    return cr.no_csit
+    return region
 
 
-def _run_simulation(args) -> tuple[object, SchemeSpec, RateTrace, SlopeEstimate]:
+def _run_simulation(
+    args, against: Optional[str]
+) -> tuple[object, SchemeSpec, Optional[DofRegion], RateTrace, SlopeEstimate]:
+    """Validate every input, resolve the region to grade ``against`` (if
+    any) and check the tolerance, and only then draw the trials."""
     config = _config_for(args.channel, _parse_antennas(args.antennas, args.channel))
     spec = _scheme_from_args(args)
     grid = _parse_grid(args.snr_db)
@@ -211,13 +213,16 @@ def _run_simulation(args) -> tuple[object, SchemeSpec, RateTrace, SlopeEstimate]
         raise _UsageError("--trials must be at least 1")
     if args.seed < 0:
         raise _UsageError("--seed must be nonnegative")
+    region = None
+    if against:
+        region = _region_for_verify(args.channel, config, against)
+        check_tol(args.tol)
     trace = simulate_scheme(spec, config, grid, args.trials, args.seed)
-    return config, spec, trace, fit_slope(trace, args.window)
+    return config, spec, region, trace, fit_slope(trace, args.window)
 
 
-def _grade(args, config, spec: SchemeSpec, estimate: SlopeEstimate, against: str) -> tuple[dict, int]:
-    """Verdict report against the requested region, plus its exit code."""
-    region = _region_for_verify(args.channel, config, against)
+def _grade(args, config, spec: SchemeSpec, estimate: SlopeEstimate, region: DofRegion) -> tuple[dict, int]:
+    """Verdict report against ``region``, plus its exit code."""
     report = verdict_report(
         {"channel": args.channel, "antennas": list(dataclasses.astuple(config))},
         spec.to_dict(),
@@ -229,7 +234,7 @@ def _grade(args, config, spec: SchemeSpec, estimate: SlopeEstimate, against: str
 
 
 def cmd_simulate(args) -> int:
-    config, spec, trace, estimate = _run_simulation(args)
+    config, spec, region, trace, estimate = _run_simulation(args, args.verify_against)
     if args.trace_out:
         with open(args.trace_out, "w") as fh:
             fh.write(trace_to_csv(trace))
@@ -257,8 +262,8 @@ def cmd_simulate(args) -> int:
         "estimate": estimate.to_dict(),
     }
     code = EXIT_OK
-    if args.verify_against:
-        report, code = _grade(args, config, spec, estimate, args.verify_against)
+    if region is not None:
+        report, code = _grade(args, config, spec, estimate, region)
         doc["verify"] = {
             "against": args.verify_against,
             "tol": args.tol,
@@ -270,8 +275,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config, spec, _, estimate = _run_simulation(args)
-    report, code = _grade(args, config, spec, estimate, args.against)
+    config, spec, region, _, estimate = _run_simulation(args, args.against)
+    report, code = _grade(args, config, spec, estimate, region)
     _emit(args, _dump(report))
     return code
 
@@ -279,21 +284,17 @@ def cmd_verify(args) -> int:
 def cmd_compare(args) -> int:
     antennas = _parse_antennas(args.antennas, "ic")
     cr = ic_classify(IcConfig(*antennas))
-    achievable = cr.no_csit if cr.no_csit is not None else cr.outer
-    subset = is_subset(achievable, cr.csit)
-    strict = subset and not equals(achievable, cr.csit)
+    # The outer bound is the exact region whenever that is known.
+    subset = is_subset(cr.outer, cr.csit)
+    strict = subset and not equals(cr.outer, cr.csit)
     lost = [
         [fraction_to_str(v[0]), fraction_to_str(v[1])]
         for v in cr.csit.vertices
-        if not contains(achievable, v)
+        if not contains(cr.outer, v)
     ]
     doc = {
         "csit_region": region_to_dict(cr.csit),
-        "no_csit_or_bounds": (
-            {"no_csit": region_to_dict(cr.no_csit)}
-            if cr.no_csit is not None
-            else {"inner": region_to_dict(cr.inner), "outer": region_to_dict(cr.outer)}
-        ),
+        "no_csit_or_bounds": _known_or_bounds(cr),
         "subset": subset,
         "strict": strict,
         "vertices_lost": lost,
@@ -371,7 +372,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"mimodof: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, SimulationError, InfeasibleBound, UnboundedRegion) as exc:
+    except (ValueError, OSError, SimulationError, InfeasibleBound, UnboundedRegion) as exc:
         print(f"mimodof: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -35,7 +35,6 @@ __all__ = [
     "is_subset",
     "equals",
     "boundary_slope",
-    "mirrored",
     "fraction_to_str",
     "region_to_dict",
     "region_from_dict",
@@ -267,12 +266,6 @@ def boundary_slope(region: DofRegion) -> Optional[Fraction]:
     if h.a2 == 0:
         return None
     return Fraction(-h.a1, h.a2)
-
-
-def mirrored(region: DofRegion) -> DofRegion:
-    """The same region with the two users' roles exchanged (d1 <-> d2)."""
-    swapped = [Halfspace(h.a2, h.a1, h.b) for h in region.halfspaces]
-    return region_from_halfspaces(swapped, tag=region.tag)
 
 
 def fraction_to_str(q: Fraction) -> str:

@@ -23,6 +23,7 @@ __all__ = [
     "InsufficientPoints",
     "SlopeEstimate",
     "fit_slope",
+    "check_tol",
     "verify_point",
     "verdict_report",
 ]
@@ -101,6 +102,14 @@ def fit_slope(trace: RateTrace, window: int = DEFAULT_WINDOW) -> SlopeEstimate:
     )
 
 
+def check_tol(tol: float) -> float:
+    """``tol`` as a float; raises ValueError unless it is positive and finite."""
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    return tol
+
+
 def verify_point(estimate: SlopeEstimate, region: DofRegion, tol: float = DEFAULT_TOL) -> str:
     """Classify the fitted DoF pair against a region at tolerance ``tol``.
 
@@ -110,9 +119,7 @@ def verify_point(estimate: SlopeEstimate, region: DofRegion, tol: float = DEFAUL
     facets are not checked: estimates near the axes are interior points of
     the DoF problem, not boundary cases.
     """
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    tol = check_tol(tol)
     d1, d2 = estimate.d1_hat, estimate.d2_hat
     slacks = [
         float(h.a1) * d1 + float(h.a2) * d2 - float(h.b) for h in region.halfspaces

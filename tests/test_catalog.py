@@ -5,6 +5,8 @@ test_regions.py for the method) and cross-checked against the classifier's
 own invariants by the sweep tests at the bottom.
 """
 
+import hashlib
+import json
 from fractions import Fraction as F
 from itertools import product
 
@@ -156,13 +158,32 @@ class TestClassifierProperties:
     @given(ic_configs)
     @settings(max_examples=150, deadline=None)
     def test_swap_symmetry(self, config):
+        # Exchanging the users mirrors every region as a whole: the stored
+        # facets (in canonical order), the vertices and the tag.
         cr = ic_classify(config)
         swapped = ic_classify(config.swapped())
-        assert cr.csit.vertices == tuple(sorted((b, a) for a, b in swapped.csit.vertices))
-        assert cr.outer.vertices == tuple(sorted((b, a) for a, b in swapped.outer.vertices))
-        assert cr.inner.vertices == tuple(sorted((b, a) for a, b in swapped.inner.vertices))
-        assert cr.label.region_known == swapped.label.region_known
-        assert cr.label.csit_equal == swapped.label.csit_equal
+
+        def whole(region):
+            return (
+                tuple((h.a1, h.a2, h.b) for h in region.halfspaces),
+                region.vertices,
+                region.tag,
+            )
+
+        def mirror(region):
+            return (
+                tuple(sorted((h.a2, h.a1, h.b) for h in region.halfspaces)),
+                tuple(sorted((b, a) for a, b in region.vertices)),
+                region.tag,
+            )
+
+        for name in ("no_csit", "outer", "inner", "csit"):
+            mine, theirs = getattr(cr, name), getattr(swapped, name)
+            assert (mine is None) == (theirs is None), name
+            if mine is not None:
+                assert whole(mine) == mirror(theirs), name
+        for field in ("table", "case_id", "region_known", "csit_equal", "scheme"):
+            assert getattr(cr.label, field) == getattr(swapped.label, field), field
 
     @given(ic_configs)
     @settings(max_examples=150, deadline=None)
@@ -178,6 +199,19 @@ class TestClassifierProperties:
         if config.N1 == config.N2:
             assert cr.label.case_id != "III"
             assert equals(cr.inner, cr.outer)
+
+
+class TestGolden:
+    def test_classifier_documents_sha256(self):
+        # One hash over every classifier document in [1,6]^4, so any change
+        # to a region, label or tag in either user order shows here.
+        h = hashlib.sha256()
+        for antennas in product(range(1, 7), repeat=4):
+            doc = ic_classify(IcConfig(*antennas)).to_dict()
+            h.update(json.dumps(doc, sort_keys=True).encode())
+        assert h.hexdigest() == (
+            "4c935a7f16e2c6f40d405c0b02b031a6893ac357cab37ee7f40521570c912824"
+        )
 
 
 class TestPartitionCheck:

@@ -109,6 +109,7 @@ SIM_FLAGS = [
 ]
 P2P_BC = ("--channel", "bc", "--antennas", "2,2,2", "--scheme", "p2p")
 IA_IC = ("--channel", "ic", "--antennas", "1,3,1,4", "--scheme", "ia", "--snr-db", "20:50:10")
+CASE_III_TDM = ("--channel", "ic", "--antennas", "1,3,2,4", "--scheme", "tdm")
 
 
 class TestSimulateCommand:
@@ -206,6 +207,53 @@ class TestVerifyCommand:
         assert code == 3
         assert out == ""
         assert "tol must be positive and finite" in err
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            pytest.param(
+                ("verify", *P2P_BC, "--against", "exact", "--tol=nan"),
+                "tol must be positive and finite",
+                id="verify-tol-nan",
+            ),
+            pytest.param(
+                ("verify", *CASE_III_TDM, "--against", "exact"), "not known", id="verify-exact-unknown"
+            ),
+            pytest.param(
+                ("simulate", *P2P_BC, "--verify-against", "exact", "--tol=nan"),
+                "tol must be positive and finite",
+                id="simulate-tol-nan",
+            ),
+            pytest.param(
+                ("simulate", *CASE_III_TDM, "--verify-against", "exact"),
+                "not known",
+                id="simulate-exact-unknown",
+            ),
+        ],
+    )
+    def test_bad_grading_input_exits_before_any_draw(self, capsys, monkeypatch, argv, message):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("trials drawn before the grading input was checked")
+
+        monkeypatch.setattr(cli, "simulate_scheme", no_draws)
+        code, out, err = run(capsys, *argv, "--trials", "10")
+        assert code == 3
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("verify", *P2P_BC, "--against", "exact", "--out"), id="verify-out"),
+            pytest.param(("simulate", *P2P_BC, "--trace-out"), id="simulate-trace-out"),
+        ],
+    )
+    def test_unwritable_output_exits_three(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, *argv, str(path), "--trials", "10")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("mimodof: error:") and str(path) in err
 
     def test_outside_exits_two(self, capsys, monkeypatch):
         # No honest scheme lands outside a valid bound, so fake a steep

@@ -26,7 +26,6 @@ from mimodof import (
     contains,
     equals,
     is_subset,
-    mirrored,
     region_from_halfspaces,
     region_from_json,
     region_to_dict,
@@ -142,12 +141,6 @@ class TestPredicates:
         )
         assert boundary_slope(two_facets) is None
 
-    def test_mirrored(self):
-        r = region_from_halfspaces([Halfspace(F(1, 2), F(1, 3), 1)])
-        m = mirrored(r)
-        assert m.vertices == verts((0, 0), (3, 0), (0, 2))
-        assert equals(mirrored(m), r)
-
 
 class TestSerialization:
     def test_round_trip_is_byte_identical(self):
@@ -225,12 +218,6 @@ class TestProperties:
         b = region_from_halfspaces(hs_b)
         if is_subset(a, b) and is_subset(b, a):
             assert a.vertices == b.vertices
-
-    @given(bounded_halfspace_lists())
-    @settings(max_examples=100, deadline=None)
-    def test_mirror_involution(self, hs):
-        r = region_from_halfspaces(hs)
-        assert mirrored(mirrored(r)) == r
 
     @given(bounded_halfspace_lists())
     @settings(max_examples=100, deadline=None)
