@@ -52,7 +52,7 @@ def battery_entries():
     ]
 
 
-def capped_tdm_trace(config: BcConfig, grid, trials, seed, threads):
+def capped_tdm_trace(config, grid, trials, seed, threads):
     """Time sharing where user 2's transmit power grows only as sqrt(P).
 
     Simulated by running user 2's solo link on a half-dB grid and relabeling

@@ -10,19 +10,15 @@ The package has four layers:
 """
 
 from .regions import (
-    DofPoint,
     DofRegion,
     Halfspace,
     InfeasibleBound,
     RegionError,
     UnboundedRegion,
-    as_fraction,
     boundary_slope,
     contains,
     equals,
-    fraction_to_str,
     is_subset,
-    region_from_dict,
     region_from_halfspaces,
     region_from_json,
     region_to_dict,
@@ -44,7 +40,6 @@ from .catalog import (
     case_partition_check,
     ic_classify,
     ic_csit_region,
-    ic_outer_bound,
 )
 from .simulate import (
     GridMismatch,
@@ -53,9 +48,6 @@ from .simulate import (
     SchemeShapeError,
     SchemeSpec,
     SimulationError,
-    bc_link_dims,
-    db_to_linear,
-    ic_link_dims,
     simulate_scheme,
     tdm_rates,
     trace_from_csv,

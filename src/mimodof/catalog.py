@@ -42,7 +42,6 @@ __all__ = [
     "bc_region",
     "bc_csit_region",
     "ic_csit_region",
-    "ic_outer_bound",
     "ic_classify",
     "case_partition_check",
 ]
@@ -219,15 +218,6 @@ def ic_classify(config: IcConfig) -> ClassifiedRegions:
         scheme=scheme,
     )
     return ClassifiedRegions(label=label, no_csit=no_csit, outer=outer, inner=inner, csit=csit)
-
-
-def ic_outer_bound(config: IcConfig) -> DofRegion:
-    """Outer bound on the no-CSIT interference region.
-
-    Exact (equal to the region) outside case III; in case III it is the
-    tightest bound the classifier knows.
-    """
-    return ic_classify(config).outer
 
 
 def _normalized_conditions(n: IcConfig) -> list[bool]:

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -37,7 +39,6 @@ from .regions import (
     UnboundedRegion,
     contains,
     equals,
-    fraction_to_str,
     is_subset,
     region_to_dict,
 )
@@ -45,10 +46,19 @@ from .simulate import (
     RateTrace,
     SchemeSpec,
     SimulationError,
+    _validate_grid,
     simulate_scheme,
     trace_to_csv,
 )
-from .slopes import DEFAULT_TOL, DEFAULT_WINDOW, SlopeEstimate, check_tol, fit_slope, verdict_report
+from .slopes import (
+    DEFAULT_TOL,
+    DEFAULT_WINDOW,
+    SlopeEstimate,
+    check_tol,
+    check_window,
+    fit_slope,
+    verdict_report,
+)
 
 EXIT_OK = 0
 EXIT_VERDICT = 2
@@ -205,7 +215,8 @@ def _run_simulation(
     args, against: Optional[str]
 ) -> tuple[object, SchemeSpec, Optional[DofRegion], RateTrace, SlopeEstimate]:
     """Validate every input, resolve the region to grade ``against`` (if
-    any) and check the tolerance, and only then draw the trials."""
+    any), check the tolerance, the fit window and the output directories,
+    and only then draw the trials."""
     config = _config_for(args.channel, _parse_antennas(args.antennas, args.channel))
     spec = _scheme_from_args(args)
     grid = _parse_grid(args.snr_db)
@@ -217,6 +228,12 @@ def _run_simulation(
     if against:
         region = _region_for_verify(args.channel, config, against)
         check_tol(args.tol)
+    # A single non-finite point is reported as such, not as a short window.
+    check_window(args.window, len(_validate_grid(grid)))
+    for path in (args.out, getattr(args, "trace_out", None)):
+        # Checked, not created: a call that fails must write nothing.
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     trace = simulate_scheme(spec, config, grid, args.trials, args.seed)
     return config, spec, region, trace, fit_slope(trace, args.window)
 
@@ -250,15 +267,7 @@ def cmd_simulate(args) -> int:
         "trials": trace.trials,
         "seed": trace.seed,
         "window": args.window,
-        "trace": {
-            "snr_db": list(trace.snr_db),
-            "rate1": list(trace.rate1),
-            "stderr1": list(trace.stderr1),
-            "rate2": list(trace.rate2),
-            "stderr2": list(trace.stderr2),
-            "trials": trace.trials,
-            "seed": trace.seed,
-        },
+        "trace": dataclasses.asdict(trace),
         "estimate": estimate.to_dict(),
     }
     code = EXIT_OK
@@ -287,13 +296,10 @@ def cmd_compare(args) -> int:
     # The outer bound is the exact region whenever that is known.
     subset = is_subset(cr.outer, cr.csit)
     strict = subset and not equals(cr.outer, cr.csit)
-    lost = [
-        [fraction_to_str(v[0]), fraction_to_str(v[1])]
-        for v in cr.csit.vertices
-        if not contains(cr.outer, v)
-    ]
+    csit = region_to_dict(cr.csit)
+    lost = [text for text, v in zip(csit["vertices"], cr.csit.vertices) if not contains(cr.outer, v)]
     doc = {
-        "csit_region": region_to_dict(cr.csit),
+        "csit_region": csit,
         "no_csit_or_bounds": _known_or_bounds(cr),
         "subset": subset,
         "strict": strict,

@@ -26,18 +26,14 @@ __all__ = [
     "RegionError",
     "UnboundedRegion",
     "InfeasibleBound",
-    "as_fraction",
     "Halfspace",
-    "DofPoint",
     "DofRegion",
     "region_from_halfspaces",
     "contains",
     "is_subset",
     "equals",
     "boundary_slope",
-    "fraction_to_str",
     "region_to_dict",
-    "region_from_dict",
     "region_to_json",
     "region_from_json",
 ]
@@ -60,7 +56,7 @@ class InfeasibleBound(RegionError):
     """Some halfspace has b < 0 and therefore excludes the origin."""
 
 
-def as_fraction(value: Rational) -> Fraction:
+def _as_fraction(value: Rational) -> Fraction:
     """Coerce int/str/Fraction to Fraction. Floats are rejected outright
     so that rounding error can never leak into exact predicates."""
     if isinstance(value, float):
@@ -84,9 +80,9 @@ class Halfspace:
     b: int
 
     def __post_init__(self) -> None:
-        a1 = as_fraction(self.a1)
-        a2 = as_fraction(self.a2)
-        b = as_fraction(self.b)
+        a1 = _as_fraction(self.a1)
+        a2 = _as_fraction(self.a2)
+        b = _as_fraction(self.b)
         if a1 == 0 and a2 == 0:
             raise ValueError("halfspace normal must be nonzero")
         mult = lcm(a1.denominator, a2.denominator, b.denominator)
@@ -96,32 +92,10 @@ class Halfspace:
         object.__setattr__(self, "a2", i2 // g)
         object.__setattr__(self, "b", ib // g)
 
-    def evaluate(self, d1: Rational, d2: Rational) -> Fraction:
-        return self.a1 * as_fraction(d1) + self.a2 * as_fraction(d2)
-
     def contains(self, d1: Rational, d2: Rational) -> bool:
         # Cross-multiplied over the denominators q1, q2 > 0 of the point.
-        (p1, q1), (p2, q2) = (as_fraction(d).as_integer_ratio() for d in (d1, d2))
+        (p1, q1), (p2, q2) = (_as_fraction(d).as_integer_ratio() for d in (d1, d2))
         return self.a1 * p1 * q2 + self.a2 * p2 * q1 <= self.b * q1 * q2
-
-
-@dataclass(frozen=True)
-class DofPoint:
-    """A DoF pair in the closed nonnegative quadrant."""
-
-    d1: Fraction
-    d2: Fraction
-
-    def __post_init__(self) -> None:
-        d1 = as_fraction(self.d1)
-        d2 = as_fraction(self.d2)
-        if d1 < 0 or d2 < 0:
-            raise ValueError(f"DoF pair must be nonnegative, got ({d1}, {d2})")
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
-
-    def coords(self) -> Vertex:
-        return (self.d1, self.d2)
 
 
 @dataclass(frozen=True)
@@ -226,16 +200,9 @@ def region_from_halfspaces(halfspaces: Iterable, tag: str = "") -> DofRegion:
     return DofRegion(minimal, vertices, tag)
 
 
-def _point_coords(point) -> Vertex:
-    if isinstance(point, DofPoint):
-        return point.coords()
-    d1, d2 = point
-    return (as_fraction(d1), as_fraction(d2))
-
-
-def contains(region: DofRegion, point) -> bool:
-    """Exact membership test. ``point`` is a DofPoint or an (d1, d2) pair."""
-    d1, d2 = _point_coords(point)
+def contains(region: DofRegion, point: tuple[Rational, Rational]) -> bool:
+    """Exact membership test of a (d1, d2) pair."""
+    d1, d2 = (_as_fraction(d) for d in point)
     if d1 < 0 or d2 < 0:
         return False
     return all(h.contains(d1, d2) for h in region.halfspaces)
@@ -268,7 +235,7 @@ def boundary_slope(region: DofRegion) -> Optional[Fraction]:
     return Fraction(-h.a1, h.a2)
 
 
-def fraction_to_str(q: Fraction) -> str:
+def _fraction_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -277,24 +244,31 @@ def region_to_dict(region: DofRegion) -> dict:
     return {
         "halfspaces": [
             {
-                "a1": fraction_to_str(h.a1),
-                "a2": fraction_to_str(h.a2),
-                "b": fraction_to_str(h.b),
+                "a1": _fraction_to_str(h.a1),
+                "a2": _fraction_to_str(h.a2),
+                "b": _fraction_to_str(h.b),
             }
             for h in region.halfspaces
         ],
-        "vertices": [[fraction_to_str(v[0]), fraction_to_str(v[1])] for v in region.vertices],
+        "vertices": [[_fraction_to_str(v[0]), _fraction_to_str(v[1])] for v in region.vertices],
         "tag": region.tag,
     }
 
 
-def region_from_dict(data: dict) -> DofRegion:
-    """Rebuild a region from its dict form.
+def region_to_json(region: DofRegion) -> str:
+    """Canonical JSON: fixed key order and layout, so serialization
+    round-trips byte for byte."""
+    return json.dumps(region_to_dict(region), indent=2, sort_keys=True)
+
+
+def region_from_json(text: str) -> DofRegion:
+    """Rebuild a region from its JSON form.
 
     Vertices, when present, are cross-checked against the reconstruction;
     a mismatch means the document was edited inconsistently and raises
     ValueError.
     """
+    data = json.loads(text)
     halfspaces = [
         Halfspace(Fraction(h["a1"]), Fraction(h["a2"]), Fraction(h["b"]))
         for h in data["halfspaces"]
@@ -306,12 +280,3 @@ def region_from_dict(data: dict) -> DofRegion:
             raise ValueError("vertex list does not match the stated halfspaces")
     return region
 
-
-def region_to_json(region: DofRegion) -> str:
-    """Canonical JSON: fixed key order and layout, so serialization
-    round-trips byte for byte."""
-    return json.dumps(region_to_dict(region), indent=2, sort_keys=True)
-
-
-def region_from_json(text: str) -> DofRegion:
-    return region_from_dict(json.loads(text))

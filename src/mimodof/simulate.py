@@ -36,8 +36,7 @@ from .catalog import BcConfig, IcConfig
 __all__ = [
     "HERMITIAN_TOL", "THREADS_ENV", "SCHEME_KINDS",
     "SimulationError", "InfeasibleZf", "SchemeShapeError", "GridMismatch",
-    "SchemeSpec", "RateTrace", "db_to_linear", "bc_link_dims", "ic_link_dims",
-    "tdm_rates", "trace_to_csv", "trace_from_csv", "simulate_scheme",
+    "SchemeSpec", "RateTrace", "tdm_rates", "trace_to_csv", "trace_from_csv", "simulate_scheme",
 ]
 
 HERMITIAN_TOL = 1e-12
@@ -65,22 +64,8 @@ class GridMismatch(SimulationError):
     """Two traces to be combined were run on different SNR grids."""
 
 
-def db_to_linear(snr_db: float) -> float:
+def _db_to_linear(snr_db: float) -> float:
     return 10.0 ** (float(snr_db) / 10.0)
-
-
-def bc_link_dims(config: BcConfig) -> dict[str, tuple[int, int]]:
-    """Broadcast link shapes, in canonical draw order."""
-    return {"H1": (config.N1, config.M), "H2": (config.N2, config.M)}
-
-
-def ic_link_dims(config: IcConfig) -> dict[str, tuple[int, int]]:
-    """Interference link shapes, in canonical draw order. Hji is the matrix
-    from transmitter i to receiver j, of shape Nj x Mi."""
-    return {
-        "H11": (config.N1, config.M1), "H12": (config.N1, config.M2),
-        "H21": (config.N2, config.M1), "H22": (config.N2, config.M2),
-    }
 
 
 def _hermitian_part(gram: np.ndarray) -> np.ndarray:
@@ -167,9 +152,6 @@ class RateTrace:
         object.__setattr__(self, "snr_db", grid)
         for name, col in columns.items():
             object.__setattr__(self, name, col)
-
-    def __len__(self) -> int:
-        return len(self.snr_db)
 
 
 def trace_to_csv(trace: RateTrace) -> str:
@@ -290,12 +272,17 @@ def _stack_draws(
 
 
 def _network_dims(config, spec) -> dict[str, tuple[int, int]]:
+    """Every link of the network, in canonical draw order. Hji is the
+    interference link from transmitter i to receiver j, of shape Nj x Mi."""
     # The whole network is drawn even when one link is used, so every
     # scheme on a configuration sees the same channel realizations.
     if isinstance(config, BcConfig):
-        return bc_link_dims(config)
+        return {"H1": (config.N1, config.M), "H2": (config.N2, config.M)}
     if isinstance(config, IcConfig):
-        return ic_link_dims(config)
+        return {
+            "H11": (config.N1, config.M1), "H12": (config.N1, config.M2),
+            "H21": (config.N2, config.M1), "H22": (config.N2, config.M2),
+        }
     raise TypeError(f"expected BcConfig or IcConfig, got {type(config).__name__}")
 
 
@@ -347,7 +334,8 @@ def _zf_check(config, spec, grid) -> None:
         if s > m:
             raise InfeasibleZf(f"{name}={s} exceeds the transmitter's {m} antennas")
     total = s1 + s2
-    if total > config.N1 or total > config.N2:
+    # A receiver that decodes nothing has nothing to zero-force.
+    if any(s > 0 and total > n for s, n in ((s1, config.N1), (s2, config.N2))):
         raise InfeasibleZf(
             f"receivers need at least {total} antennas to zero-force "
             f"{s1}+{s2} streams, have N1={config.N1}, N2={config.N2}"
@@ -396,7 +384,7 @@ def _ia_check(config, spec, grid) -> None:
     if not isinstance(nb, int) or isinstance(nb, bool) or nb < 0 or nb > config.M2:
         raise SchemeShapeError(f"beams must be in [0, {config.M2}], got {spec.beams!r}")
     # Interference at P**exponent only shrinks relative to P when P > 1.
-    if any(db_to_linear(snr) <= 1.0 for snr in grid):
+    if any(_db_to_linear(snr) <= 1.0 for snr in grid):
         raise ValueError("power scaling schemes need every grid point above 0 dB")
 
 
@@ -505,7 +493,7 @@ def simulate_scheme(
     stacked = _stack_draws(scheme.link_dims(config, spec), seed, trials, threads)
     columns = ([], [], [], [])  # rate1, stderr1, rate2, stderr2
     for snr in grid:
-        r1, r2 = scheme.rates(stacked, config, spec, db_to_linear(snr))
+        r1, r2 = scheme.rates(stacked, config, spec, _db_to_linear(snr))
         for column, value in zip(columns, _mean_stderr(r1) + _mean_stderr(r2)):
             column.append(value)
     trace = RateTrace(grid, *columns, trials=trials, seed=seed)

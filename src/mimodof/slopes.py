@@ -23,6 +23,7 @@ __all__ = [
     "InsufficientPoints",
     "SlopeEstimate",
     "fit_slope",
+    "check_window",
     "check_tol",
     "verify_point",
     "verdict_report",
@@ -49,9 +50,6 @@ class SlopeEstimate:
     d2_hat: float
     ci: tuple[float, float]
     snr_window: tuple[float, float]
-
-    def point(self) -> tuple[float, float]:
-        return (self.d1_hat, self.d2_hat)
 
     def to_dict(self) -> dict:
         return {
@@ -85,11 +83,7 @@ def fit_slope(trace: RateTrace, window: int = DEFAULT_WINDOW) -> SlopeEstimate:
     Raises InsufficientPoints when fewer than three points are available in
     the window.
     """
-    count = min(int(window), len(trace.snr_db))
-    if count < 3:
-        raise InsufficientPoints(
-            f"need at least 3 points to fit a slope, window holds {count}"
-        )
+    count = check_window(window, len(trace.snr_db))
     snr = trace.snr_db[-count:]
     x = [s * LOG2_PER_DB for s in snr]
     d1, ci1 = _ols_slope(x, trace.rate1[-count:], trace.stderr1[-count:])
@@ -100,6 +94,17 @@ def fit_slope(trace: RateTrace, window: int = DEFAULT_WINDOW) -> SlopeEstimate:
         ci=(ci1, ci2),
         snr_window=(snr[0], snr[-1]),
     )
+
+
+def check_window(window: int, points: int) -> int:
+    """How many of ``points`` grid points a fit over ``window`` uses; raises
+    InsufficientPoints when that is fewer than three."""
+    count = min(int(window), points)
+    if count < 3:
+        raise InsufficientPoints(
+            f"need at least 3 points to fit a slope, window holds {count}"
+        )
+    return count
 
 
 def check_tol(tol: float) -> float:

@@ -229,17 +229,41 @@ class TestVerifyCommand:
                 "not known",
                 id="simulate-exact-unknown",
             ),
+            pytest.param(
+                ("verify", *P2P_BC, "--against", "exact", "--window", "2"),
+                "window holds 2",
+                id="verify-window",
+            ),
+            pytest.param(("simulate", *P2P_BC, "--window", "2"), "window holds 2", id="simulate-window"),
+            pytest.param(
+                ("verify", *P2P_BC, "--against", "exact", "--out", "missing/x.json"),
+                "No such file or directory: 'missing/x.json'",
+                id="verify-out",
+            ),
+            pytest.param(
+                ("simulate", *P2P_BC, "--out", "missing/x.json"),
+                "No such file or directory: 'missing/x.json'",
+                id="simulate-out",
+            ),
+            pytest.param(
+                ("simulate", *P2P_BC, "--trace-out", "missing/x.csv"),
+                "No such file or directory: 'missing/x.csv'",
+                id="simulate-trace-out",
+            ),
         ],
     )
-    def test_bad_grading_input_exits_before_any_draw(self, capsys, monkeypatch, argv, message):
+    def test_bad_grading_input_exits_before_any_draw(self, capsys, monkeypatch, tmp_path, argv, message):
         def no_draws(*args, **kwargs):
-            raise AssertionError("trials drawn before the grading input was checked")
+            raise AssertionError("trials drawn before the input was checked")
 
         monkeypatch.setattr(cli, "simulate_scheme", no_draws)
+        # The output paths above are relative, under a directory that is missing.
+        monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv, "--trials", "10")
         assert code == 3
         assert out == ""
         assert message in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -254,6 +278,17 @@ class TestVerifyCommand:
         assert code == 3
         assert out == ""
         assert err.startswith("mimodof: error:") and str(path) in err
+
+    def test_zero_stream_zero_forcing_needs_no_receiver(self, capsys):
+        # Receiver 1 has one antenna and decodes nothing; (0, 2) lies on the
+        # case II facet d1 + d2/2 <= 1.
+        code, out, _ = run(
+            capsys,
+            "verify", "--channel", "ic", "--antennas", "1,2,1,2", "--scheme", "zf",
+            "--streams", "0,2", "--trials", "300", "--against", "outer",
+        )
+        assert code == 0
+        assert json.loads(out)["verdict"] == "boundary"
 
     def test_outside_exits_two(self, capsys, monkeypatch):
         # No honest scheme lands outside a valid bound, so fake a steep

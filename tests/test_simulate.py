@@ -13,16 +13,21 @@ from mimodof import (
     RateTrace,
     SchemeShapeError,
     SchemeSpec,
-    bc_link_dims,
-    db_to_linear,
     fit_slope,
-    ic_link_dims,
     simulate_scheme,
     tdm_rates,
     trace_from_csv,
     trace_to_csv,
 )
-from mimodof.simulate import BLOCK, SCHEME_KINDS, _SCHEMES, _mean_stderr, _stack_draws
+from mimodof.simulate import (
+    BLOCK,
+    SCHEME_KINDS,
+    _SCHEMES,
+    _db_to_linear,
+    _mean_stderr,
+    _network_dims,
+    _stack_draws,
+)
 
 GRID = (10.0, 20.0, 30.0)
 
@@ -52,7 +57,7 @@ def solo(config, user, grid, trials, seed, threads=None):
 
 class TestDraws:
     def test_deterministic_per_seed_and_trial(self):
-        dims = ic_link_dims(IcConfig(2, 1, 2, 3))
+        dims = _network_dims(IcConfig(2, 1, 2, 3), None)
         a = _stack_draws(dims, 7, 5)
         b = _stack_draws(dims, 7, 4)
         for link in dims:
@@ -65,14 +70,14 @@ class TestDraws:
     def test_prefix_across_block_boundary(self):
         # The short run draws the second block only up to trial BLOCK + 3,
         # the long run in full; every shared trial agrees.
-        dims = ic_link_dims(IcConfig(2, 1, 2, 3))
+        dims = _network_dims(IcConfig(2, 1, 2, 3), None)
         short = _stack_draws(dims, 7, BLOCK + 4)
         long = _stack_draws(dims, 7, 3 * BLOCK)
         for link in dims:
             assert np.array_equal(short[link], long[link][: BLOCK + 4])
 
     def test_shapes(self):
-        stacked = _stack_draws(bc_link_dims(BcConfig(4, 2, 3)), 0, 1)
+        stacked = _stack_draws(_network_dims(BcConfig(4, 2, 3), None), 0, 1)
         assert stacked["H1"].shape == (1, 2, 4)
         assert stacked["H2"].shape == (1, 3, 4)
 
@@ -129,7 +134,7 @@ class TestRatePrimitives:
 
     def test_monotone_in_power(self):
         config = BcConfig(2, 3, 1)
-        stacked = _stack_draws(bc_link_dims(config), 5, 1)
+        stacked = _stack_draws(_network_dims(config, None), 5, 1)
         rates = [kernel(P2P, stacked, config, p)[0][0] for p in (0.1, 1, 10, 100, 1000)]
         assert all(b > a for a, b in zip(rates, rates[1:]))
         assert all(r >= 0 for r in rates)
@@ -148,7 +153,7 @@ class TestZeroForcing:
     CONFIG = IcConfig(2, 1, 2, 3)
 
     def draws(self, seed, trials=1):
-        return _stack_draws(ic_link_dims(self.CONFIG), seed, trials)
+        return _stack_draws(_network_dims(self.CONFIG, None), seed, trials)
 
     def test_silenced_interferer_matches_plain_rate(self):
         stacked = self.draws(11)
@@ -173,17 +178,20 @@ class TestZeroForcing:
                 )
 
     def test_driver_slopes(self):
-        trace = simulate_scheme(ZF, self.CONFIG, (30, 40, 50, 60), 2000, 7)
-        est = fit_slope(trace)
-        assert est.d1_hat == pytest.approx(1.0, abs=0.1)
-        assert est.d2_hat == pytest.approx(1.0, abs=0.1)
+        # A user sending 0 streams needs no antennas at its receiver: on
+        # (1, 2, 1, 2), receiver 1 has one antenna and decodes nothing.
+        for config, streams in ((self.CONFIG, (1, 1)), (IcConfig(1, 2, 1, 2), (0, 2))):
+            spec = SchemeSpec("receiver-zero-forcing", streams=streams)
+            est = fit_slope(simulate_scheme(spec, config, (30, 40, 50, 60), 2000, 7))
+            assert est.d1_hat == pytest.approx(streams[0], abs=0.1)
+            assert est.d2_hat == pytest.approx(streams[1], abs=0.1)
 
 
 class TestAlignmentScheme:
     CONFIG = IcConfig(1, 3, 1, 4)
 
     def draws(self, seed, trials=1):
-        return _stack_draws(ic_link_dims(self.CONFIG), seed, trials)
+        return _stack_draws(_network_dims(self.CONFIG, None), seed, trials)
 
     def test_shape_validation(self):
         with pytest.raises(SchemeShapeError):
@@ -263,7 +271,7 @@ class TestIsotropicInput:
     def test_mean_below_deterministic_benchmark(self):
         # The random isotropic input loses to n log2(1 + P) at finite SNR.
         trace = simulate_scheme(self.SPEC, BcConfig(4, 1, 1), (20.0,), 3000, 2)
-        assert trace.rate1[0] < math.log2(1 + db_to_linear(20.0))
+        assert trace.rate1[0] < math.log2(1 + _db_to_linear(20.0))
 
     def test_driver_deterministic(self):
         a = simulate_scheme(self.SPEC, BcConfig(4, 2, 2), GRID, 100, 7)
@@ -335,10 +343,10 @@ class TestDrivers:
         solo2 = solo(config, 2, GRID, 100, 13)
         assert solo1.rate2 == (0.0,) * len(GRID)
         assert solo2.rate1 == (0.0,) * len(GRID)
-        stacked = _stack_draws(bc_link_dims(config), 13, 100)
+        stacked = _stack_draws(_network_dims(config, None), 13, 100)
         for i, snr in enumerate(GRID):
-            r1, _ = kernel(P2P, stacked, config, db_to_linear(snr))
-            _, r2 = kernel(SchemeSpec("point-to-point", user=2), stacked, config, db_to_linear(snr))
+            r1, _ = kernel(P2P, stacked, config, _db_to_linear(snr))
+            _, r2 = kernel(SchemeSpec("point-to-point", user=2), stacked, config, _db_to_linear(snr))
             assert _mean_stderr(r1)[0] == solo1.rate1[i]
             assert _mean_stderr(r2)[0] == solo2.rate2[i]
 
@@ -347,9 +355,9 @@ class TestDrivers:
         # SNR point.
         config = IcConfig(2, 1, 2, 3)
         trace = simulate_scheme(ZF, config, GRID, 50, 7)
-        stacked = _stack_draws(ic_link_dims(config), 7, 50)
+        stacked = _stack_draws(_network_dims(config, None), 7, 50)
         for i, snr in enumerate(GRID):
-            r1, r2 = kernel(ZF, stacked, config, db_to_linear(snr))
+            r1, r2 = kernel(ZF, stacked, config, _db_to_linear(snr))
             assert (trace.rate1[i], trace.stderr1[i]) == _mean_stderr(r1)
             assert (trace.rate2[i], trace.stderr2[i]) == _mean_stderr(r2)
         with pytest.raises(SchemeShapeError):
@@ -376,5 +384,5 @@ class TestDrivers:
             SchemeSpec(kind="point-to-point", user=3)
 
     def test_db_to_linear(self):
-        assert db_to_linear(0.0) == 1.0
-        assert db_to_linear(30.0) == pytest.approx(1000.0)
+        assert _db_to_linear(0.0) == 1.0
+        assert _db_to_linear(30.0) == pytest.approx(1000.0)
