@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import functools
 import json
 import math
 import os
@@ -230,9 +231,11 @@ def _run_simulation(
         check_tol(args.tol)
     # A single non-finite point is reported as such, not as a short window.
     check_window(args.window, len(_validate_grid(grid)))
-    for path in (args.out, getattr(args, "trace_out", None)):
+    for path in filter(None, (args.out, getattr(args, "trace_out", None))):
         # Checked, not created: a call that fails must write nothing.
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     trace = simulate_scheme(spec, config, grid, args.trials, args.seed)
     return config, spec, region, trace, fit_slope(trace, args.window)
@@ -326,7 +329,9 @@ def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write output here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="mimodof", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

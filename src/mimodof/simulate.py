@@ -10,14 +10,16 @@ not depend on the trial count, and results are bit-identical for any thread
 count.
 
 Each scheme is one entry of a table keyed by ``SchemeSpec.kind``: the links
-it draws, a shape check, and a kernel that maps the stacked draws and one
-linear power to per-trial rates for both users. ``simulate_scheme`` is the
-single driver. It checks the grid and the scheme before any draw, draws
-every trial once, evaluates the kernel at each SNR point and reduces.
+it draws, a shape check, and a prepare step that maps the stacked draws to
+one per-point rate evaluator per user. ``simulate_scheme`` is the single
+driver. It checks the grid and the scheme before any draw, draws every
+trial once, prepares once, then evaluates and reduces at each SNR point.
 
-Rates are log-det mutual informations in bits. Gram matrices pass a
-Hermitian-symmetry check (relative tolerance 1e-12) before the Cholesky
-factorization that evaluates the determinant.
+Rates are log-det mutual informations in bits. Only the power changes
+between SNR points, so each trial's Gram matrix is factored once per run:
+it passes a Hermitian-symmetry check (relative tolerance 1e-12), its
+eigenvalues λ pass a positivity guard, and each point costs
+Σ log2(1 + c·p·λ) for the link's power share c.
 """
 
 from __future__ import annotations
@@ -68,39 +70,31 @@ def _db_to_linear(snr_db: float) -> float:
     return 10.0 ** (float(snr_db) / 10.0)
 
 
-def _hermitian_part(gram: np.ndarray) -> np.ndarray:
-    adjoint = gram.conj().swapaxes(-1, -2)
-    asym = float(np.max(np.abs(gram - adjoint))) if gram.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(gram)))) if gram.size else 1.0
+def _psd_eigenvalues(gram: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack of Gram matrices. Each must be
+    Hermitian to a relative HERMITIAN_TOL. An eigenvalue below
+    -HERMITIAN_TOL * max(1, largest eigenvalue of its trial) raises; a
+    smaller negative one is rounding and is clamped to 0."""
+    if gram.shape[-1] == 0:
+        return np.zeros(gram.shape[:-1])
+    asym = float(np.max(np.abs(gram - gram.conj().swapaxes(-1, -2))))
+    scale = max(1.0, float(np.max(np.abs(gram))))
     if asym > HERMITIAN_TOL * scale:
         raise SimulationError(f"Gram matrix lost Hermitian symmetry (deviation {asym:.3e})")
-    return 0.5 * (gram + adjoint)
+    lam = np.linalg.eigvalsh(gram)  # reads one triangle
+    if np.any(lam[..., 0] < -HERMITIAN_TOL * np.maximum(1.0, lam[..., -1])):
+        raise SimulationError(f"Gram matrix is not positive semidefinite (eigenvalue {lam.min():.3e})")
+    return np.maximum(lam, 0.0, out=lam)
 
 
-def _log2det_eye_plus(gram: np.ndarray) -> np.ndarray:
-    """log2 det(I + G) for a stack of PSD matrices, via Cholesky."""
-    k = gram.shape[-1]
-    if k == 0:
-        return np.zeros(gram.shape[:-2])
-    herm = _hermitian_part(gram)
-    eye = np.eye(k, dtype=herm.dtype)
-    chol = np.linalg.cholesky(eye + herm)
-    diag = np.real(np.diagonal(chol, axis1=-2, axis2=-1))
-    return 2.0 * np.sum(np.log2(diag), axis=-1)
-
-
-def _capacity_log2det(channels: np.ndarray, scale: float) -> np.ndarray:
-    """log2 det(I + scale * H H*) for stacked channels, evaluated on the
-    smaller Gram side."""
+def _log_det_rate(channels: np.ndarray, share: float = 1.0) -> Callable[[float], np.ndarray]:
+    """Per-point evaluator of log2 det(I + share * p * H H*) for stacked
+    channels H. The eigenvalues λ of the smaller Gram side are taken once,
+    so each power p costs Σ log2(1 + share * p * λ)."""
     rows, cols = channels.shape[-2:]
-    if rows == 0 or cols == 0:
-        return np.zeros(channels.shape[:-2])
     adjoint = channels.conj().swapaxes(-1, -2)
-    if cols < rows:
-        gram = scale * np.matmul(adjoint, channels)
-    else:
-        gram = scale * np.matmul(channels, adjoint)
-    return _log2det_eye_plus(gram)
+    lam = _psd_eigenvalues(np.matmul(adjoint, channels) if cols < rows else np.matmul(channels, adjoint))
+    return lambda power: np.sum(np.log2(1.0 + (share * power) * lam), axis=-1)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -265,10 +259,10 @@ def _stack_draws(
 
 # --- scheme table ----------------------------------------------------------
 # An entry is link_dims(config, spec) -> links to draw, check(config, spec,
-# grid) -> raises before any draw if the scheme does not fit, the kernel
-# rates(stacked, config, spec, power) -> per-trial rates of both users, and
-# finish(trace, spec) applied to the reduced trace. Single-user kernels fill
-# the served user's column and leave zeros in the other.
+# grid) -> raises before any draw if the scheme does not fit, prepare(stacked,
+# config, spec) -> one evaluator per user, run once per run, and
+# finish(trace, spec) applied to the reduced trace. An evaluator maps one
+# linear power to that user's per-trial rates; an unserved user gets None.
 
 
 def _network_dims(config, spec) -> dict[str, tuple[int, int]]:
@@ -290,24 +284,23 @@ def _any_network(config, spec, grid) -> None:
     """Point-to-point and time division run on every configuration."""
 
 
-def _served(user: int, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    zeros = np.zeros(rates.shape)
-    return (rates, zeros) if user == 1 else (zeros, rates)
+def _served(user: int, rate: Callable) -> tuple[Optional[Callable], Optional[Callable]]:
+    return (rate, None) if user == 1 else (None, rate)
 
 
-def _solo_rate(stacked, config, user: int, power: float) -> np.ndarray:
+def _solo_rate(stacked, config, user: int) -> Callable:
     # Full power P over the user's direct link, P/m per transmit antenna.
     link = f"H{user}" if isinstance(config, BcConfig) else f"H{user}{user}"
     channels = stacked[link]
-    return _capacity_log2det(channels, power / channels.shape[-1])
+    return _log_det_rate(channels, 1.0 / channels.shape[-1])
 
 
-def _point_to_point(stacked, config, spec, power):
-    return _served(spec.user, _solo_rate(stacked, config, spec.user, power))
+def _point_to_point(stacked, config, spec):
+    return _served(spec.user, _solo_rate(stacked, config, spec.user))
 
 
-def _time_division(stacked, config, spec, power):
-    return _solo_rate(stacked, config, 1, power), _solo_rate(stacked, config, 2, power)
+def _time_division(stacked, config, spec):
+    return _solo_rate(stacked, config, 1), _solo_rate(stacked, config, 2)
 
 
 def _tdm_share(trace: RateTrace, spec) -> RateTrace:
@@ -342,30 +335,27 @@ def _zf_check(config, spec, grid) -> None:
         )
 
 
-def _zf_user_rates(own: np.ndarray, cross: np.ndarray, s_own: int, s_int: int, power: float) -> np.ndarray:
+def _zf_user_rate(own: np.ndarray, cross: np.ndarray, s_own: int, s_int: int) -> Optional[Callable]:
     # own: (..., N, M_own) link to this receiver, cross: (..., N, M_int)
     # interference link. Project onto the orthocomplement of the first s_int
     # interfering beams, then decode s_own own beams in white noise.
     if s_own == 0:
-        return np.zeros(own.shape[:-2])
+        return None
     beams = own[..., :, :s_own]
     if s_int > 0:
         q, _ = np.linalg.qr(cross[..., :, :s_int], mode="complete")
-        basis = q[..., :, s_int:]
-        effective = np.matmul(basis.conj().swapaxes(-1, -2), beams)
-    else:
-        effective = beams
-    return _capacity_log2det(effective, power / s_own)
+        beams = np.matmul(q[..., :, s_int:].conj().swapaxes(-1, -2), beams)
+    return _log_det_rate(beams, 1.0 / s_own)
 
 
-def _zero_forcing(stacked, config, spec, power):
+def _zero_forcing(stacked, config, spec):
     """Transmitter i sends si streams on its first si antennas at power
     P/si each; receiver i projects out the other user's streams and decodes
     its own. With s_int = 0 the projection is the identity."""
     s1, s2 = spec.streams
     return (
-        _zf_user_rates(stacked["H11"], stacked["H12"], s1, s2, power),
-        _zf_user_rates(stacked["H22"], stacked["H21"], s2, s1, power),
+        _zf_user_rate(stacked["H11"], stacked["H12"], s1, s2),
+        _zf_user_rate(stacked["H22"], stacked["H21"], s2, s1),
     )
 
 
@@ -388,17 +378,21 @@ def _ia_check(config, spec, grid) -> None:
         raise ValueError("power scaling schemes need every grid point above 0 dB")
 
 
-def _alignment(stacked, config, spec, power):
+def _alignment(stacked, config, spec):
     """User 1 sends a single stream at full power P; user 2 sends ``beams``
     streams at P**power_exponent each. Receiver 1 treats the scaled
     interference as noise; receiver 2 has enough antennas to decode
     everything and is credited the joint log-det rate of its own streams."""
     nb = _ia_beams(config, spec)
-    beam_power = power ** float(spec.power_exponent)
+    exponent = float(spec.power_exponent)
     gain = np.abs(stacked["H11"][:, 0, 0]) ** 2
     cross_gain = np.sum(np.abs(stacked["H12"][:, 0, :nb]) ** 2, axis=-1)
-    r1 = np.log2(1.0 + power * gain / (1.0 + beam_power * cross_gain))
-    return r1, _capacity_log2det(stacked["H22"][:, :, :nb], beam_power)
+    joint = _log_det_rate(stacked["H22"][:, :, :nb])
+
+    def rate1(power):
+        return np.log2(1.0 + power * gain / (1.0 + power ** exponent * cross_gain))
+
+    return rate1, lambda power: joint(power ** exponent)
 
 
 def _iso_rx(config: BcConfig, user: int) -> int:
@@ -415,19 +409,19 @@ def _iso_check(config, spec, grid) -> None:
         raise SchemeShapeError("isotropic input needs the served receiver to have at most M antennas")
 
 
-def _isotropic(stacked, config, spec, power):
+def _isotropic(stacked, config, spec):
     """The fixed channel H = [I 0] has orthonormal rows and sees a fresh
     complex Gaussian M x M mixing matrix Q per trial, so the input
     covariance (P/M) Q Q* is isotropic in expectation. H Q is the first n
     rows of Q."""
     n = _iso_rx(config, spec.user)
-    return _served(spec.user, _capacity_log2det(stacked["Q"][:, :n, :], power / config.M))
+    return _served(spec.user, _log_det_rate(stacked["Q"][:, :n, :], 1.0 / config.M))
 
 
 class _Scheme(NamedTuple):
     link_dims: Callable
     check: Callable
-    rates: Callable
+    prepare: Callable
     finish: Callable = _as_reduced
 
 
@@ -485,16 +479,20 @@ def simulate_scheme(
     """Run one scheme on one network configuration.
 
     The grid and the scheme's fit to the configuration are checked before
-    any draw. Every trial is drawn once and shared by all SNR points.
+    any draw. Every trial is drawn and prepared once, and every SNR point
+    reuses what was prepared.
     """
     scheme = _SCHEMES[spec.kind]
     grid = _validate_grid(snr_db)
     scheme.check(config, spec, grid)
     stacked = _stack_draws(scheme.link_dims(config, spec), seed, trials, threads)
+    rates = scheme.prepare(stacked, config, spec)
     columns = ([], [], [], [])  # rate1, stderr1, rate2, stderr2
     for snr in grid:
-        r1, r2 = scheme.rates(stacked, config, spec, _db_to_linear(snr))
-        for column, value in zip(columns, _mean_stderr(r1) + _mean_stderr(r2)):
+        power = _db_to_linear(snr)
+        # An unserved user's rates are all zero, and so is their reduction.
+        pair = [(0.0, 0.0) if rate is None else _mean_stderr(rate(power)) for rate in rates]
+        for column, value in zip(columns, pair[0] + pair[1]):
             column.append(value)
     trace = RateTrace(grid, *columns, trials=trials, seed=seed)
     return scheme.finish(trace, spec)

@@ -60,6 +60,23 @@ class TestRegionCommand:
         capsys.readouterr()
         assert code == 3
 
+    def test_shared_parser_keeps_routing_and_defaults(self, capsys):
+        # main reuses one parser per process: a later argparse error still
+        # exits 3, and no call leaks its values into the next one.
+        assert cli.build_parser() is cli.build_parser()
+        assert run(capsys, "region", "--channel", "bc", "--antennas", "2,1,1")[0] == 0
+        for _ in range(2):
+            code, out, err = run(capsys, "classify", "--antennas", "1,1,1,1", "--nope")
+            assert (code, out) == (3, "") and "unrecognized arguments: --nope" in err
+        parser = cli.build_parser()
+        sim = parser.parse_args(["simulate", *P2P_BC, "--trials", "5", "--out", "x.json"])
+        region = parser.parse_args(["region", "--channel", "bc", "--antennas", "2,1,1"])
+        again = parser.parse_args(["simulate", *P2P_BC])
+        assert (sim.trials, sim.out, sim.func) == (5, "x.json", cli.cmd_simulate)
+        assert (region.out, region.csit, region.func) == (None, False, cli.cmd_region)
+        assert not hasattr(region, "trials") and not hasattr(region, "format")
+        assert (again.trials, again.out, again.format, again.seed) == (10000, None, "json", 7)
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "region.json"
         code, out, _ = run(
@@ -250,6 +267,16 @@ class TestVerifyCommand:
                 "No such file or directory: 'missing/x.csv'",
                 id="simulate-trace-out",
             ),
+            pytest.param(
+                ("verify", *P2P_BC, "--against", "exact", "--out", "d"),
+                "[Errno 21] Is a directory: 'd'",
+                id="verify-out-is-dir",
+            ),
+            pytest.param(
+                ("simulate", *P2P_BC, "--trace-out", "t.csv", "--out", "d"),
+                "[Errno 21] Is a directory: 'd'",
+                id="simulate-out-is-dir",
+            ),
         ],
     )
     def test_bad_grading_input_exits_before_any_draw(self, capsys, monkeypatch, tmp_path, argv, message):
@@ -257,13 +284,17 @@ class TestVerifyCommand:
             raise AssertionError("trials drawn before the input was checked")
 
         monkeypatch.setattr(cli, "simulate_scheme", no_draws)
-        # The output paths above are relative, under a directory that is missing.
+        # The output paths above are relative: under a directory that is
+        # missing, or naming the existing directory d.
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
         code, out, err = run(capsys, *argv, "--trials", "10")
         assert code == 3
         assert out == ""
         assert message in err
-        assert list(tmp_path.iterdir()) == []
+        # Nothing was written: no t.csv, and d is still empty.
+        assert list(tmp_path.iterdir()) == [tmp_path / "d"]
+        assert list((tmp_path / "d").iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",

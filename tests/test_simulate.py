@@ -13,6 +13,7 @@ from mimodof import (
     RateTrace,
     SchemeShapeError,
     SchemeSpec,
+    SimulationError,
     fit_slope,
     simulate_scheme,
     tdm_rates,
@@ -26,6 +27,7 @@ from mimodof.simulate import (
     _db_to_linear,
     _mean_stderr,
     _network_dims,
+    _psd_eigenvalues,
     _stack_draws,
 )
 
@@ -46,8 +48,70 @@ ONE_OF_EACH = [
 
 
 def kernel(spec, stacked, config, power):
-    """Per-trial rate pair of one scheme's table kernel."""
-    return _SCHEMES[spec.kind].rates(stacked, config, spec, power)
+    """Per-trial rate pair of one scheme's prepared table kernel at one
+    power; an unserved user's column reads as zeros."""
+    trials = len(next(iter(stacked.values())))
+    rates = _SCHEMES[spec.kind].prepare(stacked, config, spec)
+    return tuple(np.zeros(trials) if rate is None else rate(power) for rate in rates)
+
+
+def _log2det_eye_plus(gram):
+    """log2 det(I + G) for a stack of PSD matrices, via Cholesky: the
+    per-point kernel the spectral form replaced, kept as a reference."""
+    k = gram.shape[-1]
+    if k == 0:
+        return np.zeros(gram.shape[:-2])
+    herm = 0.5 * (gram + gram.conj().swapaxes(-1, -2))
+    chol = np.linalg.cholesky(np.eye(k, dtype=herm.dtype) + herm)
+    diag = np.real(np.diagonal(chol, axis1=-2, axis2=-1))
+    return 2.0 * np.sum(np.log2(diag), axis=-1)
+
+
+def _capacity_log2det(channels, scale):
+    rows, cols = channels.shape[-2:]
+    if rows == 0 or cols == 0:
+        return np.zeros(channels.shape[:-2])
+    adjoint = channels.conj().swapaxes(-1, -2)
+    gram = np.matmul(adjoint, channels) if cols < rows else np.matmul(channels, adjoint)
+    return _log2det_eye_plus(scale * gram)
+
+
+def reference_rates(spec, stacked, config, power):
+    """Per-trial rates of both users, by the per-point Cholesky kernels."""
+    zeros = np.zeros(len(next(iter(stacked.values()))))
+
+    def served(rates):
+        return (rates, zeros) if spec.user == 1 else (zeros, rates)
+
+    def solo_rate(user):
+        channels = stacked[f"H{user}" if isinstance(config, BcConfig) else f"H{user}{user}"]
+        return _capacity_log2det(channels, power / channels.shape[-1])
+
+    def zf_rate(own, cross, s_own, s_int):
+        if s_own == 0:
+            return zeros
+        beams = own[..., :, :s_own]
+        if s_int > 0:
+            q, _ = np.linalg.qr(cross[..., :, :s_int], mode="complete")
+            beams = np.matmul(q[..., :, s_int:].conj().swapaxes(-1, -2), beams)
+        return _capacity_log2det(beams, power / s_own)
+
+    if spec.kind == "point-to-point":
+        return served(solo_rate(spec.user))
+    if spec.kind == "time-division":
+        return solo_rate(1), solo_rate(2)
+    if spec.kind == "receiver-zero-forcing":
+        s1, s2 = spec.streams
+        return zf_rate(stacked["H11"], stacked["H12"], s1, s2), zf_rate(stacked["H22"], stacked["H21"], s2, s1)
+    if spec.kind == "ia-power-scaling":
+        nb = config.M2 if spec.beams is None else spec.beams
+        beam_power = power ** spec.power_exponent
+        gain = np.abs(stacked["H11"][:, 0, 0]) ** 2
+        cross_gain = np.sum(np.abs(stacked["H12"][:, 0, :nb]) ** 2, axis=-1)
+        r1 = np.log2(1.0 + power * gain / (1.0 + beam_power * cross_gain))
+        return r1, _capacity_log2det(stacked["H22"][:, :, :nb], beam_power)
+    n = config.N1 if spec.user == 1 else config.N2
+    return served(_capacity_log2det(stacked["Q"][:, :n, :], power / config.M))
 
 
 def solo(config, user, grid, trials, seed, threads=None):
@@ -147,6 +211,76 @@ class TestRatePrimitives:
                 simulate_scheme(P2P, BcConfig(2, 2, 2), (10.0, point), 10, 0)
             with pytest.raises(ValueError, match="SNR grid"):
                 RateTrace((point,), (1,), (0,), (1,), (0,), 10, 0)
+
+
+class TestSpectralKernels:
+    # Every kind, plus a served user 2, a silent zero-forcing user and an
+    # alignment run with no beams.
+    CASES = ONE_OF_EACH + [
+        (SchemeSpec("point-to-point", user=2), IcConfig(3, 2, 2, 4)),
+        (SchemeSpec("receiver-zero-forcing", streams=(0, 2)), IcConfig(1, 2, 1, 2)),
+        (SchemeSpec("ia-power-scaling", beams=0), IcConfig(1, 3, 1, 4)),
+        (SchemeSpec("isotropic-bc"), BcConfig(4, 4, 1)),
+    ]
+
+    @pytest.mark.parametrize("spec, config", CASES, ids=[f"{s.kind}-{c}" for s, c in CASES])
+    def test_matches_cholesky_reference(self, spec, config):
+        stacked = _stack_draws(_SCHEMES[spec.kind].link_dims(config, spec), 5, 300)
+        # Both kernels round 1 + x before the logarithm, so a small rate
+        # carries an absolute error of a few 2**-52 whichever kernel runs;
+        # atol covers that and nothing more.
+        for power in (1e-3, 1.0, 1e3, 1e7, 1e30, 1e40):
+            got = kernel(spec, stacked, config, power)
+            for rates, want in zip(got, reference_rates(spec, stacked, config, power)):
+                np.testing.assert_allclose(rates, want, rtol=1e-12, atol=1e-14)
+
+    def test_projection_runs_once_per_user(self, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        simulate_scheme(ZF, IcConfig(2, 1, 2, 3), (30, 40, 50, 60, 70), 100, 7)
+        assert len(calls) == 2
+
+    def test_guards_reject_bad_gram(self):
+        skewed = np.array([[[1.0, 0.5], [0.0, 1.0]]], dtype=complex)
+        with pytest.raises(SimulationError, match="Hermitian"):
+            _psd_eigenvalues(skewed)
+        # Eigenvalues -1 and 3.
+        indefinite = np.array([[[1.0, 2.0], [2.0, 1.0]]], dtype=complex)
+        with pytest.raises(SimulationError, match="positive semidefinite"):
+            _psd_eigenvalues(indefinite)
+        # Smallest eigenvalue about -eps/2 against a floor of -2e-12: rounding
+        # below 1e-12 of the largest eigenvalue is clamped, beyond it raises.
+        near_singular = lambda eps: np.array([[[1.0, 1.0], [1.0, 1.0 - eps]]], dtype=complex)
+        lam = _psd_eigenvalues(near_singular(1e-14))
+        assert lam[0, 0] == 0.0 and lam[0, 1] == pytest.approx(2.0)
+        with pytest.raises(SimulationError, match="positive semidefinite"):
+            _psd_eigenvalues(near_singular(1e-11))
+        # The floor is per trial: a large trial does not excuse a small one.
+        with pytest.raises(SimulationError, match="positive semidefinite"):
+            _psd_eigenvalues(np.concatenate([1e6 * np.eye(2, dtype=complex)[None], near_singular(1e-8)]))
+
+    @pytest.mark.parametrize("spec, config", ONE_OF_EACH, ids=[s.kind for s, _ in ONE_OF_EACH])
+    def test_extreme_snr_slopes(self, spec, config):
+        # At 300-400 dB the finite-SNR bias is below 1e-29, so the fitted
+        # prelogs equal the scheme's DoF to rounding.
+        expected = {
+            "point-to-point": (2.0, 0.0),
+            "time-division": (0.3 * 2, 0.7 * 3),
+            "receiver-zero-forcing": (1.0, 1.0),
+            "ia-power-scaling": (0.5, 1.5),
+            "isotropic-bc": (0.0, 3.0),
+        }[spec.kind]
+        trace = simulate_scheme(spec, config, (300.0, 325.0, 350.0, 375.0, 400.0), 500, 7)
+        assert all(math.isfinite(v) for v in trace.rate1 + trace.rate2 + trace.stderr1 + trace.stderr2)
+        est = fit_slope(trace, window=5)
+        assert est.d1_hat == pytest.approx(expected[0], abs=1e-9)
+        assert est.d2_hat == pytest.approx(expected[1], abs=1e-9)
 
 
 class TestZeroForcing:
