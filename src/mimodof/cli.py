@@ -182,17 +182,14 @@ def _scheme_from_args(args) -> SchemeSpec:
         if len(parsed) != 2:
             raise _UsageError("--streams needs exactly two counts")
         streams = parsed
-    try:
-        return SchemeSpec(
-            kind=kind,
-            tau=args.tau,
-            streams=streams,
-            beams=args.beams,
-            power_exponent=args.exponent,
-            user=args.user,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    return SchemeSpec(
+        kind=kind,
+        tau=args.tau,
+        streams=streams,
+        beams=args.beams,
+        power_exponent=args.exponent,
+        user=args.user,
+    )
 
 
 def _region_for_verify(channel: str, config, against: str) -> DofRegion:
@@ -380,10 +377,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"mimodof: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, SimulationError, InfeasibleBound, UnboundedRegion) as exc:
+    except (_UsageError, ValueError, OSError, MemoryError, SimulationError, InfeasibleBound, UnboundedRegion) as exc:
         print(f"mimodof: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

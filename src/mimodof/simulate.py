@@ -16,10 +16,10 @@ driver. It checks the grid and the scheme before any draw, draws every
 trial once, prepares once, then evaluates and reduces at each SNR point.
 
 Rates are log-det mutual informations in bits. Only the power changes
-between SNR points, so each trial's Gram matrix is factored once per run:
-it passes a Hermitian-symmetry check (relative tolerance 1e-12), its
-eigenvalues λ pass a positivity guard, and each point costs
-Σ log2(1 + c·p·λ) for the link's power share c.
+between SNR points, so each trial's Gram eigenvalues λ are taken once per
+run, in closed form for Gram sides of 1 and 2 and otherwise by eigvalsh
+behind a Hermitian check (relative tolerance 1e-12) and a positivity guard.
+Each point costs Σ log2(1 + c·p·λ) for the link's power share c.
 """
 
 from __future__ import annotations
@@ -75,8 +75,6 @@ def _psd_eigenvalues(gram: np.ndarray) -> np.ndarray:
     Hermitian to a relative HERMITIAN_TOL. An eigenvalue below
     -HERMITIAN_TOL * max(1, largest eigenvalue of its trial) raises; a
     smaller negative one is rounding and is clamped to 0."""
-    if gram.shape[-1] == 0:
-        return np.zeros(gram.shape[:-1])
     asym = float(np.max(np.abs(gram - gram.conj().swapaxes(-1, -2))))
     scale = max(1.0, float(np.max(np.abs(gram))))
     if asym > HERMITIAN_TOL * scale:
@@ -87,13 +85,42 @@ def _psd_eigenvalues(gram: np.ndarray) -> np.ndarray:
     return np.maximum(lam, 0.0, out=lam)
 
 
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...i->...", x.conj(), y)  # ⟨x, y⟩ along the last axis
+
+
+def _gram_spectrum(channels: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues λ of the smaller Gram side of stacked channels,
+    n = min(rows, cols) per trial. For n <= 2 they come in closed form from
+    the short-side vectors, with no Gram matrix and no LAPACK call: λ = ‖u‖²
+    for n = 1; for n = 2, λmax = (a+c)/2 + hypot((a-c)/2, |b|) and
+    λmin = det/λmax, with a = ‖u‖², c = ‖v‖², b = ⟨u, v⟩ and det = a‖v - (b/a)u‖²
+    from one Gram-Schmidt step. a, c and det are sums of squares, so these λ
+    are real and nonnegative by construction and have no guard to pass, and
+    λmin carries the channel's condition number, not its square. For n >= 3
+    the Gram matrix goes through ``_psd_eigenvalues`` and its guards."""
+    rows, cols = channels.shape[-2:]
+    if min(rows, cols) > 2:
+        adjoint = channels.conj().swapaxes(-1, -2)
+        return _psd_eigenvalues(np.matmul(adjoint, channels) if cols < rows else np.matmul(channels, adjoint))
+    vectors = channels if rows <= cols else channels.swapaxes(-1, -2)
+    norms = _inner(vectors, vectors).real
+    if min(rows, cols) < 2:
+        return norms
+    u, v = vectors[..., 0, :], vectors[..., 1, :]
+    a, c = norms[..., 0], norms[..., 1]
+    b = _inner(u, v)
+    top = 0.5 * (a + c) + np.hypot(0.5 * (a - c), np.abs(b))
+    # u = 0 gives a = b = 0, hence det = 0; top = 0 only for the zero matrix.
+    residual = v - (b / np.where(a > 0, a, 1.0))[..., None] * u
+    det = a * _inner(residual, residual).real
+    return np.stack([det / np.where(top > 0, top, 1.0), top], axis=-1)
+
+
 def _log_det_rate(channels: np.ndarray, share: float = 1.0) -> Callable[[float], np.ndarray]:
     """Per-point evaluator of log2 det(I + share * p * H H*) for stacked
-    channels H. The eigenvalues λ of the smaller Gram side are taken once,
-    so each power p costs Σ log2(1 + share * p * λ)."""
-    rows, cols = channels.shape[-2:]
-    adjoint = channels.conj().swapaxes(-1, -2)
-    lam = _psd_eigenvalues(np.matmul(adjoint, channels) if cols < rows else np.matmul(channels, adjoint))
+    channels H: Σ log2(1 + share * p * λ) over the λ of ``_gram_spectrum``."""
+    lam = _gram_spectrum(channels)
     return lambda power: np.sum(np.log2(1.0 + (share * power) * lam), axis=-1)
 
 
@@ -114,6 +141,10 @@ def _validate_grid(snr_db: Sequence[float]) -> tuple[float, ...]:
         raise ValueError("SNR grid must be nonempty")
     if not all(math.isfinite(s) for s in grid):
         raise ValueError(f"SNR grid points must be finite, got {list(grid)}")
+    try:
+        _db_to_linear(max(grid))
+    except OverflowError:
+        raise ValueError(f"SNR grid point {max(grid)} dB overflows a float power") from None
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("SNR grid must be strictly ascending")
     return grid

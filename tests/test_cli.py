@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 import mimodof.cli as cli
+import mimodof.simulate as simulate
 from mimodof import RateTrace
 
 
@@ -357,9 +358,16 @@ class TestSnrGridCommand:
             pytest.param((*P2P_BC, "--snr-db=nan"), "SNR grid", id="nan"),
             pytest.param((*IA_IC, "--exponent=inf"), "power_exponent", id="exponent-inf"),
             pytest.param((*IA_IC, "--exponent=nan"), "power_exponent", id="exponent-nan"),
+            # 10**(dB/10) overflows a float above about 3082 dB.
+            pytest.param((*P2P_BC, "--snr-db", "3000:3100:10"), "overflows", id="p2p-snr-overflow"),
+            pytest.param((*IA_IC, "--snr-db", "3000:3100:10"), "overflows", id="ia-snr-overflow"),
         ],
     )
-    def test_non_finite_point_exits_three(self, capsys, argv, message):
+    def test_non_finite_point_exits_three(self, capsys, monkeypatch, argv, message):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("trials drawn before the grid was checked")
+
+        monkeypatch.setattr(simulate, "_stack_draws", no_draws)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "simulate", *argv, "--trials", "10")
@@ -376,6 +384,16 @@ class TestSnrGridCommand:
         )
         assert code == 3
         assert "--snr-db" in err
+
+    def test_unallocatable_trial_count_exits_three(self, capsys, monkeypatch, tmp_path):
+        # numpy refuses the 57 PiB draw array up front, without allocating.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(
+            capsys, "verify", *P2P_BC, "--against", "exact", "--trials", str(10**15), "--out", "r.json"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("mimodof: error: Unable to allocate") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_grid_points_do_not_accumulate_error(self):
         tenths = cli._parse_grid("0:1:0.1")

@@ -1,6 +1,7 @@
 """Monte Carlo layer tests: draws, scheme kernels, the driver, CSV."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from mimodof.simulate import (
     SCHEME_KINDS,
     _SCHEMES,
     _db_to_linear,
+    _gram_spectrum,
+    _log_det_rate,
     _mean_stderr,
     _network_dims,
     _psd_eigenvalues,
@@ -67,13 +70,16 @@ def _log2det_eye_plus(gram):
     return 2.0 * np.sum(np.log2(diag), axis=-1)
 
 
-def _capacity_log2det(channels, scale):
+def short_side_gram(channels):
     rows, cols = channels.shape[-2:]
-    if rows == 0 or cols == 0:
-        return np.zeros(channels.shape[:-2])
     adjoint = channels.conj().swapaxes(-1, -2)
-    gram = np.matmul(adjoint, channels) if cols < rows else np.matmul(channels, adjoint)
-    return _log2det_eye_plus(scale * gram)
+    return np.matmul(adjoint, channels) if cols < rows else np.matmul(channels, adjoint)
+
+
+def _capacity_log2det(channels, scale):
+    if 0 in channels.shape[-2:]:
+        return np.zeros(channels.shape[:-2])
+    return _log2det_eye_plus(scale * short_side_gram(channels))
 
 
 def reference_rates(spec, stacked, config, power):
@@ -112,6 +118,22 @@ def reference_rates(spec, stacked, config, power):
         return r1, _capacity_log2det(stacked["H22"][:, :, :nb], beam_power)
     n = config.N1 if spec.user == 1 else config.N2
     return served(_capacity_log2det(stacked["Q"][:, :n, :], power / config.M))
+
+
+def exact_log2det(h, x):
+    """log2 det(I + x G) for one channel h whose short-side Gram G is 2x2,
+    from the exact rational determinant 1 + x tr G + x**2 det G of its
+    float entries; only the final float and log2 round."""
+    vectors = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in (h if len(h) <= len(h[0]) else h.T)]
+
+    def inner(p, q):  # <p, q> = sum of conj(p) q, as (real, imag)
+        pairs = list(zip(p, q))
+        return sum(a * c + b * d for (a, b), (c, d) in pairs), sum(a * d - b * c for (a, b), (c, d) in pairs)
+
+    u, v = vectors
+    g11, g22, (re, im) = inner(u, u)[0], inner(v, v)[0], inner(u, v)
+    x = Fraction(x)
+    return math.log2(1 + x * (g11 + g22) + x * x * (g11 * g22 - re * re - im * im))
 
 
 def solo(config, user, grid, trials, seed, threads=None):
@@ -245,6 +267,59 @@ class TestSpectralKernels:
         monkeypatch.setattr(np.linalg, "qr", counted)
         simulate_scheme(ZF, IcConfig(2, 1, 2, 3), (30, 40, 50, 60, 70), 100, 7)
         assert len(calls) == 2
+
+    def test_small_gram_sides_match_eigvalsh(self):
+        # Gram sides 1 and 2 take closed forms. Against LAPACK on the Gram:
+        # seeded stacks, then a zero row either way, parallel rows and the
+        # zero matrix, each also transposed.
+        rng = np.random.default_rng(8)
+        shapes = [shape for k in range(1, 6) for shape in ((1, k), (k, 1), (2, k), (k, 2))]
+        stacks = [rng.standard_normal((40, *shape)) + 1j * rng.standard_normal((40, *shape)) for shape in shapes]
+        u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        zero = np.zeros(3, dtype=complex)
+        special = np.array([[zero, u], [u, zero], [u, (2 - 1j) * u], [zero, zero]])
+        stacks += [special, special.swapaxes(-1, -2)]
+        for channels in stacks:
+            lam = _gram_spectrum(channels)
+            want = np.linalg.eigvalsh(short_side_gram(channels))
+            assert lam.shape == want.shape
+            assert np.all(np.isfinite(lam)) and np.all(lam >= 0.0)
+            assert np.all(np.abs(lam - want) <= 1e-12 * want[..., -1:])
+
+    @pytest.mark.parametrize("kappa", [1e2, 1e3, 1e4])
+    def test_closed_form_keeps_condition_number(self, kappa):
+        # H = U diag(1, 1/kappa) V. eigvalsh on the Gram errs by about
+        # eps * kappa**2 in the small eigenvalue, near 1e-10 in these rates
+        # at 70 dB; the closed form errs by about eps * kappa.
+        rng = np.random.default_rng(int(kappa))
+
+        def unitary(n):
+            return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+        power = _db_to_linear(70.0)
+        for rows, cols in ((2, 2), (2, 4), (3, 2)):
+            sigma = np.zeros((rows, cols))
+            sigma[0, 0], sigma[1, 1] = 1.0, 1.0 / kappa
+            channels = np.stack([unitary(rows) @ sigma @ unitary(cols) for _ in range(20)])
+            rates = _log_det_rate(channels, 1.0 / cols)(power)
+            for h, rate in zip(channels, rates):
+                want = exact_log2det(h, power / cols)
+                assert abs(rate - want) <= 1e-14 * want
+
+    def test_small_gram_sides_skip_lapack(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(gram):
+            calls.append(gram.shape)
+            return eigvalsh(gram)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        simulate_scheme(P2P, BcConfig(2, 2, 2), GRID, 100, 7)
+        assert calls == []
+        # Only user 2's 3 x 4 link has a Gram side above 2.
+        simulate_scheme(SchemeSpec("time-division"), BcConfig(4, 2, 3), GRID, 100, 7)
+        assert calls == [(100, 3, 3)]
 
     def test_guards_reject_bad_gram(self):
         skewed = np.array([[[1.0, 0.5], [0.0, 1.0]]], dtype=complex)
