@@ -4,16 +4,17 @@ Channels are i.i.d. circularly symmetric complex Gaussian with unit entry
 variance, redrawn per trial. Reproducibility contract: trials are grouped in
 fixed blocks of ``BLOCK``, block b owns the substream
 ``default_rng([seed, b])`` and fills its trials row by row in a fixed link
-order, and per-SNR averages are reduced with ``math.fsum``, which is exactly
-rounded and therefore independent of accumulation order. A trial's draws do
-not depend on the trial count, and results are bit-identical for any thread
-count.
+order, and per-SNR averages are exactly rounded sums, which do not depend on
+the order of accumulation. A trial's draws do not depend on the trial count,
+and results are bit-identical for any thread count.
 
 Each scheme is one entry of a table keyed by ``SchemeSpec.kind``: the links
 it draws, a shape check, and a prepare step that maps the stacked draws to
 one per-point rate evaluator per user. ``simulate_scheme`` is the single
 driver. It checks the grid and the scheme before any draw, draws every
-trial once, prepares once, then evaluates and reduces at each SNR point.
+trial once and prepares once. Each served user's rates at every SNR point
+then form one (points, trials) array, and all its rows are reduced at once
+by error-free extraction (``_exact_row_sums``).
 
 Rates are log-det mutual informations in bits. Only the power changes
 between SNR points, so each trial's Gram eigenvalues λ are taken once per
@@ -124,27 +125,77 @@ def _log_det_rate(channels: np.ndarray, share: float = 1.0) -> Callable[[float],
     return lambda power: np.sum(np.log2(1.0 + (share * power) * lam), axis=-1)
 
 
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    # fsum is exactly rounded, so the reduction is independent of trial
-    # order and of how trials were distributed over threads.
-    count = len(values)
-    mean = math.fsum(values.tolist()) / count
+def _exact_row_sums(values: np.ndarray) -> list[float]:
+    """The exactly rounded sum of each row of a 2-D float array, equal to
+    ``math.fsum`` of the row.
+
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31(1), 2008): with σ a power of
+    two at least 2n times the largest magnitude, q = (x + σ) - σ keeps the
+    bits of x down to σ's last place and x - q is the exact rest. All q and
+    all their partial sums are multiples of that place below σ/2, so
+    ``q.sum(axis=1)`` is exact in any order. Passes repeat on the rest until
+    it is zero, and ``math.fsum`` rounds each row's few exact partials once.
+    Non-finite input, or input so large that σ overflows, raises
+    ``SimulationError``.
+    """
+    rest = np.array(values, dtype=float)  # a copy: the passes consume it
+    headroom = (rest.shape[1] - 1).bit_length() + 1  # 2**headroom >= 2n
+    top = float(np.max(np.abs(rest), initial=0.0))
+    # Also false for nan; below this bound σ cannot overflow.
+    if not top < 2.0 ** (1023 - headroom):
+        raise SimulationError("rates to reduce are not finite or too large to sum exactly")
+    partials = []
+    while True:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + headroom)
+        q = rest + sigma
+        q -= sigma
+        rest -= q
+        partials.append(q.sum(axis=1).tolist())
+        top = float(np.max(np.abs(rest), initial=0.0))
+        if top == 0.0:
+            return [math.fsum(row) for row in zip(*partials)]
+
+
+def _mean_stderr(values: np.ndarray) -> tuple[list[float], list[float]]:
+    # Means and standard errors of each row of (points, trials) rates. The
+    # sums are exactly rounded, so they do not depend on trial order or on
+    # how trials were distributed over threads.
+    count = values.shape[1]
+    means = [total / count for total in _exact_row_sums(values)]
     if count < 2:
-        return mean, 0.0
-    var = math.fsum(((values - mean) ** 2).tolist()) / (count - 1)
-    return mean, math.sqrt(var / count)
+        return means, [0.0] * len(means)
+    deviations = values - np.array(means)[:, None]
+    deviations **= 2
+    var = [total / (count - 1) for total in _exact_row_sums(deviations)]
+    return means, [math.sqrt(v / count) for v in var]
+
+
+# Largest linear power a grid point may ask for: 2**64 below the float
+# overflow threshold.
+_MAX_POWER = 2.0 ** (1024 - 64)
+
+
+def _within_headroom(snr_db: float, exponent: float = 1.0) -> bool:
+    """Whether the point's linear power, raised to ``exponent``, is at most
+    ``_MAX_POWER``."""
+    try:
+        return _db_to_linear(snr_db) ** exponent <= _MAX_POWER
+    except OverflowError:
+        return False
 
 
 def _validate_grid(snr_db: Sequence[float]) -> tuple[float, ...]:
+    """The grid as an ascending tuple of finite floats. Every point's linear
+    power must stay 2**64 below float overflow (at most about 2890 dB), so
+    that power times any channel gain or eigenvalue is still finite."""
     grid = tuple(float(s) for s in snr_db)
     if not grid:
         raise ValueError("SNR grid must be nonempty")
     if not all(math.isfinite(s) for s in grid):
         raise ValueError(f"SNR grid points must be finite, got {list(grid)}")
-    try:
-        _db_to_linear(max(grid))
-    except OverflowError:
-        raise ValueError(f"SNR grid point {max(grid)} dB overflows a float power") from None
+    if not _within_headroom(max(grid)):
+        raise ValueError(f"SNR grid point {max(grid)} dB overflows a float power with 2**64 headroom")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("SNR grid must be strictly ascending")
     return grid
@@ -407,6 +458,12 @@ def _ia_check(config, spec, grid) -> None:
     # Interference at P**exponent only shrinks relative to P when P > 1.
     if any(_db_to_linear(snr) <= 1.0 for snr in grid):
         raise ValueError("power scaling schemes need every grid point above 0 dB")
+    # With P > 1, P**exponent is monotone in P, so the last point bounds it.
+    if not _within_headroom(grid[-1], float(spec.power_exponent)):
+        raise ValueError(
+            f"SNR grid point {grid[-1]} dB raised to the power exponent "
+            f"{spec.power_exponent} overflows a float power with 2**64 headroom"
+        )
 
 
 def _alignment(stacked, config, spec):
@@ -511,19 +568,22 @@ def simulate_scheme(
 
     The grid and the scheme's fit to the configuration are checked before
     any draw. Every trial is drawn and prepared once, and every SNR point
-    reuses what was prepared.
+    reuses what was prepared. Each served user's (points, trials) rates are
+    reduced in one batch.
     """
     scheme = _SCHEMES[spec.kind]
     grid = _validate_grid(snr_db)
     scheme.check(config, spec, grid)
-    stacked = _stack_draws(scheme.link_dims(config, spec), seed, trials, threads)
-    rates = scheme.prepare(stacked, config, spec)
-    columns = ([], [], [], [])  # rate1, stderr1, rate2, stderr2
-    for snr in grid:
-        power = _db_to_linear(snr)
-        # An unserved user's rates are all zero, and so is their reduction.
-        pair = [(0.0, 0.0) if rate is None else _mean_stderr(rate(power)) for rate in rates]
-        for column, value in zip(columns, pair[0] + pair[1]):
-            column.append(value)
+    # The evaluators keep what they need, so the draws go once prepared.
+    rates = scheme.prepare(_stack_draws(scheme.link_dims(config, spec), seed, trials, threads), config, spec)
+    powers = [_db_to_linear(snr) for snr in grid]
+    columns = []  # rate1, stderr1, rate2, stderr2
+    for rate in rates:
+        if rate is None:
+            # An unserved user's rates are all zero, and so is their reduction.
+            columns += [(0.0,) * len(grid)] * 2
+        else:
+            # One user at a time keeps the arrays in cache and peak memory flat.
+            columns += _mean_stderr(np.stack([rate(power) for power in powers]))
     trace = RateTrace(grid, *columns, trials=trials, seed=seed)
     return scheme.finish(trace, spec)

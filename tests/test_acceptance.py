@@ -3,9 +3,11 @@
 Seven criteria, each printed as one pass/fail line. The Monte Carlo battery
 (criteria 4, 5, 7) is the entry list of ``scripts/run_prelog_battery.py``,
 computed once per session at 10^4 trials per SNR point with a fixed seed,
-over the 30 to 70 dB grid in 10 dB steps.
+over the 30 to 70 dB grid in 10 dB steps. A sha256 golden pins the
+battery's traces bit for bit.
 """
 
+import hashlib
 import importlib.util
 import math
 import time
@@ -25,6 +27,7 @@ from mimodof import (
     fit_slope,
     ic_classify,
     simulate_scheme,
+    trace_to_csv,
     verify_point,
 )
 
@@ -186,3 +189,14 @@ def test_criterion_7_outer_bound_consistency(battery):
             assert verify_point(est, outer, tol=TOL) != "outside", key
             inner = ic_classify(config).inner if isinstance(config, IcConfig) else outer
             assert verify_point(est, inner, tol=TOL) in ("inside", "boundary"), key
+
+
+def test_battery_traces_sha256():
+    # One hash over the CSV of every battery trace at 2000 trials, so a
+    # Monte Carlo value that moves by even one bit shows here.
+    h = hashlib.sha256()
+    for _, config, spec, _ in prelog_battery.battery_entries():
+        h.update(trace_to_csv(simulate_scheme(spec, config, GRID, 2000, SEED)).encode())
+    assert h.hexdigest() == (
+        "b4c6d37b96b2c50f52579eb7177478f49d336c4a5ea420b4dde097a12d8dd4c0"
+    )

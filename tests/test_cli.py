@@ -361,6 +361,15 @@ class TestSnrGridCommand:
             # 10**(dB/10) overflows a float above about 3082 dB.
             pytest.param((*P2P_BC, "--snr-db", "3000:3100:10"), "overflows", id="p2p-snr-overflow"),
             pytest.param((*IA_IC, "--snr-db", "3000:3100:10"), "overflows", id="ia-snr-overflow"),
+            # Powers that fit a float but not times a channel gain: the
+            # grid keeps 2**64 of headroom (points up to about 2890 dB).
+            pytest.param((*P2P_BC, "--snr-db", "3060:3080:10"), "headroom", id="p2p-snr-headroom"),
+            # Alignment's interference power P**exponent overflows.
+            pytest.param((*IA_IC, "--exponent", "100"), "exponent 100.0", id="ia-exponent-overflow"),
+            pytest.param(
+                (*IA_IC, "--exponent", "2", "--snr-db", "2000:2040:10"), "exponent 2.0",
+                id="ia-exponent-snr-overflow",
+            ),
         ],
     )
     def test_non_finite_point_exits_three(self, capsys, monkeypatch, argv, message):

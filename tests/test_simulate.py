@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimodof import (
     BcConfig,
@@ -26,6 +28,7 @@ from mimodof.simulate import (
     SCHEME_KINDS,
     _SCHEMES,
     _db_to_linear,
+    _exact_row_sums,
     _gram_spectrum,
     _log_det_rate,
     _mean_stderr,
@@ -185,6 +188,36 @@ class TestDraws:
         assert abs(corr) < 3.0 / math.sqrt(n)
 
 
+def fsum_rows(values):
+    # The row-by-row reference the exact reduction replaces.
+    return [math.fsum(row) for row in values.tolist()]
+
+
+def same_bits(a, b):
+    return np.array(a, dtype=float).tobytes() == np.array(b, dtype=float).tobytes()
+
+
+# Finite floats whose magnitudes span ~10^600, subnormals and zeros of
+# either sign included.
+spread_floats = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False),
+    st.builds(math.ldexp, st.integers(-(2**53), 2**53), st.integers(-1126, 944)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0]),
+)
+
+
+@st.composite
+def float_rows(draw):
+    """1-6 rows of 1-40 spread floats, plus one that nearly cancels down to
+    its tail: pairs x, -x and x, -nextafter(x, 0), then the first row's rest."""
+    width = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.lists(spread_floats, min_size=width, max_size=width), min_size=1, max_size=6))
+    half = rows[0][: (width - 1) // 2]
+    opposite = [-math.nextafter(v, 0.0) if i % 2 else -v for i, v in enumerate(half)]
+    rows.append(half + opposite + rows[0][2 * len(half):])
+    return np.array(rows)
+
+
 class TestMeanStderr:
     @staticmethod
     def reference(values):
@@ -197,11 +230,62 @@ class TestMeanStderr:
         return mean, math.sqrt(var / count)
 
     def test_matches_elementwise_reference(self):
+        # One row per scale, reduced together.
         rng = np.random.default_rng(2024)
         for size in (1, 2, 3, 1000, 10_000):
-            for scale in (1e-3, 1.0, 1e6):
-                values = scale * rng.standard_exponential(size)
-                assert _mean_stderr(values) == self.reference(values)
+            rows = np.stack([scale * rng.standard_exponential(size) for scale in (1e-3, 1.0, 1e6)])
+            means, stderrs = _mean_stderr(rows)
+            assert list(zip(means, stderrs)) == [self.reference(row) for row in rows]
+
+
+class TestExactRowSums:
+    @given(float_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fsum(self, values):
+        assert same_bits(_exact_row_sums(values), fsum_rows(values))
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [1.0],
+            [-0.0],
+            [5e-324, -5e-324],
+            [1e300, 1.0, -1e300],
+            [1e300, -1e-300],
+            [2.0**-1074, 2.0**-1022, -(2.0**-1022)],
+            [1.0, 2.0**-53, 2.0**-53],
+            [1.0, 2.0**-53, 2.0**-105],
+            [1e16, 1.0, -1e16, 2.0**-60, -(2.0**-60), 3.0],
+            [2.0**1019, 2.0**1019 / 3, -(2.0**1019)],
+        ],
+        ids=["single", "negative-zero", "subnormal-pair", "cancel-huge", "extreme-spread",
+             "subnormal-normal", "ties", "tie-broken-below", "nested-cancel", "largest-allowed"],
+    )
+    def test_edge_rows(self, row):
+        values = np.array([row])
+        assert same_bits(_exact_row_sums(values), fsum_rows(values))
+
+    def test_rates_and_squared_deviations(self):
+        # Rates and squared deviations spanning 10^-3 to 10^7 SNR, as the
+        # driver hands them over.
+        stacked = _stack_draws({"H": (2, 2)}, 3, 4000)
+        rate = _log_det_rate(stacked["H"], 0.5)
+        values = np.stack([rate(_db_to_linear(snr)) for snr in range(-30, 71, 10)])
+        deviations = (values - np.array(fsum_rows(values))[:, None] / values.shape[1]) ** 2
+        for rows in (values, deviations, values[:, :2], values[:, :1]):
+            assert same_bits(_exact_row_sums(rows), fsum_rows(rows))
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, 1.7e308], ids=["nan", "inf", "-inf", "sigma-overflow"]
+    )
+    def test_unsummable_input_raises(self, bad):
+        # Extraction would never clear a nan, so it must raise, not loop.
+        values = np.ones((3, 5))
+        values[1, 2] = bad
+        with pytest.raises(SimulationError):
+            _exact_row_sums(values)
+        with pytest.raises(SimulationError):
+            _mean_stderr(values)
 
 
 class TestRatePrimitives:
@@ -553,22 +637,25 @@ class TestDrivers:
         assert solo1.rate2 == (0.0,) * len(GRID)
         assert solo2.rate1 == (0.0,) * len(GRID)
         stacked = _stack_draws(_network_dims(config, None), 13, 100)
-        for i, snr in enumerate(GRID):
-            r1, _ = kernel(P2P, stacked, config, _db_to_linear(snr))
-            _, r2 = kernel(SchemeSpec("point-to-point", user=2), stacked, config, _db_to_linear(snr))
-            assert _mean_stderr(r1)[0] == solo1.rate1[i]
-            assert _mean_stderr(r2)[0] == solo2.rate2[i]
+        powers = [_db_to_linear(snr) for snr in GRID]
+        r1 = np.stack([kernel(P2P, stacked, config, p)[0] for p in powers])
+        r2 = np.stack([kernel(SchemeSpec("point-to-point", user=2), stacked, config, p)[1] for p in powers])
+        assert tuple(_mean_stderr(r1)[0]) == solo1.rate1
+        assert tuple(_mean_stderr(r2)[0]) == solo2.rate2
 
     def test_scheme_dispatch(self):
-        # The driver is the table kernel over one stacked draw, reduced per
-        # SNR point.
+        # The driver is the table kernel over one stacked draw, each user's
+        # SNR points reduced together.
         config = IcConfig(2, 1, 2, 3)
         trace = simulate_scheme(ZF, config, GRID, 50, 7)
         stacked = _stack_draws(_network_dims(config, None), 7, 50)
-        for i, snr in enumerate(GRID):
-            r1, r2 = kernel(ZF, stacked, config, _db_to_linear(snr))
-            assert (trace.rate1[i], trace.stderr1[i]) == _mean_stderr(r1)
-            assert (trace.rate2[i], trace.stderr2[i]) == _mean_stderr(r2)
+        pairs = [kernel(ZF, stacked, config, _db_to_linear(snr)) for snr in GRID]
+        r1, r2 = (np.stack(rows) for rows in zip(*pairs))
+        assert [list(trace.rate1), list(trace.stderr1)] == list(_mean_stderr(r1))
+        assert [list(trace.rate2), list(trace.stderr2)] == list(_mean_stderr(r2))
+        for i in range(len(GRID)):
+            assert (trace.rate1[i], trace.stderr1[i]) == TestMeanStderr.reference(r1[i])
+            assert (trace.rate2[i], trace.stderr2[i]) == TestMeanStderr.reference(r2[i])
         with pytest.raises(SchemeShapeError):
             simulate_scheme(ZF, BcConfig(2, 2, 2), GRID, 10, 7)
 
