@@ -52,15 +52,15 @@ def battery_entries():
     ]
 
 
-def capped_tdm_trace(config, grid, trials, seed, threads):
+def capped_tdm_trace(config, grid, trials, seed):
     """Time sharing where user 2's transmit power grows only as sqrt(P).
 
     Simulated by running user 2's solo link on a half-dB grid and relabeling
     the points back onto the nominal grid; user 1 keeps full power.
     """
     half = tuple(s / 2.0 for s in grid)
-    solo1 = simulate_scheme(SchemeSpec("point-to-point", user=1), config, grid, trials, seed, threads)
-    solo2 = simulate_scheme(SchemeSpec("point-to-point", user=2), config, half, trials, seed, threads)
+    solo1 = simulate_scheme(SchemeSpec("point-to-point", user=1), config, grid, trials, seed)
+    solo2 = simulate_scheme(SchemeSpec("point-to-point", user=2), config, half, trials, seed)
     solo2 = dataclasses.replace(solo2, snr_db=grid)
     return tdm_rates(solo1, solo2, 0.5)
 
@@ -72,7 +72,7 @@ def config_dict(config):
 
 def run_entry(name, config, spec, region, args):
     t0 = time.perf_counter()
-    trace = simulate_scheme(spec, config, args.grid, args.trials, args.seed, args.threads)
+    trace = simulate_scheme(spec, config, args.grid, args.trials, args.seed)
     elapsed = time.perf_counter() - t0
     estimate = fit_slope(trace, args.window)
     report = verdict_report(config_dict(config), spec.to_dict(), estimate, region, args.tol)
@@ -91,7 +91,6 @@ def main(argv=None) -> int:
                         help="number of top grid points used for the slope fit")
     parser.add_argument("--tol", type=float, default=0.1,
                         help="DoF tolerance for inside/boundary/outside verdicts")
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--out-dir", type=Path, default=Path("battery_out"))
     parser.add_argument("--skip-capped", action="store_true",
                         help="skip the power-capped time-sharing contrast run")
@@ -121,7 +120,7 @@ def main(argv=None) -> int:
         # a 4x(2,3) broadcast network), while the alignment scheme above keeps
         # a full extra degree of freedom from the same square-root scaling.
         config = BcConfig(4, 2, 3)
-        trace = capped_tdm_trace(config, args.grid, args.trials, args.seed, args.threads)
+        trace = capped_tdm_trace(config, args.grid, args.trials, args.seed)
         estimate = fit_slope(trace, args.window)
         (args.out_dir / "tdm-capped-423.csv").write_text(trace_to_csv(trace))
         lines.append(

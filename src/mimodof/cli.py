@@ -10,8 +10,8 @@ Subcommands:
 
 Exit codes: 0 on success (and on verdicts inside/boundary), 2 when a
 requested verification lands outside the region, 3 on invalid input.
-Every command is deterministic given its flags; the only environment input
-is MIMODOF_THREADS, which sets the default worker count for trials.
+Every command is deterministic given its flags and reads no environment
+variable.
 """
 
 from __future__ import annotations
@@ -119,10 +119,23 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise _UsageError(f"--snr-db needs a finite start, stop and step, got {text!r}")
     if step <= 0 or stop < start:
         raise _UsageError("--snr-db needs stop >= start and step > 0")
-    # Each point is start + i*step, so rounding error does not build up.
-    count = 0
-    while start + count * step <= stop + 1e-9:
+    if start + step == start:
+        raise _UsageError(f"--snr-db step {step!r} is too small to move the start {start!r}")
+
+    # Point i is start + i*step, so rounding error does not build up, and the
+    # grid runs while points stay <= stop + 1e-9. That test is monotone in i,
+    # and the quotient lands within a step or two of where it turns false.
+    def within(i: int) -> bool:
+        return start + i * step <= stop + 1e-9
+
+    span = (stop + 1e-9 - start) / step
+    if not span < sys.maxsize:  # also false for inf
+        raise _UsageError(f"--snr-db {text!r} has too many points")
+    count = int(span) + 1
+    while within(count):
         count += 1
+    while not within(count - 1):
+        count -= 1
     return tuple(round(start + i * step, 9) for i in range(count))
 
 
@@ -252,12 +265,15 @@ def _grade(args, config, spec: SchemeSpec, estimate: SlopeEstimate, region: DofR
 
 def cmd_simulate(args) -> int:
     config, spec, region, trace, estimate = _run_simulation(args, args.verify_against)
+    report, code = None, EXIT_OK
+    if region is not None:
+        report, code = _grade(args, config, spec, estimate, region)
     if args.trace_out:
         with open(args.trace_out, "w") as fh:
             fh.write(trace_to_csv(trace))
     if args.format == "csv":
         _emit(args, trace_to_csv(trace).rstrip("\n"))
-        return EXIT_OK
+        return code
     doc = {
         "command": "simulate",
         "channel": args.channel,
@@ -270,9 +286,7 @@ def cmd_simulate(args) -> int:
         "trace": dataclasses.asdict(trace),
         "estimate": estimate.to_dict(),
     }
-    code = EXIT_OK
-    if region is not None:
-        report, code = _grade(args, config, spec, estimate, region)
+    if report is not None:
         doc["verify"] = {
             "against": args.verify_against,
             "tol": args.tol,

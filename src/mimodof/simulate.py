@@ -5,8 +5,7 @@ variance, redrawn per trial. Reproducibility contract: trials are grouped in
 fixed blocks of ``BLOCK``, block b owns the substream
 ``default_rng([seed, b])`` and fills its trials row by row in a fixed link
 order, and per-SNR averages are exactly rounded sums, which do not depend on
-the order of accumulation. A trial's draws do not depend on the trial count,
-and results are bit-identical for any thread count.
+the order of accumulation. A trial's draws do not depend on the trial count.
 
 Each scheme is one entry of a table keyed by ``SchemeSpec.kind``: the links
 it draws, a shape check, and a prepare step that maps the stacked draws to
@@ -27,8 +26,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -37,15 +34,14 @@ import numpy as np
 from .catalog import BcConfig, IcConfig
 
 __all__ = [
-    "HERMITIAN_TOL", "THREADS_ENV", "SCHEME_KINDS",
+    "HERMITIAN_TOL", "SCHEME_KINDS",
     "SimulationError", "InfeasibleZf", "SchemeShapeError", "GridMismatch",
     "SchemeSpec", "RateTrace", "tdm_rates", "trace_to_csv", "trace_from_csv", "simulate_scheme",
 ]
 
 HERMITIAN_TOL = 1e-12
-THREADS_ENV = "MIMODOF_THREADS"
-# Trials per random substream. Fixed, so that draws never depend on the
-# thread count.
+# Trials per random substream. Fixed, so that a trial's draws depend only on
+# the seed and the trial's index.
 BLOCK = 1024
 
 CSV_HEADER = "snr_db,rate1,stderr1,rate2,stderr2,trials"
@@ -159,8 +155,7 @@ def _exact_row_sums(values: np.ndarray) -> list[float]:
 
 def _mean_stderr(values: np.ndarray) -> tuple[list[float], list[float]]:
     # Means and standard errors of each row of (points, trials) rates. The
-    # sums are exactly rounded, so they do not depend on trial order or on
-    # how trials were distributed over threads.
+    # sums are exactly rounded, so they do not depend on trial order.
     count = values.shape[1]
     means = [total / count for total in _exact_row_sums(values)]
     if count < 2:
@@ -281,61 +276,33 @@ def tdm_rates(trace1: RateTrace, trace2: RateTrace, tau: float) -> RateTrace:
     )
 
 
-def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1"))
-    if threads < 1:
-        raise ValueError("thread count must be at least 1")
-    return threads
-
-
-def _stack_draws(
-    link_dims: Mapping[str, tuple[int, int]],
-    seed: int,
-    trials: int,
-    threads: Optional[int] = None,
-) -> dict[str, np.ndarray]:
+def _stack_draws(link_dims: Mapping[str, tuple[int, int]], seed: int, trials: int) -> dict[str, np.ndarray]:
     """Draw every trial as stacked (trials, rows, cols) arrays.
 
     Entries are CN(0, 1): independent real and imaginary parts of variance
     one half each. Trials come in blocks of ``BLOCK``; block b fills its
-    trials with one ``standard_normal((n_b, K, 2))`` call on
+    trials with one ``standard_normal`` call of shape (n_b, K, 2) on
     ``default_rng([seed, b])``, where K counts the entries of all links.
     Each trial's row holds its links in the mapping's iteration order, each
     entry a (real, imaginary) pair. The fill is row-major, so a trial's
-    values do not depend on the trial count, and threads take whole blocks,
-    so splitting the work changes nothing about the values.
+    values do not depend on the trial count. Every link is a view into one
+    (trials, K) buffer.
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    threads = _resolve_threads(threads)
     entries = sum(rows * cols for rows, cols in link_dims.values())
-    stacked = {
-        name: np.empty((trials, rows, cols), dtype=complex)
-        for name, (rows, cols) in link_dims.items()
-    }
-
-    def fill(block: int) -> None:
-        lo = block * BLOCK
-        hi = min(lo + BLOCK, trials)
-        normals = np.random.default_rng([seed, block]).standard_normal((hi - lo, entries, 2))
-        values = normals.view(complex)[..., 0]
-        values /= math.sqrt(2.0)
-        start = 0
-        for name, (rows, cols) in link_dims.items():
-            stacked[name][lo:hi] = values[:, start:start + rows * cols].reshape(hi - lo, rows, cols)
-            start += rows * cols
-
-    blocks = range(-(-trials // BLOCK))
-    if threads == 1:
-        for block in blocks:
-            fill(block)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for future in [pool.submit(fill, block) for block in blocks]:
-                future.result()
+    buf = np.empty((trials, entries), dtype=complex)
+    for block in range(-(-trials // BLOCK)):
+        part = buf[block * BLOCK:(block + 1) * BLOCK]
+        pairs = part.view(float).reshape(len(part), entries, 2)
+        np.random.default_rng([seed, block]).standard_normal(out=pairs)
+    buf /= math.sqrt(2.0)
+    stacked, start = {}, 0
+    for name, (rows, cols) in link_dims.items():
+        stacked[name] = buf[:, start:start + rows * cols].reshape(trials, rows, cols)
+        start += rows * cols
     return stacked
 
 
@@ -556,14 +523,7 @@ class SchemeSpec:
         return {**asdict(self), "streams": list(self.streams)}
 
 
-def simulate_scheme(
-    spec: SchemeSpec,
-    config,
-    snr_db: Sequence[float],
-    trials: int,
-    seed: int,
-    threads: Optional[int] = None,
-) -> RateTrace:
+def simulate_scheme(spec: SchemeSpec, config, snr_db: Sequence[float], trials: int, seed: int) -> RateTrace:
     """Run one scheme on one network configuration.
 
     The grid and the scheme's fit to the configuration are checked before
@@ -575,7 +535,7 @@ def simulate_scheme(
     grid = _validate_grid(snr_db)
     scheme.check(config, spec, grid)
     # The evaluators keep what they need, so the draws go once prepared.
-    rates = scheme.prepare(_stack_draws(scheme.link_dims(config, spec), seed, trials, threads), config, spec)
+    rates = scheme.prepare(_stack_draws(scheme.link_dims(config, spec), seed, trials), config, spec)
     powers = [_db_to_linear(snr) for snr in grid]
     columns = []  # rate1, stderr1, rate2, stderr2
     for rate in rates:

@@ -4,10 +4,12 @@ import json
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mimodof.cli as cli
 import mimodof.simulate as simulate
-from mimodof import RateTrace
+from mimodof import RateTrace, trace_to_csv
 
 
 def run(capsys, *argv):
@@ -328,7 +330,7 @@ class TestVerifyCommand:
         grid = (20.0, 30.0, 40.0, 50.0)
         x = [s * 0.33219280948873623 for s in grid]
 
-        def fake(spec, config, snr_db, trials, seed, threads=None):
+        def fake(spec, config, snr_db, trials, seed):
             return RateTrace(
                 snr_db=grid,
                 rate1=tuple(5.0 * xi for xi in x),
@@ -340,13 +342,17 @@ class TestVerifyCommand:
             )
 
         monkeypatch.setattr(cli, "simulate_scheme", fake)
-        code, out, _ = run(
-            capsys,
-            "verify", "--channel", "bc", "--antennas", "2,1,2", "--scheme", "p2p",
-            "--snr-db", "20:50:10", "--trials", "10", "--against", "exact",
-        )
+        flags = ("--channel", "bc", "--antennas", "2,1,2", "--scheme", "p2p", "--snr-db", "20:50:10", "--trials", "10")
+        code, out, _ = run(capsys, "verify", *flags, "--against", "exact")
         assert code == 2
         assert json.loads(out)["verdict"] == "outside"
+        code, out, _ = run(capsys, "simulate", *flags, "--verify-against", "exact")
+        assert code == 2
+        assert json.loads(out)["verify"]["verdict"] == "outside"
+        # The CSV carries no verdict, but the exit code does.
+        code, out, _ = run(capsys, "simulate", *flags, "--verify-against", "exact", "--format", "csv")
+        assert code == 2
+        assert out == trace_to_csv(fake(None, None, None, 10, 7))
 
 
 class TestSnrGridCommand:
@@ -414,3 +420,54 @@ class TestSnrGridCommand:
         hundredths = cli._parse_grid("0:1000:0.01")
         assert len(hundredths) == 100_001
         assert hundredths[-1] == 1000.0
+
+    @staticmethod
+    def counting_grid(start, stop, step):
+        # The per-point counting loop the closed-form count replaced.
+        count = 0
+        while start + count * step <= stop + 1e-9:
+            count += 1
+        return tuple(round(start + i * step, 9) for i in range(count))
+
+    @pytest.mark.parametrize(
+        "start, stop, step",
+        [
+            (0.0, 1.0, 0.1),
+            (30.0, 70.0, 10.0),
+            (0.0, 1000.0, 0.01),
+            (-5.0, 5.0, 10.0),
+            (0.0, 0.3 - 5e-10, 0.1),
+            # The quotient says 2 points; rounding to a float's 1- and
+            # 2-spaced neighbours gives 4.
+            (2.0**53 - 1, 2.0**53, 0.5000001),
+        ],
+    )
+    def test_closed_form_count_matches_counting_loop(self, start, stop, step):
+        assert cli._parse_grid(f"{start!r}:{stop!r}:{step!r}") == self.counting_grid(start, stop, step)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.floats(-100.0, 100.0),
+        step=st.floats(0.01, 50.0),
+        points=st.integers(0, 500),
+        nudge=st.sampled_from([0.0, 1e-9, -1e-9, 5e-10, 2e-9, 1e-7, -1e-7]),
+    )
+    def test_closed_form_count_matches_on_ordinary_grids(self, start, step, points, nudge):
+        stop = max(start, start + points * step + nudge)
+        assert cli._parse_grid(f"{start!r}:{stop!r}:{step!r}") == self.counting_grid(start, stop, step)
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("1e300:1e300:1", "too small to move the start"),
+            ("1e16:1e17:0.5", "too small to move the start"),
+            ("0:1e300:1e-300", "too many points"),
+            ("-1e308:1e308:1e300", "too many points"),
+        ],
+    )
+    def test_unbounded_grid_exits_three(self, capsys, monkeypatch, grid, message):
+        # Each of these used to spin in the counting loop.
+        monkeypatch.setattr(simulate, "_stack_draws", lambda *args: pytest.fail("trials drawn"))
+        code, out, err = run(capsys, "simulate", *P2P_BC, f"--snr-db={grid}", "--trials", "10")
+        assert (code, out) == (3, "")
+        assert "--snr-db" in err and message in err
