@@ -619,15 +619,23 @@ class TestTraces:
 
 
 class TestDrivers:
-    def test_every_scheme_golden_across_blocks(self):
-        # Three blocks, the last one partial: one hash over every kind's
-        # trace pins the stream and the fill bit for bit.
-        h = hashlib.sha256()
-        for spec, config in ONE_OF_EACH:
-            h.update(trace_to_csv(simulate_scheme(spec, config, GRID, 2 * BLOCK + 7, 7)).encode())
-        assert h.hexdigest() == (
-            "903b10daa51c2c8e3ea73f82eec4a91ea6e6bdd861c4f2583b7bc39a9c15013c"
-        )
+    # sha256 of each kind's trace_to_csv at 2*BLOCK + 7 trials, seed 7, as
+    # the threaded drivers wrote it at thread counts 1 and 3 alike.
+    ACROSS_BLOCKS = {
+        "point-to-point": "3d1b4b1b281474e1ec5fec59d3e477d0e2604e4bf1e4e38c5bee38a0e1400408",
+        "time-division": "36442f4990dca7c5b29fbfc8eb7560a69eb233b26b14c442a102d6ff7c0e944c",
+        "receiver-zero-forcing": "6d6b659e4ea12e4d2a1f401e407f672bbc1a73d995bcf050b15a7bbc96358365",
+        "ia-power-scaling": "1c4729162d967b88da9f6fa779babd6278852568a855f0e964c60c740f9b7daa",
+        "isotropic-bc": "7d28af6e04481a9ca7daaedfddfaf21921100f00b52978dec718793376164dcc",
+    }
+
+    @pytest.mark.parametrize("spec, config", ONE_OF_EACH, ids=[s.kind for s, _ in ONE_OF_EACH])
+    def test_every_scheme_thread_invariant_across_blocks(self, spec, config):
+        # Three blocks, the last one partial: the one-thread draws give the
+        # trace every thread count used to give, bit for bit.
+        trace = simulate_scheme(spec, config, GRID, 2 * BLOCK + 7, 7)
+        digest = hashlib.sha256(trace_to_csv(trace).encode()).hexdigest()
+        assert digest == self.ACROSS_BLOCKS[spec.kind]
 
     def test_thread_cases_cover_every_kind(self):
         assert {s.kind for s, _ in ONE_OF_EACH} == set(SCHEME_KINDS)
