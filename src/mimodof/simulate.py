@@ -17,9 +17,10 @@ by error-free extraction (``_exact_row_sums``).
 
 Rates are log-det mutual informations in bits. Only the power changes
 between SNR points, so each trial's Gram eigenvalues λ are taken once per
-run, in closed form for Gram sides of 1 and 2 and otherwise by eigvalsh
-behind a Hermitian check (relative tolerance 1e-12) and a positivity guard.
-Each point costs Σ log2(1 + c·p·λ) for the link's power share c.
+run: for Gram sides up to 3 in closed form from Gram-Schmidt residuals, with
+no Gram matrix and no LAPACK call, and for larger sides as squared singular
+values. Zero-forcing projects by Gram-Schmidt as well. Each point costs
+Σ log2(1 + c·p·λ) for the link's power share c.
 """
 
 from __future__ import annotations
@@ -34,12 +35,11 @@ import numpy as np
 from .catalog import BcConfig, IcConfig
 
 __all__ = [
-    "HERMITIAN_TOL", "SCHEME_KINDS",
+    "SCHEME_KINDS",
     "SimulationError", "InfeasibleZf", "SchemeShapeError", "GridMismatch",
     "SchemeSpec", "RateTrace", "tdm_rates", "trace_to_csv", "trace_from_csv", "simulate_scheme",
 ]
 
-HERMITIAN_TOL = 1e-12
 # Trials per random substream. Fixed, so that a trial's draws depend only on
 # the seed and the trial's index.
 BLOCK = 1024
@@ -67,51 +67,61 @@ def _db_to_linear(snr_db: float) -> float:
     return 10.0 ** (float(snr_db) / 10.0)
 
 
-def _psd_eigenvalues(gram: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a stack of Gram matrices. Each must be
-    Hermitian to a relative HERMITIAN_TOL. An eigenvalue below
-    -HERMITIAN_TOL * max(1, largest eigenvalue of its trial) raises; a
-    smaller negative one is rounding and is clamped to 0."""
-    asym = float(np.max(np.abs(gram - gram.conj().swapaxes(-1, -2))))
-    scale = max(1.0, float(np.max(np.abs(gram))))
-    if asym > HERMITIAN_TOL * scale:
-        raise SimulationError(f"Gram matrix lost Hermitian symmetry (deviation {asym:.3e})")
-    lam = np.linalg.eigvalsh(gram)  # reads one triangle
-    if np.any(lam[..., 0] < -HERMITIAN_TOL * np.maximum(1.0, lam[..., -1])):
-        raise SimulationError(f"Gram matrix is not positive semidefinite (eigenvalue {lam.min():.3e})")
-    return np.maximum(lam, 0.0, out=lam)
-
-
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", x.conj(), y)  # ⟨x, y⟩ along the last axis
 
 
+def _reject(x: np.ndarray, u: np.ndarray, uu) -> np.ndarray:  # x less its part along u; uu = ‖u‖²
+    return x - (_inner(u, x) / np.where(uu > 0, uu, 1.0))[..., None] * u
+
+
+def _largest_root(e1: np.ndarray, e2: np.ndarray, e3: np.ndarray) -> np.ndarray:
+    """Largest root of λ³ - e1 λ² + e2 λ - e3, whose roots are real and >= 0, in
+    the trigonometric form (O. K. Smith, Comm. ACM 4(4), 1961)."""
+    m = e1 / 3.0
+    p = np.sqrt(np.maximum(m * m - e2 / 3.0, 0.0))
+    r = (e3 - m * (e2 - 2.0 * m * m)) / np.where(p > 0, 2.0 * p**3, 1.0)
+    return m + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0)
+
+
 def _gram_spectrum(channels: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues λ of the smaller Gram side of stacked channels,
-    n = min(rows, cols) per trial. For n <= 2 they come in closed form from
-    the short-side vectors, with no Gram matrix and no LAPACK call: λ = ‖u‖²
-    for n = 1; for n = 2, λmax = (a+c)/2 + hypot((a-c)/2, |b|) and
-    λmin = det/λmax, with a = ‖u‖², c = ‖v‖², b = ⟨u, v⟩ and det = a‖v - (b/a)u‖²
-    from one Gram-Schmidt step. a, c and det are sums of squares, so these λ
-    are real and nonnegative by construction and have no guard to pass, and
-    λmin carries the channel's condition number, not its square. For n >= 3
-    the Gram matrix goes through ``_psd_eigenvalues`` and its guards."""
+    n = min(rows, cols) per trial. For n <= 3, from the short-side vectors
+    u, v, w and Gram-Schmidt residuals (v⊥ = v - (⟨u, v⟩/a)u, a = ‖u‖², c = ‖v‖²),
+    with no Gram matrix and no LAPACK call. n = 1: λ = a. n = 2: λmax =
+    (a+c)/2 + hypot((a-c)/2, |⟨u, v⟩|), λmin = a‖v⊥‖²/λmax. n = 3: λmax is the
+    largest root of the characteristic polynomial, e1 = Σ‖·‖², e2 = the sum of
+    the pair determinants, e3 = a‖v⊥‖²‖w⊥⊥‖²; λmid·λmin = e3/λmax and
+    λmid + λmin = (e2 - e3/λmax)/λmax. All are sums and products of squares, so
+    λ >= 0 and keep cond(H), not its square; near a repeated λ, only the
+    symmetric functions of λ that make up a rate keep every digit. n >= 4:
+    squared singular values."""
     rows, cols = channels.shape[-2:]
-    if min(rows, cols) > 2:
-        adjoint = channels.conj().swapaxes(-1, -2)
-        return _psd_eigenvalues(np.matmul(adjoint, channels) if cols < rows else np.matmul(channels, adjoint))
+    side = min(rows, cols)
+    if side > 3:
+        return np.linalg.svd(channels, compute_uv=False)[..., ::-1] ** 2
     vectors = channels if rows <= cols else channels.swapaxes(-1, -2)
     norms = _inner(vectors, vectors).real
-    if min(rows, cols) < 2:
+    if side < 2:
         return norms
     u, v = vectors[..., 0, :], vectors[..., 1, :]
     a, c = norms[..., 0], norms[..., 1]
-    b = _inner(u, v)
-    top = 0.5 * (a + c) + np.hypot(0.5 * (a - c), np.abs(b))
-    # u = 0 gives a = b = 0, hence det = 0; top = 0 only for the zero matrix.
-    residual = v - (b / np.where(a > 0, a, 1.0))[..., None] * u
-    det = a * _inner(residual, residual).real
-    return np.stack([det / np.where(top > 0, top, 1.0), top], axis=-1)
+    v_u = _reject(v, u, a)
+    vv_u = _inner(v_u, v_u).real
+    if side == 2:
+        top = 0.5 * (a + c) + np.hypot(0.5 * (a - c), np.abs(_inner(u, v)))
+        return np.stack([a * vv_u / np.where(top > 0, top, 1.0), top], axis=-1)
+    w = vectors[..., 2, :]
+    w_u, w_v = _reject(w, u, a), _reject(w, v, c)
+    w_uv = _reject(w_u, v_u, vv_u)
+    e2 = a * (vv_u + _inner(w_u, w_u).real) + c * _inner(w_v, w_v).real
+    e3 = a * vv_u * _inner(w_uv, w_uv).real
+    top = _largest_root(a + c + norms[..., 2], e2, e3)
+    top_or_1 = np.where(top > 0, top, 1.0)  # top = 0, on either side, only for H = 0
+    product = e3 / top_or_1
+    half = 0.5 * (e2 - product) / top_or_1
+    mid = half + np.sqrt(np.maximum(half * half - product, 0.0))
+    return np.stack([product / np.where(mid > 0, mid, 1.0), mid, top], axis=-1)
 
 
 def _log_det_rate(channels: np.ndarray, share: float = 1.0) -> Callable[[float], np.ndarray]:
@@ -384,16 +394,27 @@ def _zf_check(config, spec, grid) -> None:
         )
 
 
+def _orthonormal_rows(rows: np.ndarray) -> list[np.ndarray]:
+    """Orthonormal (..., N) rows spanning stacked rows (..., k, N): modified
+    Gram-Schmidt with each row orthogonalised twice, which stays orthonormal to
+    a few eps on nearly dependent rows ("twice is enough": Giraud, Langou,
+    Rozložník and van den Eshof, Numer. Math. 101, 2005)."""
+    basis = []
+    for x in np.moveaxis(rows, -2, 0):
+        for q in basis + basis:
+            x = _reject(x, q, 1.0)
+        basis.append(x / np.sqrt(_inner(x, x).real)[..., None])
+    return basis
+
+
 def _zf_user_rate(own: np.ndarray, cross: np.ndarray, s_own: int, s_int: int) -> Optional[Callable]:
-    # own: (..., N, M_own) link to this receiver, cross: (..., N, M_int)
-    # interference link. Project onto the orthocomplement of the first s_int
-    # interfering beams, then decode s_own own beams in white noise.
+    # own (..., N, M_own), cross (..., N, M_int). Own beams projected off the first
+    # s_int interfering ones in C^N have the Gram of their orthocomplement coordinates.
     if s_own == 0:
         return None
-    beams = own[..., :, :s_own]
-    if s_int > 0:
-        q, _ = np.linalg.qr(cross[..., :, :s_int], mode="complete")
-        beams = np.matmul(q[..., :, s_int:].conj().swapaxes(-1, -2), beams)
+    beams = own[..., :, :s_own].swapaxes(-1, -2)
+    for q in _orthonormal_rows(cross[..., :, :s_int].swapaxes(-1, -2)):
+        beams = _reject(beams, q[..., None, :], 1.0)
     return _log_det_rate(beams, 1.0 / s_own)
 
 

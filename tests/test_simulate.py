@@ -1,8 +1,11 @@
 """Monte Carlo layer tests: draws, scheme kernels, the driver, CSV."""
 
 import hashlib
+import importlib
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from mimodof import (
     trace_from_csv,
     trace_to_csv,
 )
+from mimodof import cli, simulate
 from mimodof.simulate import (
     BLOCK,
     SCHEME_KINDS,
@@ -34,8 +38,9 @@ from mimodof.simulate import (
     _log_det_rate,
     _mean_stderr,
     _network_dims,
-    _psd_eigenvalues,
+    _orthonormal_rows,
     _stack_draws,
+    _zf_user_rate,
 )
 
 GRID = (10.0, 20.0, 30.0)
@@ -125,19 +130,55 @@ def reference_rates(spec, stacked, config, power):
 
 
 def exact_log2det(h, x):
-    """log2 det(I + x G) for one channel h whose short-side Gram G is 2x2,
-    from the exact rational determinant 1 + x tr G + x**2 det G of its
-    float entries; only the final float and log2 round."""
+    """log2 det(I + x G) for one channel h with short-side Gram G, from the
+    exact rational determinant over its float entries; only the final float
+    and log2 round. I + x G = A + iB is Hermitian positive definite, so its
+    real form [[A, -B], [B, A]] has determinant det(I + x G)**2 and no zero
+    pivot."""
     vectors = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in (h if len(h) <= len(h[0]) else h.T)]
+    n, x = len(vectors), Fraction(x)
+    real = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    for i, p in enumerate(vectors):
+        for j, q in enumerate(vectors):  # <p, q> = sum of conj(p) q
+            re = sum(a * c + b * d for (a, b), (c, d) in zip(p, q))
+            im = sum(a * d - b * c for (a, b), (c, d) in zip(p, q))
+            real[i][j] = real[n + i][n + j] = (i == j) + x * re
+            real[n + i][j], real[i][n + j] = x * im, -x * im
+    det = Fraction(1)
+    for k in range(2 * n):
+        det *= real[k][k]
+        for i in range(k + 1, 2 * n):
+            ratio = real[i][k] / real[k][k]
+            for j in range(k, 2 * n):
+                real[i][j] -= ratio * real[k][j]
+    return 0.5 * math.log2(det)
 
-    def inner(p, q):  # <p, q> = sum of conj(p) q, as (real, imag)
-        pairs = list(zip(p, q))
-        return sum(a * c + b * d for (a, b), (c, d) in pairs), sum(a * d - b * c for (a, b), (c, d) in pairs)
 
-    u, v = vectors
-    g11, g22, (re, im) = inner(u, u)[0], inner(v, v)[0], inner(u, v)
-    x = Fraction(x)
-    return math.log2(1 + x * (g11 + g22) + x * x * (g11 * g22 - re * re - im * im))
+def conditioned_channels(rng, rows, cols, kappa, count=20):
+    """Stacks of U diag(1, ..., 1/kappa) V with random unitaries U, V and
+    singular values spaced geometrically, one per short-side dimension."""
+    def unitary(n):
+        return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+    sigma = np.zeros((rows, cols))
+    np.fill_diagonal(sigma, np.geomspace(1.0, 1.0 / kappa, min(rows, cols)))
+    return np.stack([unitary(rows) @ sigma @ unitary(cols) for _ in range(count)])
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_battery_entries():
+    spec = importlib.util.spec_from_file_location("run_prelog_battery", _ROOT / "scripts" / "run_prelog_battery.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.battery_entries()
+
+
+def symmetric_functions(lam):
+    """Sum, sum of pair products and product of three eigenvalues."""
+    a, b, c = (float(x) for x in lam)
+    return a + b + c, a * b + a * c + b * c, a * b * c
 
 
 def solo(config, user, grid, trials, seed):
@@ -340,11 +381,13 @@ class TestRatePrimitives:
 
 
 class TestSpectralKernels:
-    # Every kind, plus a served user 2, a silent zero-forcing user and an
-    # alignment run with no beams.
+    # Every kind, plus a served user 2, a silent zero-forcing user, two
+    # zero-forced streams per user, an alignment run with no beams and a
+    # Gram side of 4.
     CASES = ONE_OF_EACH + [
         (SchemeSpec("point-to-point", user=2), IcConfig(3, 2, 2, 4)),
         (SchemeSpec("receiver-zero-forcing", streams=(0, 2)), IcConfig(1, 2, 1, 2)),
+        (SchemeSpec("receiver-zero-forcing", streams=(2, 2)), IcConfig(3, 3, 4, 4)),
         (SchemeSpec("ia-power-scaling", beams=0), IcConfig(1, 3, 1, 4)),
         (SchemeSpec("isotropic-bc"), BcConfig(4, 4, 1)),
     ]
@@ -361,23 +404,61 @@ class TestSpectralKernels:
                 np.testing.assert_allclose(rates, want, rtol=1e-12, atol=1e-14)
 
     def test_projection_runs_once_per_user(self, monkeypatch):
-        calls = []
-        qr = np.linalg.qr
+        # Zero-forcing projects by Gram-Schmidt, once per served user and
+        # run, with no QR: s_int = 0 for (1, 0), 1 for (1, 1), 2 for (2, 2).
+        qr_calls, bases = [], []
+        qr, orthonormal_rows = np.linalg.qr, simulate._orthonormal_rows
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
+        def counted_qr(*args, **kwargs):
+            qr_calls.append(args[0].shape)
             return qr(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "qr", counted)
-        simulate_scheme(ZF, IcConfig(2, 1, 2, 3), (30, 40, 50, 60, 70), 100, 7)
-        assert len(calls) == 2
+        def counted_rows(rows):
+            bases.append(rows.shape[1:])
+            return orthonormal_rows(rows)
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        monkeypatch.setattr(simulate, "_orthonormal_rows", counted_rows)
+        for streams, config, want in (
+            ((1, 0), IcConfig(2, 1, 2, 3), [(0, 2)]),
+            ((1, 1), IcConfig(2, 1, 2, 3), [(1, 2), (1, 3)]),
+            ((2, 2), IcConfig(3, 3, 4, 4), [(2, 4), (2, 4)]),
+        ):
+            bases.clear()
+            simulate_scheme(SchemeSpec("receiver-zero-forcing", streams=streams), config, (30, 40, 50, 60, 70), 100, 7)
+            assert bases == want
+        assert qr_calls == []
+
+    @pytest.mark.parametrize("cond", [1e6, 1e7, 1e8])
+    def test_projection_holds_on_nearly_dependent_interference(self, cond, monkeypatch):
+        # Two interfering columns at the given condition number. One pass of
+        # modified Gram-Schmidt would leave the basis off by about eps * cond;
+        # the second pass brings it to a few eps.
+        rng = np.random.default_rng(int(cond))
+        shape = (200, 4, 2)
+        own = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        first = rng.standard_normal((200, 4, 1)) + 1j * rng.standard_normal((200, 4, 1))
+        nudge = rng.standard_normal((200, 4, 1)) + 1j * rng.standard_normal((200, 4, 1))
+        cross = np.concatenate([first, first + nudge / cond], axis=-1)
+        assert np.all(np.linalg.cond(cross) > 0.1 * cond)
+        eps = np.finfo(float).eps
+        basis = np.stack(_orthonormal_rows(cross.swapaxes(-1, -2)), axis=-2)
+        gram = np.matmul(basis.conj(), basis.swapaxes(-1, -2))
+        assert np.max(np.abs(gram - np.eye(2))) <= 4 * eps
+        # The rate kernel sees the projected beams as rows.
+        monkeypatch.setattr(simulate, "_log_det_rate", lambda beams, share: beams)
+        beams = _zf_user_rate(own, cross, 2, 2)
+        leak = np.abs(np.matmul(beams.conj(), cross))  # <b_i, x_j>
+        scale = np.linalg.norm(own, axis=(-2, -1)) * np.linalg.norm(cross, axis=-2).max(axis=-1)
+        assert np.all(leak.max(axis=(-2, -1)) <= 8 * eps * scale)
 
     def test_small_gram_sides_match_eigvalsh(self):
-        # Gram sides 1 and 2 take closed forms. Against LAPACK on the Gram:
+        # Gram sides 1 to 3 take closed forms. Against LAPACK on the Gram:
         # seeded stacks, then a zero row either way, parallel rows and the
         # zero matrix, each also transposed.
         rng = np.random.default_rng(8)
         shapes = [shape for k in range(1, 6) for shape in ((1, k), (k, 1), (2, k), (k, 2))]
+        shapes += [shape for k in range(3, 6) for shape in ((3, k), (k, 3))]
         stacks = [rng.standard_normal((40, *shape)) + 1j * rng.standard_normal((40, *shape)) for shape in shapes]
         u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         zero = np.zeros(3, dtype=complex)
@@ -390,59 +471,88 @@ class TestSpectralKernels:
             assert np.all(np.isfinite(lam)) and np.all(lam >= 0.0)
             assert np.all(np.abs(lam - want) <= 1e-12 * want[..., -1:])
 
+    def test_gram_side_three_on_repeated_and_rank_deficient_input(self):
+        # Near a repeated eigenvalue single λ of the closed form lose half
+        # their digits: on diag(1, 1, 1e-8), λmid and λmax are off by about
+        # 1e-8. Their sum, sum of pair products and product keep every digit,
+        # and so do the rates, which depend on λ only through those three.
+        rng = np.random.default_rng(9)
+        v = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        w = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        inputs = [
+            np.eye(3), np.diag([1.0, 1.0, 1e-8]), np.diag([1.0, 1e-8, 1e-8]), np.diag([4.0, 1.0, 1.0]),
+            np.outer(v[0], w[0]), v.T @ w[:2], np.zeros((3, 4)), np.diag([2.0, 2.0, 0.0]),
+        ]
+        for h in inputs + [h.T for h in inputs]:
+            h = np.asarray(h, dtype=complex)
+            lam = _gram_spectrum(h[None])[0]
+            assert lam.shape == (3,) and np.all(np.isfinite(lam)) and np.all(lam >= 0.0)
+            want = np.linalg.eigvalsh(short_side_gram(h))
+            scale = max(want[-1], 1e-300)
+            for k, (got_e, want_e) in enumerate(zip(symmetric_functions(lam), symmetric_functions(want)), 1):
+                assert abs(got_e - want_e) <= 1e-12 * scale**k
+            for x in (1.0, 1e3, 1e7):
+                rate = float(np.sum(np.log2(1.0 + x * lam)))
+                exact = exact_log2det(h, x)
+                assert abs(rate - exact) <= 1e-14 * exact
+
     @pytest.mark.parametrize("kappa", [1e2, 1e3, 1e4])
     def test_closed_form_keeps_condition_number(self, kappa):
-        # H = U diag(1, 1/kappa) V. eigvalsh on the Gram errs by about
-        # eps * kappa**2 in the small eigenvalue, near 1e-10 in these rates
-        # at 70 dB; the closed form errs by about eps * kappa.
+        # H = U diag(1, ..., 1/kappa) V. eigvalsh on the Gram errs by about
+        # eps * kappa**2 in the small eigenvalue, up to about 1e-10 in these
+        # rates at 70 dB; the closed forms err by about eps * kappa.
         rng = np.random.default_rng(int(kappa))
-
-        def unitary(n):
-            return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
-
         power = _db_to_linear(70.0)
-        for rows, cols in ((2, 2), (2, 4), (3, 2)):
-            sigma = np.zeros((rows, cols))
-            sigma[0, 0], sigma[1, 1] = 1.0, 1.0 / kappa
-            channels = np.stack([unitary(rows) @ sigma @ unitary(cols) for _ in range(20)])
+        for rows, cols in ((2, 2), (2, 4), (3, 2), (3, 3), (3, 4), (4, 3)):
+            channels = conditioned_channels(rng, rows, cols, kappa)
             rates = _log_det_rate(channels, 1.0 / cols)(power)
             for h, rate in zip(channels, rates):
                 want = exact_log2det(h, power / cols)
                 assert abs(rate - want) <= 1e-14 * want
 
-    def test_small_gram_sides_skip_lapack(self, monkeypatch):
+    def test_small_gram_sides_skip_lapack(self, monkeypatch, tmp_path):
+        # No eigvalsh, QR or SVD on any battery entry or any call of the
+        # benchmark's verify deck: every Gram side there is at most 3.
         calls = []
-        eigvalsh = np.linalg.eigvalsh
 
-        def counted(gram):
-            calls.append(gram.shape)
-            return eigvalsh(gram)
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls.append((name, args[0].shape))
+                return fn(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        simulate_scheme(P2P, BcConfig(2, 2, 2), GRID, 100, 7)
+        monkeypatch.syspath_prepend(str(_ROOT / "bench"))
+        valid_calls = importlib.import_module("workloads").VALID_CALLS
+        for name in ("eigvalsh", "qr", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        for _, config, spec, _ in load_battery_entries():
+            simulate_scheme(spec, config, GRID, 100, 7)
+        for channel, antennas, scheme, against in valid_calls:
+            argv = ["verify", "--channel", channel, "--antennas", antennas, *scheme, "--against", against,
+                    "--trials", "100", "--out", str(tmp_path / "verdict.json")]
+            assert cli.main(argv) in (0, 2)
         assert calls == []
-        # Only user 2's 3 x 4 link has a Gram side above 2.
-        simulate_scheme(SchemeSpec("time-division"), BcConfig(4, 2, 3), GRID, 100, 7)
-        assert calls == [(100, 3, 3)]
 
-    def test_guards_reject_bad_gram(self):
-        skewed = np.array([[[1.0, 0.5], [0.0, 1.0]]], dtype=complex)
-        with pytest.raises(SimulationError, match="Hermitian"):
-            _psd_eigenvalues(skewed)
-        # Eigenvalues -1 and 3.
-        indefinite = np.array([[[1.0, 2.0], [2.0, 1.0]]], dtype=complex)
-        with pytest.raises(SimulationError, match="positive semidefinite"):
-            _psd_eigenvalues(indefinite)
-        # Smallest eigenvalue about -eps/2 against a floor of -2e-12: rounding
-        # below 1e-12 of the largest eigenvalue is clamped, beyond it raises.
-        near_singular = lambda eps: np.array([[[1.0, 1.0], [1.0, 1.0 - eps]]], dtype=complex)
-        lam = _psd_eigenvalues(near_singular(1e-14))
-        assert lam[0, 0] == 0.0 and lam[0, 1] == pytest.approx(2.0)
-        with pytest.raises(SimulationError, match="positive semidefinite"):
-            _psd_eigenvalues(near_singular(1e-11))
-        # The floor is per trial: a large trial does not excuse a small one.
-        with pytest.raises(SimulationError, match="positive semidefinite"):
-            _psd_eigenvalues(np.concatenate([1e6 * np.eye(2, dtype=complex)[None], near_singular(1e-8)]))
+    def test_svd_path_for_gram_sides_of_four_and_more(self):
+        # Sides >= 4 take squared singular values of H itself. They are
+        # nonnegative, agree with eigvalsh on well-conditioned stacks, and
+        # keep cond(H), not its square: within 1e-14 of the exact rate at
+        # kappa = 1e3 and 1e4, where eigvalsh on the Gram errs near 1e-11.
+        rng = np.random.default_rng(11)
+        for shape in ((4, 4), (4, 5), (5, 4), (5, 6)):
+            channels = rng.standard_normal((40, *shape)) + 1j * rng.standard_normal((40, *shape))
+            lam = _gram_spectrum(channels)
+            want = np.linalg.eigvalsh(short_side_gram(channels))
+            assert lam.shape == want.shape and np.all(lam >= 0.0)
+            assert np.all(np.abs(lam - want) <= 1e-12 * want[..., -1:])
+        power = _db_to_linear(70.0)
+        for kappa in (1e3, 1e4):
+            for rows, cols in ((4, 4), (4, 5), (5, 4)):
+                channels = conditioned_channels(rng, rows, cols, kappa)
+                rates = _log_det_rate(channels, 1.0 / cols)(power)
+                for h, rate in zip(channels, rates):
+                    want = exact_log2det(h, power / cols)
+                    assert abs(rate - want) <= 1e-14 * want
 
     @pytest.mark.parametrize("spec, config", ONE_OF_EACH, ids=[s.kind for s, _ in ONE_OF_EACH])
     def test_extreme_snr_slopes(self, spec, config):
@@ -619,14 +729,17 @@ class TestTraces:
 
 
 class TestDrivers:
-    # sha256 of each kind's trace_to_csv at 2*BLOCK + 7 trials, seed 7, as
-    # the threaded drivers wrote it at thread counts 1 and 3 alike.
+    # sha256 of each kind's trace_to_csv at 2*BLOCK + 7 trials, seed 7.
+    # Point-to-point's is the trace the threaded drivers wrote at thread
+    # counts 1 and 3 alike. The others were recorded on the same draws once
+    # Gram side 3 and zero-forcing took Gram-Schmidt kernels, within
+    # 4.0e-16 relative of the threaded drivers' traces.
     ACROSS_BLOCKS = {
         "point-to-point": "3d1b4b1b281474e1ec5fec59d3e477d0e2604e4bf1e4e38c5bee38a0e1400408",
-        "time-division": "36442f4990dca7c5b29fbfc8eb7560a69eb233b26b14c442a102d6ff7c0e944c",
-        "receiver-zero-forcing": "6d6b659e4ea12e4d2a1f401e407f672bbc1a73d995bcf050b15a7bbc96358365",
-        "ia-power-scaling": "1c4729162d967b88da9f6fa779babd6278852568a855f0e964c60c740f9b7daa",
-        "isotropic-bc": "7d28af6e04481a9ca7daaedfddfaf21921100f00b52978dec718793376164dcc",
+        "time-division": "5d528229e7cb2004fa865af00676ae6b11b02168012b0020de5f69b2139aeae9",
+        "receiver-zero-forcing": "5b0f5c7edd56b68bbebf0b26aa91df730d19be818f6424491a07b94c0d53249b",
+        "ia-power-scaling": "03acdbb7760357d65c085656076c8f00b1a8c068375b93541530054ddf6f98e1",
+        "isotropic-bc": "61a5ded4e3aa74443307b8a10493cb013a6d57e63e445cf8d44aca37a496f7b6",
     }
 
     @pytest.mark.parametrize("spec, config", ONE_OF_EACH, ids=[s.kind for s, _ in ONE_OF_EACH])
