@@ -144,10 +144,9 @@ def _config_for(channel: str, antennas: tuple[int, ...]):
 
 
 def _emit(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+    if args.out:
+        with open(args.out, "w") as fh:
+            print(text, file=fh)
     else:
         print(text)
 

@@ -105,11 +105,11 @@ def _gram_spectrum(channels: np.ndarray) -> np.ndarray:
     if side < 2:
         return norms
     u, v = vectors[..., 0, :], vectors[..., 1, :]
-    a, c = norms[..., 0], norms[..., 1]
-    v_u = _reject(v, u, a)
+    a, c, uv = norms[..., 0], norms[..., 1], _inner(u, v)
+    v_u = v - (uv / np.where(a > 0, a, 1.0))[..., None] * u  # _reject(v, u, a), reusing ⟨u, v⟩
     vv_u = _inner(v_u, v_u).real
     if side == 2:
-        top = 0.5 * (a + c) + np.hypot(0.5 * (a - c), np.abs(_inner(u, v)))
+        top = 0.5 * (a + c) + np.hypot(0.5 * (a - c), np.abs(uv))
         return np.stack([a * vv_u / np.where(top > 0, top, 1.0), top], axis=-1)
     w = vectors[..., 2, :]
     w_u, w_v = _reject(w, u, a), _reject(w, v, c)
@@ -269,7 +269,8 @@ def trace_from_csv(text: str, seed: int = 0) -> RateTrace:
 
 def tdm_rates(trace1: RateTrace, trace2: RateTrace, tau: float) -> RateTrace:
     """Time division: user 1 is served a fraction tau of the time at full
-    power, user 2 the rest. Operates on two solo traces from the same grid."""
+    power, user 2 the rest. Joins solo traces from separate runs on one
+    grid, such as the battery's capped contrast."""
     tau = float(tau)
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
@@ -318,10 +319,9 @@ def _stack_draws(link_dims: Mapping[str, tuple[int, int]], seed: int, trials: in
 
 # --- scheme table ----------------------------------------------------------
 # An entry is link_dims(config, spec) -> links to draw, check(config, spec,
-# grid) -> raises before any draw if the scheme does not fit, prepare(stacked,
-# config, spec) -> one evaluator per user, run once per run, and
-# finish(trace, spec) applied to the reduced trace. An evaluator maps one
-# linear power to that user's per-trial rates; an unserved user gets None.
+# grid) -> raises before any draw if the scheme does not fit, and
+# prepare(stacked, config, spec) -> one evaluator per user, run once per run,
+# which maps one linear power to that user's per-trial rates (None if unserved).
 
 
 def _network_dims(config, spec) -> dict[str, tuple[int, int]]:
@@ -358,18 +358,19 @@ def _point_to_point(stacked, config, spec):
     return _served(spec.user, _solo_rate(stacked, config, spec.user))
 
 
+def _time_share(rate: Callable, share: float) -> Callable:
+    def shared(power):
+        rates = rate(power)
+        rates *= share  # in place: the solo evaluator returns a fresh array
+        return rates
+    return shared
+
+
 def _time_division(stacked, config, spec):
-    return _solo_rate(stacked, config, 1), _solo_rate(stacked, config, 2)
-
-
-def _tdm_share(trace: RateTrace, spec) -> RateTrace:
-    # tau scales the reduced means, not the per-trial rates, so the trace is
-    # exactly tdm_rates of the two solo traces.
-    return tdm_rates(trace, trace, spec.tau)
-
-
-def _as_reduced(trace: RateTrace, spec) -> RateTrace:
-    return trace
+    # User 1 holds the links a fraction tau of the time at full power, user 2
+    # the rest, so each solo link's per-trial rates scale by its user's share.
+    tau = float(spec.tau)
+    return tuple(_time_share(_solo_rate(stacked, config, u), share) for u, share in ((1, tau), (2, 1.0 - tau)))
 
 
 def _require(config, kind: type, message: str) -> None:
@@ -498,12 +499,11 @@ class _Scheme(NamedTuple):
     link_dims: Callable
     check: Callable
     prepare: Callable
-    finish: Callable = _as_reduced
 
 
 _SCHEMES = {
     "point-to-point": _Scheme(_network_dims, _any_network, _point_to_point),
-    "time-division": _Scheme(_network_dims, _any_network, _time_division, _tdm_share),
+    "time-division": _Scheme(_network_dims, _any_network, _time_division),
     "receiver-zero-forcing": _Scheme(_network_dims, _zf_check, _zero_forcing),
     "ia-power-scaling": _Scheme(_network_dims, _ia_check, _alignment),
     "isotropic-bc": _Scheme(_iso_dims, _iso_check, _isotropic),
@@ -566,5 +566,4 @@ def simulate_scheme(spec: SchemeSpec, config, snr_db: Sequence[float], trials: i
         else:
             # One user at a time keeps the arrays in cache and peak memory flat.
             columns += _mean_stderr(np.stack([rate(power) for power in powers]))
-    trace = RateTrace(grid, *columns, trials=trials, seed=seed)
-    return scheme.finish(trace, spec)
+    return RateTrace(grid, *columns, trials=trials, seed=seed)

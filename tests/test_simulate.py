@@ -114,7 +114,7 @@ def reference_rates(spec, stacked, config, power):
     if spec.kind == "point-to-point":
         return served(solo_rate(spec.user))
     if spec.kind == "time-division":
-        return solo_rate(1), solo_rate(2)
+        return spec.tau * solo_rate(1), (1.0 - spec.tau) * solo_rate(2)
     if spec.kind == "receiver-zero-forcing":
         s1, s2 = spec.streams
         return zf_rate(stacked["H11"], stacked["H12"], s1, s2), zf_rate(stacked["H22"], stacked["H21"], s2, s1)
@@ -677,11 +677,28 @@ class TestTimeDivision:
         with pytest.raises(ValueError):
             tdm_rates(one, one, 1.5)
 
-    def test_driver_matches_combiner(self):
+    @pytest.mark.parametrize("tau", [0.0, 0.25, 0.3, 0.5, 0.75, 1.0])
+    def test_driver_matches_combiner(self, tau):
+        # The driver scales per-trial rates before the reduction, the combiner
+        # scales the reduced solo traces. Scaling by 0, 1 or a power of two
+        # commutes with the exactly rounded sum, the division by the trial
+        # count and the square root, so those shares agree bit for bit; any
+        # other share rounds differently, by at most 1e-15 relative.
         config = IcConfig(2, 2, 2, 2)
-        direct = simulate_scheme(SchemeSpec("time-division", tau=0.25), config, GRID, 200, 9)
-        composed = tdm_rates(solo(config, 1, GRID, 200, 9), solo(config, 2, GRID, 200, 9), 0.25)
-        assert direct == composed
+        solo1, solo2 = solo(config, 1, GRID, 200, 9), solo(config, 2, GRID, 200, 9)
+        direct = simulate_scheme(SchemeSpec("time-division", tau=tau), config, GRID, 200, 9)
+        composed = tdm_rates(solo1, solo2, tau)
+        if tau in (0.0, 0.5, 1.0):
+            assert direct == composed
+        else:
+            for name in ("rate1", "stderr1", "rate2", "stderr2"):
+                np.testing.assert_allclose(getattr(direct, name), getattr(composed, name), rtol=1e-15, atol=0)
+        # At the endpoints time division is the served user's solo trace:
+        # the same links, on the same draws.
+        if tau == 1.0:
+            assert direct == solo1
+        if tau == 0.0:
+            assert direct == solo2
 
 
 class TestIsotropicInput:
@@ -733,10 +750,12 @@ class TestDrivers:
     # Point-to-point's is the trace the threaded drivers wrote at thread
     # counts 1 and 3 alike. The others were recorded on the same draws once
     # Gram side 3 and zero-forcing took Gram-Schmidt kernels, within
-    # 4.0e-16 relative of the threaded drivers' traces.
+    # 4.0e-16 relative of the threaded drivers' traces. Time division's was
+    # re-recorded once it scaled per-trial rates by tau = 0.3 before the
+    # reduction, within 3.4e-16 relative of the reduced-then-scaled trace.
     ACROSS_BLOCKS = {
         "point-to-point": "3d1b4b1b281474e1ec5fec59d3e477d0e2604e4bf1e4e38c5bee38a0e1400408",
-        "time-division": "5d528229e7cb2004fa865af00676ae6b11b02168012b0020de5f69b2139aeae9",
+        "time-division": "b1e9f9b79c83cf41b93b76b625c6af36fcbb1350882574882f32dac792ed7500",
         "receiver-zero-forcing": "5b0f5c7edd56b68bbebf0b26aa91df730d19be818f6424491a07b94c0d53249b",
         "ia-power-scaling": "03acdbb7760357d65c085656076c8f00b1a8c068375b93541530054ddf6f98e1",
         "isotropic-bc": "61a5ded4e3aa74443307b8a10493cb013a6d57e63e445cf8d44aca37a496f7b6",
