@@ -42,14 +42,12 @@ from .catalog import (
     ic_csit_region,
 )
 from .simulate import (
-    GridMismatch,
     InfeasibleZf,
     RateTrace,
     SchemeShapeError,
     SchemeSpec,
     SimulationError,
     simulate_scheme,
-    tdm_rates,
     trace_from_csv,
     trace_to_csv,
 )

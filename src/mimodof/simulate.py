@@ -36,8 +36,8 @@ from .catalog import BcConfig, IcConfig
 
 __all__ = [
     "SCHEME_KINDS",
-    "SimulationError", "InfeasibleZf", "SchemeShapeError", "GridMismatch",
-    "SchemeSpec", "RateTrace", "tdm_rates", "trace_to_csv", "trace_from_csv", "simulate_scheme",
+    "SimulationError", "InfeasibleZf", "SchemeShapeError",
+    "SchemeSpec", "RateTrace", "trace_to_csv", "trace_from_csv", "simulate_scheme",
 ]
 
 # Trials per random substream. Fixed, so that a trial's draws depend only on
@@ -57,10 +57,6 @@ class InfeasibleZf(SimulationError):
 
 class SchemeShapeError(SimulationError):
     """Antenna configuration does not fit the requested scheme."""
-
-
-class GridMismatch(SimulationError):
-    """Two traces to be combined were run on different SNR grids."""
 
 
 def _db_to_linear(snr_db: float) -> float:
@@ -267,26 +263,6 @@ def trace_from_csv(text: str, seed: int = 0) -> RateTrace:
     return RateTrace(*(tuple(col) for col in columns), trials=trials, seed=seed)
 
 
-def tdm_rates(trace1: RateTrace, trace2: RateTrace, tau: float) -> RateTrace:
-    """Time division: user 1 is served a fraction tau of the time at full
-    power, user 2 the rest. Joins solo traces from separate runs on one
-    grid, such as the battery's capped contrast."""
-    tau = float(tau)
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must be in [0, 1], got {tau}")
-    if trace1.snr_db != trace2.snr_db:
-        raise GridMismatch("solo traces were run on different SNR grids")
-    return RateTrace(
-        snr_db=trace1.snr_db,
-        rate1=tuple(tau * r for r in trace1.rate1),
-        stderr1=tuple(tau * s for s in trace1.stderr1),
-        rate2=tuple((1.0 - tau) * r for r in trace2.rate2),
-        stderr2=tuple((1.0 - tau) * s for s in trace2.stderr2),
-        trials=min(trace1.trials, trace2.trials),
-        seed=trace1.seed,
-    )
-
-
 def _stack_draws(link_dims: Mapping[str, tuple[int, int]], seed: int, trials: int) -> dict[str, np.ndarray]:
     """Draw every trial as stacked (trials, rows, cols) arrays.
 
@@ -369,8 +345,12 @@ def _time_share(rate: Callable, share: float) -> Callable:
 def _time_division(stacked, config, spec):
     # User 1 holds the links a fraction tau of the time at full power, user 2
     # the rest, so each solo link's per-trial rates scale by its user's share.
+    # A user whose share is 0 is not served, and its link is not factored.
     tau = float(spec.tau)
-    return tuple(_time_share(_solo_rate(stacked, config, u), share) for u, share in ((1, tau), (2, 1.0 - tau)))
+    return tuple(
+        _time_share(_solo_rate(stacked, config, u), share) if share > 0 else None
+        for u, share in ((1, tau), (2, 1.0 - tau))
+    )
 
 
 def _require(config, kind: type, message: str) -> None:

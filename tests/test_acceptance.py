@@ -152,9 +152,9 @@ def test_criterion_4_prelog_battery(battery):
 
 def test_criterion_5_alignment_beats_capped_time_division(battery):
     with criterion(5, "alignment vs power-capped time division"):
-        # Cap user 2's transmit power at sqrt(P): running its solo link on a
-        # halved dB grid is the same computation, relabeled to the nominal
-        # grid before fitting against log2(P).
+        # Cap user 2's transmit power at sqrt(P): its column is read at the
+        # halved dB points of one time-division run and relabeled to the
+        # nominal grid before fitting against log2(P).
         trace = prelog_battery.capped_tdm_trace(IcConfig(1, 3, 1, 4), GRID, TRIALS, SEED)
         capped_tdm = fit_slope(trace)
         assert capped_tdm.d2_hat == pytest.approx(0.75, abs=0.1)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from mimodof import (
     BcConfig,
-    GridMismatch,
     IcConfig,
     InfeasibleZf,
     RateTrace,
@@ -23,7 +22,6 @@ from mimodof import (
     SimulationError,
     fit_slope,
     simulate_scheme,
-    tdm_rates,
     trace_from_csv,
     trace_to_csv,
 )
@@ -168,11 +166,15 @@ def conditioned_channels(rng, rows, cols, kappa, count=20):
 _ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_battery_entries():
+def load_battery_script():
     spec = importlib.util.spec_from_file_location("run_prelog_battery", _ROOT / "scripts" / "run_prelog_battery.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.battery_entries()
+    return module
+
+
+def load_battery_entries():
+    return load_battery_script().battery_entries()
 
 
 def symmetric_functions(lam):
@@ -655,28 +657,21 @@ class TestAlignmentScheme:
         assert all(b[0][0] > a[0][0] and b[1][0] > a[1][0] for a, b in zip(rates, rates[1:]))
 
 
+def combine_means(solo1, solo2, tau):
+    """Time division at the level of reduced traces: each solo trace's means
+    and standard errors scaled by its user's share."""
+    return RateTrace(
+        solo1.snr_db,
+        rate1=[tau * r for r in solo1.rate1],
+        stderr1=[tau * e for e in solo1.stderr1],
+        rate2=[(1.0 - tau) * r for r in solo2.rate2],
+        stderr2=[(1.0 - tau) * e for e in solo2.stderr2],
+        trials=solo1.trials,
+        seed=solo1.seed,
+    )
+
+
 class TestTimeDivision:
-    def test_endpoints(self):
-        solo1 = solo(BcConfig(2, 1, 2), 1, GRID, 100, 5)
-        solo2 = solo(BcConfig(2, 1, 2), 2, GRID, 100, 5)
-        full = tdm_rates(solo1, solo2, 1.0)
-        assert full.rate1 == solo1.rate1
-        assert full.rate2 == (0.0,) * len(GRID)
-        handoff = tdm_rates(solo1, solo2, 0.0)
-        assert handoff.rate2 == solo2.rate2
-        assert handoff.rate1 == (0.0,) * len(GRID)
-
-    def test_grid_mismatch_rejected(self):
-        solo1 = solo(BcConfig(2, 1, 2), 1, GRID, 50, 5)
-        solo2 = solo(BcConfig(2, 1, 2), 2, (10.0, 20.0), 50, 5)
-        with pytest.raises(GridMismatch):
-            tdm_rates(solo1, solo2, 0.5)
-
-    def test_bad_tau_rejected(self):
-        one = solo(BcConfig(2, 1, 2), 1, GRID, 50, 5)
-        with pytest.raises(ValueError):
-            tdm_rates(one, one, 1.5)
-
     @pytest.mark.parametrize("tau", [0.0, 0.25, 0.3, 0.5, 0.75, 1.0])
     def test_driver_matches_combiner(self, tau):
         # The driver scales per-trial rates before the reduction, the combiner
@@ -687,7 +682,7 @@ class TestTimeDivision:
         config = IcConfig(2, 2, 2, 2)
         solo1, solo2 = solo(config, 1, GRID, 200, 9), solo(config, 2, GRID, 200, 9)
         direct = simulate_scheme(SchemeSpec("time-division", tau=tau), config, GRID, 200, 9)
-        composed = tdm_rates(solo1, solo2, tau)
+        composed = combine_means(solo1, solo2, tau)
         if tau in (0.0, 0.5, 1.0):
             assert direct == composed
         else:
@@ -699,6 +694,49 @@ class TestTimeDivision:
             assert direct == solo1
         if tau == 0.0:
             assert direct == solo2
+
+    @pytest.mark.parametrize("tau, idle", [(1.0, 1), (0.0, 0)])
+    def test_zero_share_serves_nobody(self, tau, idle):
+        # The user whose share is 0 gets no evaluator, so its link is never
+        # factored; the other user's is still prepared.
+        config = BcConfig(2, 1, 2)
+        stacked = _stack_draws(_network_dims(config, None), 5, 10)
+        rates = _SCHEMES["time-division"].prepare(stacked, config, SchemeSpec("time-division", tau=tau))
+        assert rates[idle] is None
+        assert rates[1 - idle] is not None
+
+
+class TestCappedContrast:
+    # sha256 of trace_to_csv(capped_tdm_trace(...)) at 2*BLOCK + 7 trials,
+    # seed 7, recorded from the two-run form: solo point-to-point traces on
+    # the nominal and the half-dB grid, joined at tau = 1/2 after reduction.
+    # The second grid's half-dB points 10 and 20 lie on it.
+    BATTERY_GRID = (30.0, 40.0, 50.0, 60.0, 70.0)
+    GOLDEN = [
+        (BcConfig(4, 2, 3), BATTERY_GRID, "c52f5617b8a84776854fcf231dee124f95e53a10b68f8a6d687a7c889629af8e"),
+        (IcConfig(1, 3, 1, 4), BATTERY_GRID, "70850f43eb82ac3de8f745a131aeb6e68277f577c4a35c1991cd9b25c20b4bc1"),
+        (BcConfig(4, 2, 3), (10.0, 20.0, 30.0, 40.0), "86fc8c387b30c4fd0eaba2f2899b99649b96971c89094b41b1366c8ae2b04103"),
+    ]
+    IDS = ["bc-423", "ic-1314", "bc-423-overlap"]
+
+    @pytest.mark.parametrize("config, grid, digest", GOLDEN, ids=IDS)
+    def test_capped_trace_golden(self, config, grid, digest):
+        trace = load_battery_script().capped_tdm_trace(config, grid, 2 * BLOCK + 7, 7)
+        assert trace.snr_db == grid
+        assert hashlib.sha256(trace_to_csv(trace).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("config, grid", [(c, g) for c, g, _ in GOLDEN], ids=IDS)
+    def test_capped_trace_draws_once(self, config, grid, monkeypatch):
+        # Both users come from one run, so the network is drawn once.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _stack_draws(*args)
+
+        monkeypatch.setattr(simulate, "_stack_draws", counted)
+        load_battery_script().capped_tdm_trace(config, grid, 2 * BLOCK + 7, 7)
+        assert len(calls) == 1
 
 
 class TestIsotropicInput:
