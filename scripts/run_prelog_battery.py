@@ -7,6 +7,10 @@ against the predicted region (outer bound for interference configs whose
 exact region is open). Traces go to CSV, verdicts to JSON, and a one-line
 summary per scheme is printed at the end.
 
+Every input is checked before the output directory is created or any
+trial is drawn; bad input exits 3 with a one-line message on stderr. Exit 2
+means some verdict landed outside its region.
+
 Example:
     python3 scripts/run_prelog_battery.py --trials 10000 --seed 7 --out-dir runs/
 """
@@ -27,6 +31,7 @@ from mimodof import (
     IcConfig,
     RateTrace,
     SchemeSpec,
+    SimulationError,
     bc_region,
     fit_slope,
     ic_classify,
@@ -34,6 +39,9 @@ from mimodof import (
     trace_to_csv,
     verdict_report,
 )
+from mimodof.simulate import _SCHEMES, _validate_grid
+
+EXIT_USAGE = 3
 
 
 def battery_entries():
@@ -85,6 +93,20 @@ def config_dict(config):
     return {"channel": kind, "antennas": list(dataclasses.astuple(config))}
 
 
+def check_args(args) -> None:
+    """Raise ValueError or SimulationError unless every entry can run on the
+    trials, seed and grid asked for, and fit over ``DEFAULT_WINDOW`` points."""
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be nonnegative")
+    grid = _validate_grid(args.grid)
+    if len(grid) < DEFAULT_WINDOW:
+        raise ValueError(f"--grid needs at least {DEFAULT_WINDOW} points to fill the fit window, got {len(grid)}")
+    for _, config, spec, _ in battery_entries():
+        _SCHEMES[spec.kind].check(config, spec, grid)
+
+
 def run_entry(name, config, spec, region, args):
     t0 = time.perf_counter()
     trace = simulate_scheme(spec, config, args.grid, args.trials, args.seed)
@@ -103,8 +125,16 @@ def main(argv=None) -> int:
                         default=[30.0, 40.0, 50.0, 60.0, 70.0],
                         help="SNR grid in dB (ascending)")
     parser.add_argument("--out-dir", type=Path, default=Path("battery_out"))
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, and 2 means a failed verdict here
+        return EXIT_USAGE if exc.code == 2 else exc.code
     args.grid = tuple(args.grid)
+    try:
+        check_args(args)
+    except (ValueError, SimulationError) as exc:
+        print(f"run_prelog_battery: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0

@@ -6,6 +6,10 @@ fixed blocks of ``BLOCK``, block b owns the substream
 ``default_rng([seed, b])`` and fills its trials row by row in a fixed link
 order, and per-SNR averages are exactly rounded sums, which do not depend on
 the order of accumulation. A trial's draws do not depend on the trial count.
+Stacks are trials-last: a link is a (rows, cols, trials) view of one
+(entries, trials) buffer, so every kernel reduces over leading axes and adds
+contiguous rows of trials. The layout does not touch the random stream; the
+draws are the same values as when trials came first.
 
 Each scheme is one entry of a table keyed by ``SchemeSpec.kind``: the links
 it draws, a shape check, and a prepare step that maps the stacked draws to
@@ -63,12 +67,21 @@ def _db_to_linear(snr_db: float) -> float:
     return 10.0 ** (float(snr_db) / 10.0)
 
 
+# Stacked vectors are (..., N, trials): entries on the second-to-last axis,
+# trials last and contiguous, so every reduction below runs over a leading
+# axis and adds whole rows of trials.
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...i->...", x.conj(), y)  # ⟨x, y⟩ along the last axis
+    # ⟨x, y⟩ per trial. einsum rounds each product as it always has, while
+    # np.sum(x.conj() * y) moves about half the inner products by an ulp.
+    return np.einsum("...it,...it->...t", x.conj(), y)
+
+
+def _sq_norm(x: np.ndarray) -> np.ndarray:
+    return np.sum(x.real**2 + x.imag**2, axis=-2)  # ‖x‖² per trial, with no conjugate copy
 
 
 def _reject(x: np.ndarray, u: np.ndarray, uu) -> np.ndarray:  # x less its part along u; uu = ‖u‖²
-    return x - (_inner(u, x) / np.where(uu > 0, uu, 1.0))[..., None] * u
+    return x - (_inner(u, x) / np.where(uu > 0, uu, 1.0))[..., None, :] * u
 
 
 def _largest_root(e1: np.ndarray, e2: np.ndarray, e3: np.ndarray) -> np.ndarray:
@@ -81,50 +94,51 @@ def _largest_root(e1: np.ndarray, e2: np.ndarray, e3: np.ndarray) -> np.ndarray:
 
 
 def _gram_spectrum(channels: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues λ of the smaller Gram side of stacked channels,
-    n = min(rows, cols) per trial. For n <= 3, from the short-side vectors
-    u, v, w and Gram-Schmidt residuals (v⊥ = v - (⟨u, v⟩/a)u, a = ‖u‖², c = ‖v‖²),
-    with no Gram matrix and no LAPACK call. n = 1: λ = a. n = 2: λmax =
-    (a+c)/2 + hypot((a-c)/2, |⟨u, v⟩|), λmin = a‖v⊥‖²/λmax. n = 3: λmax is the
-    largest root of the characteristic polynomial, e1 = Σ‖·‖², e2 = the sum of
-    the pair determinants, e3 = a‖v⊥‖²‖w⊥⊥‖²; λmid·λmin = e3/λmax and
-    λmid + λmin = (e2 - e3/λmax)/λmax. All are sums and products of squares, so
-    λ >= 0 and keep cond(H), not its square; near a repeated λ, only the
-    symmetric functions of λ that make up a rate keep every digit. n >= 4:
-    squared singular values."""
-    rows, cols = channels.shape[-2:]
+    """Ascending eigenvalues λ, shape (n, trials), of the smaller Gram side
+    of stacked (rows, cols, trials) channels, n = min(rows, cols). For n <= 3,
+    from the short-side vectors u, v, w and Gram-Schmidt residuals
+    (v⊥ = v - (⟨u, v⟩/a)u, a = ‖u‖², c = ‖v‖²), with no Gram matrix and no
+    LAPACK call. n = 1: λ = a. n = 2: λmax = (a+c)/2 + hypot((a-c)/2, |⟨u, v⟩|),
+    λmin = a‖v⊥‖²/λmax. n = 3: λmax is the largest root of the characteristic
+    polynomial, e1 = Σ‖·‖², e2 = the sum of the pair determinants,
+    e3 = a‖v⊥‖²‖w⊥⊥‖²; λmid·λmin = e3/λmax and λmid + λmin = (e2 - e3/λmax)/λmax.
+    All are sums and products of squares, so λ >= 0 and keep cond(H), not its
+    square; near a repeated λ, only the symmetric functions of λ that make up
+    a rate keep every digit. n >= 4: squared singular values."""
+    rows, cols = channels.shape[:2]
     side = min(rows, cols)
     if side > 3:
-        return np.linalg.svd(channels, compute_uv=False)[..., ::-1] ** 2
-    vectors = channels if rows <= cols else channels.swapaxes(-1, -2)
-    norms = _inner(vectors, vectors).real
+        return np.linalg.svd(np.moveaxis(channels, -1, 0), compute_uv=False).T[::-1] ** 2
+    vectors = channels if rows <= cols else channels.swapaxes(0, 1)  # (n, N, trials)
     if side < 2:
-        return norms
-    u, v = vectors[..., 0, :], vectors[..., 1, :]
-    a, c, uv = norms[..., 0], norms[..., 1], _inner(u, v)
-    v_u = v - (uv / np.where(a > 0, a, 1.0))[..., None] * u  # _reject(v, u, a), reusing ⟨u, v⟩
-    vv_u = _inner(v_u, v_u).real
+        return _sq_norm(vectors)
+    # One vector at a time: each (N, trials) operand stays in cache.
+    u, v = vectors[0], vectors[1]
+    a, c, uv = _sq_norm(u), _sq_norm(v), _inner(u, v)
+    v_u = v - (uv / np.where(a > 0, a, 1.0)) * u  # _reject(v, u, a), reusing ⟨u, v⟩
+    vv_u = _sq_norm(v_u)
     if side == 2:
         top = 0.5 * (a + c) + np.hypot(0.5 * (a - c), np.abs(uv))
-        return np.stack([a * vv_u / np.where(top > 0, top, 1.0), top], axis=-1)
-    w = vectors[..., 2, :]
+        return np.stack([a * vv_u / np.where(top > 0, top, 1.0), top])
+    w = vectors[2]
     w_u, w_v = _reject(w, u, a), _reject(w, v, c)
     w_uv = _reject(w_u, v_u, vv_u)
-    e2 = a * (vv_u + _inner(w_u, w_u).real) + c * _inner(w_v, w_v).real
-    e3 = a * vv_u * _inner(w_uv, w_uv).real
-    top = _largest_root(a + c + norms[..., 2], e2, e3)
+    e2 = a * (vv_u + _sq_norm(w_u)) + c * _sq_norm(w_v)
+    e3 = a * vv_u * _sq_norm(w_uv)
+    top = _largest_root(a + c + _sq_norm(w), e2, e3)
     top_or_1 = np.where(top > 0, top, 1.0)  # top = 0, on either side, only for H = 0
     product = e3 / top_or_1
     half = 0.5 * (e2 - product) / top_or_1
     mid = half + np.sqrt(np.maximum(half * half - product, 0.0))
-    return np.stack([product / np.where(mid > 0, mid, 1.0), mid, top], axis=-1)
+    return np.stack([product / np.where(mid > 0, mid, 1.0), mid, top])
 
 
 def _log_det_rate(channels: np.ndarray, share: float = 1.0) -> Callable[[float], np.ndarray]:
     """Per-point evaluator of log2 det(I + share * p * H H*) for stacked
-    channels H: Σ log2(1 + share * p * λ) over the λ of ``_gram_spectrum``."""
+    (rows, cols, trials) channels H: Σ log2(1 + share * p * λ) over the λ of
+    ``_gram_spectrum``."""
     lam = _gram_spectrum(channels)
-    return lambda power: np.sum(np.log2(1.0 + (share * power) * lam), axis=-1)
+    return lambda power: np.sum(np.log2(1.0 + (share * power) * lam), axis=0)
 
 
 def _exact_row_sums(values: np.ndarray) -> list[float]:
@@ -264,31 +278,36 @@ def trace_from_csv(text: str, seed: int = 0) -> RateTrace:
 
 
 def _stack_draws(link_dims: Mapping[str, tuple[int, int]], seed: int, trials: int) -> dict[str, np.ndarray]:
-    """Draw every trial as stacked (trials, rows, cols) arrays.
+    """Draw every trial as stacked (rows, cols, trials) arrays, trials last.
 
     Entries are CN(0, 1): independent real and imaginary parts of variance
-    one half each. Trials come in blocks of ``BLOCK``; block b fills its
+    one half each. Trials come in blocks of ``BLOCK``; block b draws its
     trials with one ``standard_normal`` call of shape (n_b, K, 2) on
     ``default_rng([seed, b])``, where K counts the entries of all links.
     Each trial's row holds its links in the mapping's iteration order, each
     entry a (real, imaginary) pair. The fill is row-major, so a trial's
-    values do not depend on the trial count. Every link is a view into one
-    (trials, K) buffer.
+    values do not depend on the trial count. The random stream is the same
+    as when trials came first: each block is drawn into one reused
+    (n_b, K) scratch and written, transposed and scaled by 1/√2, into its
+    columns of a single (K, trials) buffer. Every link is a view into it.
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     entries = sum(rows * cols for rows, cols in link_dims.values())
-    buf = np.empty((trials, entries), dtype=complex)
+    buf = np.empty((entries, trials), dtype=complex)
+    scratch = np.empty((min(BLOCK, trials), entries), dtype=complex)
     for block in range(-(-trials // BLOCK)):
-        part = buf[block * BLOCK:(block + 1) * BLOCK]
-        pairs = part.view(float).reshape(len(part), entries, 2)
+        part = buf[:, block * BLOCK:(block + 1) * BLOCK]
+        drawn = scratch[:part.shape[1]]
+        pairs = drawn.view(float).reshape(len(drawn), entries, 2)
         np.random.default_rng([seed, block]).standard_normal(out=pairs)
-    buf /= math.sqrt(2.0)
+        # Multiplying by fl(1/√2) is what numpy's complex division by √2 does.
+        np.multiply(drawn.T, 1.0 / math.sqrt(2.0), out=part)
     stacked, start = {}, 0
     for name, (rows, cols) in link_dims.items():
-        stacked[name] = buf[:, start:start + rows * cols].reshape(trials, rows, cols)
+        stacked[name] = buf[start:start + rows * cols].reshape(rows, cols, trials)
         start += rows * cols
     return stacked
 
@@ -327,7 +346,7 @@ def _solo_rate(stacked, config, user: int) -> Callable:
     # Full power P over the user's direct link, P/m per transmit antenna.
     link = f"H{user}" if isinstance(config, BcConfig) else f"H{user}{user}"
     channels = stacked[link]
-    return _log_det_rate(channels, 1.0 / channels.shape[-1])
+    return _log_det_rate(channels, 1.0 / channels.shape[1])
 
 
 def _point_to_point(stacked, config, spec):
@@ -376,26 +395,27 @@ def _zf_check(config, spec, grid) -> None:
 
 
 def _orthonormal_rows(rows: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal (..., N) rows spanning stacked rows (..., k, N): modified
-    Gram-Schmidt with each row orthogonalised twice, which stays orthonormal to
-    a few eps on nearly dependent rows ("twice is enough": Giraud, Langou,
-    Rozložník and van den Eshof, Numer. Math. 101, 2005)."""
+    """Orthonormal (N, trials) rows spanning stacked rows (k, N, trials):
+    modified Gram-Schmidt with each row orthogonalised twice, which stays
+    orthonormal to a few eps on nearly dependent rows ("twice is enough":
+    Giraud, Langou, Rozložník and van den Eshof, Numer. Math. 101, 2005)."""
     basis = []
-    for x in np.moveaxis(rows, -2, 0):
+    for x in rows:
         for q in basis + basis:
             x = _reject(x, q, 1.0)
-        basis.append(x / np.sqrt(_inner(x, x).real)[..., None])
+        basis.append(x / np.sqrt(_sq_norm(x)))
     return basis
 
 
 def _zf_user_rate(own: np.ndarray, cross: np.ndarray, s_own: int, s_int: int) -> Optional[Callable]:
-    # own (..., N, M_own), cross (..., N, M_int). Own beams projected off the first
-    # s_int interfering ones in C^N have the Gram of their orthocomplement coordinates.
+    # own (N, M_own, trials), cross (N, M_int, trials). Own beams projected off the
+    # first s_int interfering ones in C^N have the Gram of their orthocomplement
+    # coordinates.
     if s_own == 0:
         return None
-    beams = own[..., :, :s_own].swapaxes(-1, -2)
-    for q in _orthonormal_rows(cross[..., :, :s_int].swapaxes(-1, -2)):
-        beams = _reject(beams, q[..., None, :], 1.0)
+    beams = own[:, :s_own].swapaxes(0, 1)
+    for q in _orthonormal_rows(cross[:, :s_int].swapaxes(0, 1)):
+        beams = _reject(beams, q, 1.0)
     return _log_det_rate(beams, 1.0 / s_own)
 
 
@@ -442,9 +462,9 @@ def _alignment(stacked, config, spec):
     everything and is credited the joint log-det rate of its own streams."""
     nb = _ia_beams(config, spec)
     exponent = float(spec.power_exponent)
-    gain = np.abs(stacked["H11"][:, 0, 0]) ** 2
-    cross_gain = np.sum(np.abs(stacked["H12"][:, 0, :nb]) ** 2, axis=-1)
-    joint = _log_det_rate(stacked["H22"][:, :, :nb])
+    gain = np.abs(stacked["H11"][0, 0]) ** 2
+    cross_gain = np.sum(np.abs(stacked["H12"][0, :nb]) ** 2, axis=0)
+    joint = _log_det_rate(stacked["H22"][:, :nb])
 
     def rate1(power):
         return np.log2(1.0 + power * gain / (1.0 + power ** exponent * cross_gain))
@@ -472,7 +492,7 @@ def _isotropic(stacked, config, spec):
     covariance (P/M) Q Q* is isotropic in expectation. H Q is the first n
     rows of Q."""
     n = _iso_rx(config, spec.user)
-    return _served(spec.user, _log_det_rate(stacked["Q"][:, :n, :], 1.0 / config.M))
+    return _served(spec.user, _log_det_rate(stacked["Q"][:n], 1.0 / config.M))
 
 
 class _Scheme(NamedTuple):

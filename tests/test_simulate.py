@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import importlib.util
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,8 +60,9 @@ ONE_OF_EACH = [
 
 def kernel(spec, stacked, config, power):
     """Per-trial rate pair of one scheme's prepared table kernel at one
-    power; an unserved user's column reads as zeros."""
-    trials = len(next(iter(stacked.values())))
+    power on stacked (rows, cols, trials) draws; an unserved user's column
+    reads as zeros."""
+    trials = next(iter(stacked.values())).shape[-1]
     rates = _SCHEMES[spec.kind].prepare(stacked, config, spec)
     return tuple(np.zeros(trials) if rate is None else rate(power) for rate in rates)
 
@@ -89,8 +91,16 @@ def _capacity_log2det(channels, scale):
     return _log2det_eye_plus(scale * short_side_gram(channels))
 
 
+def trials_first(channels):
+    """A (rows, cols, trials) stack as (trials, rows, cols), the layout the
+    LAPACK references below take."""
+    return np.moveaxis(channels, -1, 0)
+
+
 def reference_rates(spec, stacked, config, power):
-    """Per-trial rates of both users, by the per-point Cholesky kernels."""
+    """Per-trial rates of both users, by the per-point Cholesky kernels on
+    trials-first views of the draws."""
+    stacked = {link: trials_first(channels) for link, channels in stacked.items()}
     zeros = np.zeros(len(next(iter(stacked.values()))))
 
     def served(rates):
@@ -153,14 +163,15 @@ def exact_log2det(h, x):
 
 
 def conditioned_channels(rng, rows, cols, kappa, count=20):
-    """Stacks of U diag(1, ..., 1/kappa) V with random unitaries U, V and
-    singular values spaced geometrically, one per short-side dimension."""
+    """(rows, cols, count) stacks of U diag(1, ..., 1/kappa) V with random
+    unitaries U, V and singular values spaced geometrically, one per
+    short-side dimension."""
     def unitary(n):
         return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
 
     sigma = np.zeros((rows, cols))
     np.fill_diagonal(sigma, np.geomspace(1.0, 1.0 / kappa, min(rows, cols)))
-    return np.stack([unitary(rows) @ sigma @ unitary(cols) for _ in range(count)])
+    return np.stack([unitary(rows) @ sigma @ unitary(cols) for _ in range(count)], axis=-1)
 
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -195,8 +206,8 @@ class TestDraws:
         b = _stack_draws(dims, 7, 4)
         for link in dims:
             # Trial 3 is the same draw whatever the trial count around it.
-            assert np.array_equal(a[link][3], b[link][3])
-            assert not np.array_equal(a[link][3], a[link][4])
+            assert np.array_equal(a[link][..., 3], b[link][..., 3])
+            assert not np.array_equal(a[link][..., 3], a[link][..., 4])
         other_seed = _stack_draws(dims, 8, 5)
         assert not np.array_equal(a["H11"], other_seed["H11"])
 
@@ -207,12 +218,13 @@ class TestDraws:
         short = _stack_draws(dims, 7, BLOCK + 4)
         long = _stack_draws(dims, 7, 3 * BLOCK)
         for link in dims:
-            assert np.array_equal(short[link], long[link][: BLOCK + 4])
+            assert np.array_equal(short[link], long[link][..., : BLOCK + 4])
 
     def test_blocks_follow_reference_stream(self):
         # Block b is one standard_normal((n_b, K, 2)) call on
         # default_rng([seed, b]), read as complex pairs, scaled by 1/sqrt(2)
-        # and cut into links in draw order; the last block is partial.
+        # and cut into links in draw order; the last block is partial. Each
+        # link holds the same values with the trial axis moved last.
         dims = _network_dims(IcConfig(2, 1, 2, 3), None)
         trials = 2 * BLOCK + 7
         entries = sum(rows * cols for rows, cols in dims.values())
@@ -225,13 +237,29 @@ class TestDraws:
         start = 0
         for link, (rows, cols) in dims.items():
             expected = values[:, start:start + rows * cols].reshape(trials, rows, cols)
-            assert np.array_equal(stacked[link], expected)
+            assert np.array_equal(stacked[link], np.moveaxis(expected, 0, -1))
             start += rows * cols
+
+    def test_peak_memory_is_one_buffer(self):
+        # The draws live in one (K, trials) buffer; each block passes through
+        # a block-sized scratch. Transposing a whole trials-first buffer
+        # instead would double the peak.
+        dims = _network_dims(IcConfig(1, 3, 1, 4), None)
+        trials = 10_000
+        entries = sum(rows * cols for rows, cols in dims.values())
+        _stack_draws(dims, 7, 1)  # numpy sets up its generator state once per process
+        tracemalloc.start()
+        try:
+            _stack_draws(dims, 7, trials)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * entries * trials * np.dtype(complex).itemsize
 
     def test_shapes(self):
         stacked = _stack_draws(_network_dims(BcConfig(4, 2, 3), None), 0, 1)
-        assert stacked["H1"].shape == (1, 2, 4)
-        assert stacked["H2"].shape == (1, 3, 4)
+        assert stacked["H1"].shape == (2, 4, 1)
+        assert stacked["H2"].shape == (3, 4, 1)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -243,7 +271,7 @@ class TestDraws:
         # 1e5 independent scalar draws: mean, variance and the real/imag
         # correlation all sit within 3 sigma of their estimators.
         n = 100_000
-        values = _stack_draws({"H": (1, 1)}, 123, n)["H"][:, 0, 0]
+        values = _stack_draws({"H": (1, 1)}, 123, n)["H"][0, 0]
         assert abs(values.mean()) < 3.0 * math.sqrt(1.0 / n)
         var = np.mean(np.abs(values) ** 2)
         assert 0.99 < var < 1.01
@@ -359,7 +387,7 @@ class TestRatePrimitives:
         assert r2[0] == 0.0
 
     def test_orthonormal_rows_closed_form(self):
-        H = np.eye(2, 4, dtype=complex)[None]
+        H = np.eye(2, 4, dtype=complex)[..., None]
         # H H* = I, so the rate is 2 log2(1 + P/4) exactly.
         for p in (1.0, 10.0, 1000.0):
             r1, _ = kernel(P2P, {"H1": H, "H2": H}, BcConfig(4, 2, 2), p)
@@ -416,7 +444,7 @@ class TestSpectralKernels:
             return qr(*args, **kwargs)
 
         def counted_rows(rows):
-            bases.append(rows.shape[1:])
+            bases.append(rows.shape[:-1])
             return orthonormal_rows(rows)
 
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
@@ -437,21 +465,21 @@ class TestSpectralKernels:
         # modified Gram-Schmidt would leave the basis off by about eps * cond;
         # the second pass brings it to a few eps.
         rng = np.random.default_rng(int(cond))
-        shape = (200, 4, 2)
+        shape = (4, 2, 200)
         own = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        first = rng.standard_normal((200, 4, 1)) + 1j * rng.standard_normal((200, 4, 1))
-        nudge = rng.standard_normal((200, 4, 1)) + 1j * rng.standard_normal((200, 4, 1))
-        cross = np.concatenate([first, first + nudge / cond], axis=-1)
-        assert np.all(np.linalg.cond(cross) > 0.1 * cond)
+        first = rng.standard_normal((4, 1, 200)) + 1j * rng.standard_normal((4, 1, 200))
+        nudge = rng.standard_normal((4, 1, 200)) + 1j * rng.standard_normal((4, 1, 200))
+        cross = np.concatenate([first, first + nudge / cond], axis=1)
+        assert np.all(np.linalg.cond(trials_first(cross)) > 0.1 * cond)
         eps = np.finfo(float).eps
-        basis = np.stack(_orthonormal_rows(cross.swapaxes(-1, -2)), axis=-2)
-        gram = np.matmul(basis.conj(), basis.swapaxes(-1, -2))
+        basis = np.stack(_orthonormal_rows(cross.swapaxes(0, 1)))  # (2, N, trials)
+        gram = np.einsum("int,jnt->tij", basis.conj(), basis)
         assert np.max(np.abs(gram - np.eye(2))) <= 4 * eps
         # The rate kernel sees the projected beams as rows.
         monkeypatch.setattr(simulate, "_log_det_rate", lambda beams, share: beams)
         beams = _zf_user_rate(own, cross, 2, 2)
-        leak = np.abs(np.matmul(beams.conj(), cross))  # <b_i, x_j>
-        scale = np.linalg.norm(own, axis=(-2, -1)) * np.linalg.norm(cross, axis=-2).max(axis=-1)
+        leak = np.abs(np.einsum("int,njt->tij", beams.conj(), cross))  # <b_i, x_j>
+        scale = np.linalg.norm(own, axis=(0, 1)) * np.linalg.norm(cross, axis=0).max(axis=0)
         assert np.all(leak.max(axis=(-2, -1)) <= 8 * eps * scale)
 
     def test_small_gram_sides_match_eigvalsh(self):
@@ -461,17 +489,17 @@ class TestSpectralKernels:
         rng = np.random.default_rng(8)
         shapes = [shape for k in range(1, 6) for shape in ((1, k), (k, 1), (2, k), (k, 2))]
         shapes += [shape for k in range(3, 6) for shape in ((3, k), (k, 3))]
-        stacks = [rng.standard_normal((40, *shape)) + 1j * rng.standard_normal((40, *shape)) for shape in shapes]
+        stacks = [rng.standard_normal((*shape, 40)) + 1j * rng.standard_normal((*shape, 40)) for shape in shapes]
         u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         zero = np.zeros(3, dtype=complex)
-        special = np.array([[zero, u], [u, zero], [u, (2 - 1j) * u], [zero, zero]])
-        stacks += [special, special.swapaxes(-1, -2)]
+        special = np.moveaxis(np.array([[zero, u], [u, zero], [u, (2 - 1j) * u], [zero, zero]]), 0, -1)
+        stacks += [special, special.swapaxes(0, 1)]
         for channels in stacks:
             lam = _gram_spectrum(channels)
-            want = np.linalg.eigvalsh(short_side_gram(channels))
+            want = np.linalg.eigvalsh(short_side_gram(trials_first(channels))).T
             assert lam.shape == want.shape
             assert np.all(np.isfinite(lam)) and np.all(lam >= 0.0)
-            assert np.all(np.abs(lam - want) <= 1e-12 * want[..., -1:])
+            assert np.all(np.abs(lam - want) <= 1e-12 * want[-1:])
 
     def test_gram_side_three_on_repeated_and_rank_deficient_input(self):
         # Near a repeated eigenvalue single λ of the closed form lose half
@@ -487,7 +515,7 @@ class TestSpectralKernels:
         ]
         for h in inputs + [h.T for h in inputs]:
             h = np.asarray(h, dtype=complex)
-            lam = _gram_spectrum(h[None])[0]
+            lam = _gram_spectrum(h[..., None])[:, 0]
             assert lam.shape == (3,) and np.all(np.isfinite(lam)) and np.all(lam >= 0.0)
             want = np.linalg.eigvalsh(short_side_gram(h))
             scale = max(want[-1], 1e-300)
@@ -508,7 +536,7 @@ class TestSpectralKernels:
         for rows, cols in ((2, 2), (2, 4), (3, 2), (3, 3), (3, 4), (4, 3)):
             channels = conditioned_channels(rng, rows, cols, kappa)
             rates = _log_det_rate(channels, 1.0 / cols)(power)
-            for h, rate in zip(channels, rates):
+            for h, rate in zip(trials_first(channels), rates):
                 want = exact_log2det(h, power / cols)
                 assert abs(rate - want) <= 1e-14 * want
 
@@ -542,17 +570,17 @@ class TestSpectralKernels:
         # kappa = 1e3 and 1e4, where eigvalsh on the Gram errs near 1e-11.
         rng = np.random.default_rng(11)
         for shape in ((4, 4), (4, 5), (5, 4), (5, 6)):
-            channels = rng.standard_normal((40, *shape)) + 1j * rng.standard_normal((40, *shape))
+            channels = rng.standard_normal((*shape, 40)) + 1j * rng.standard_normal((*shape, 40))
             lam = _gram_spectrum(channels)
-            want = np.linalg.eigvalsh(short_side_gram(channels))
+            want = np.linalg.eigvalsh(short_side_gram(trials_first(channels))).T
             assert lam.shape == want.shape and np.all(lam >= 0.0)
-            assert np.all(np.abs(lam - want) <= 1e-12 * want[..., -1:])
+            assert np.all(np.abs(lam - want) <= 1e-12 * want[-1:])
         power = _db_to_linear(70.0)
         for kappa in (1e3, 1e4):
             for rows, cols in ((4, 4), (4, 5), (5, 4)):
                 channels = conditioned_channels(rng, rows, cols, kappa)
                 rates = _log_det_rate(channels, 1.0 / cols)(power)
-                for h, rate in zip(channels, rates):
+                for h, rate in zip(trials_first(channels), rates):
                     want = exact_log2det(h, power / cols)
                     assert abs(rate - want) <= 1e-14 * want
 
@@ -584,7 +612,7 @@ class TestZeroForcing:
         stacked = self.draws(11)
         spec = SchemeSpec("receiver-zero-forcing", streams=(1, 0))
         r1, r2 = kernel(spec, stacked, self.CONFIG, 100.0)
-        plain, _ = kernel(P2P, {"H11": stacked["H11"][:, :, :1]}, IcConfig(1, 1, 2, 3), 100.0)
+        plain, _ = kernel(P2P, {"H11": stacked["H11"][:, :1]}, IcConfig(1, 1, 2, 3), 100.0)
         assert r1[0] == pytest.approx(plain[0], abs=1e-12)
         assert r2[0] == 0.0
 
@@ -737,6 +765,37 @@ class TestCappedContrast:
         monkeypatch.setattr(simulate, "_stack_draws", counted)
         load_battery_script().capped_tdm_trace(config, grid, 2 * BLOCK + 7, 7)
         assert len(calls) == 1
+
+
+class TestBatteryScript:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--grid", "30", "40"], "at least 4 points"),
+            (["--grid", "70", "30", "40", "50"], "strictly ascending"),
+            (["--grid", "30", "40", "50", "nan"], "finite"),
+            (["--grid", "0", "10", "20", "30"], "above 0 dB"),
+            (["--trials", "0"], "--trials"),
+            (["--seed", "-1"], "--seed"),
+        ],
+        ids=["two-points", "descending", "nan", "ia-at-0-db", "no-trials", "negative-seed"],
+    )
+    def test_bad_input_exits_three_before_any_draw(self, argv, message, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(simulate, "_stack_draws", lambda *args: pytest.fail("trials drawn"))
+        out_dir = tmp_path / "battery_bad"
+        assert load_battery_script().main([*argv, "--out-dir", str(out_dir)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
+        assert "Traceback" not in captured.err
+        assert not out_dir.exists()
+
+    def test_unparsable_argument_exits_three(self, capsys, tmp_path):
+        # argparse would exit 2, which the script reserves for failed verdicts.
+        out_dir = tmp_path / "battery_bad"
+        assert load_battery_script().main(["--trials", "many", "--out-dir", str(out_dir)]) == 3
+        assert "invalid int value" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestIsotropicInput:
