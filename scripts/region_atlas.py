@@ -6,6 +6,10 @@ classifies each into its case, and writes one JSON document per config to a
 JSONL file. Prints a census at the end: how many configs land in each case,
 how many have a known region, and how many match the CSIT region exactly.
 
+Bad input (an unparsable flag, a ``--limit`` below 1, or an ``--out`` that
+cannot be opened for writing) exits 3 with a one-line message before the
+sweep starts.
+
 Example:
     python3 scripts/region_atlas.py --limit 4 --out atlas.jsonl
 """
@@ -21,6 +25,15 @@ from pathlib import Path
 
 from mimodof import IcConfig, case_partition_check, ic_classify
 
+EXIT_USAGE = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse prints its usage and exits 2 on a bad flag; route it to the
+    # one-line exit 3 of all other bad input.
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
 
 def classify_row(config: IcConfig) -> dict:
     result = ic_classify(config)
@@ -34,7 +47,7 @@ def census_key(label: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--limit", type=int, default=4,
                         help="sweep antenna counts 1..limit on all four nodes")
     parser.add_argument("--out", type=Path, default=None,
@@ -44,6 +57,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.limit < 1:
         parser.error("--limit must be >= 1")
+    try:  # opened before the sweep, so a bad path costs no sweep
+        out = None if args.out is None else args.out.open("w")
+    except OSError as exc:
+        parser.error(str(exc))
 
     if args.check:
         case_partition_check(args.limit)
@@ -61,10 +78,10 @@ def main(argv=None) -> int:
         csit_equal += doc["label"]["csit_equal"]
         rows.append(doc)
 
-    if args.out is not None:
-        with args.out.open("w") as fh:
+    if out is not None:
+        with out:
             for doc in rows:
-                fh.write(json.dumps(doc, sort_keys=True) + "\n")
+                out.write(json.dumps(doc, sort_keys=True) + "\n")
         print(f"wrote {len(rows)} configs to {args.out}")
 
     total = len(rows)

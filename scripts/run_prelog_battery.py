@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Run the standard scheme battery and check measured prelogs against theory.
 
-For each entry the script simulates average achievable rates over an SNR
-grid, fits the high-SNR slope per user, and verifies the fitted DoF pair
-against the predicted region (outer bound for interference configs whose
-exact region is open). Traces go to CSV, verdicts to JSON, and a one-line
-summary per scheme is printed at the end.
+For each entry the script simulates average achievable rates over the SNR
+grid ``GRID``, fits the high-SNR slope per user, and verifies the fitted
+DoF pair against the predicted region (outer bound for interference
+configs whose exact region is open). Traces go to CSV, verdicts to JSON,
+and a one-line summary per scheme is printed at the end.
 
-Every input is checked before the output directory is created or any
-trial is drawn; bad input exits 3 with a one-line message on stderr. Exit 2
-means some verdict landed outside its region.
+All runs are made in memory before the output directory is created. Bad
+input, or a failed run, exits 3 with a one-line message on stderr and
+writes nothing. Exit 2 means some verdict landed outside its region.
 
 Example:
     python3 scripts/run_prelog_battery.py --trials 10000 --seed 7 --out-dir runs/
@@ -39,9 +39,9 @@ from mimodof import (
     trace_to_csv,
     verdict_report,
 )
-from mimodof.simulate import _SCHEMES, _validate_grid
 
 EXIT_USAGE = 3
+GRID = (30.0, 40.0, 50.0, 60.0, 70.0)  # SNR in dB
 
 
 def battery_entries():
@@ -93,23 +93,9 @@ def config_dict(config):
     return {"channel": kind, "antennas": list(dataclasses.astuple(config))}
 
 
-def check_args(args) -> None:
-    """Raise ValueError or SimulationError unless every entry can run on the
-    trials, seed and grid asked for, and fit over ``DEFAULT_WINDOW`` points."""
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
-    if args.seed < 0:
-        raise ValueError("--seed must be nonnegative")
-    grid = _validate_grid(args.grid)
-    if len(grid) < DEFAULT_WINDOW:
-        raise ValueError(f"--grid needs at least {DEFAULT_WINDOW} points to fill the fit window, got {len(grid)}")
-    for _, config, spec, _ in battery_entries():
-        _SCHEMES[spec.kind].check(config, spec, grid)
-
-
-def run_entry(name, config, spec, region, args):
+def run_entry(config, spec, region, trials, seed):
     t0 = time.perf_counter()
-    trace = simulate_scheme(spec, config, args.grid, args.trials, args.seed)
+    trace = simulate_scheme(spec, config, GRID, trials, seed)
     elapsed = time.perf_counter() - t0
     estimate = fit_slope(trace, DEFAULT_WINDOW)
     report = verdict_report(config_dict(config), spec.to_dict(), estimate, region, DEFAULT_TOL)
@@ -117,34 +103,13 @@ def run_entry(name, config, spec, region, args):
     return trace, estimate, report
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--trials", type=int, default=10_000)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--grid", type=float, nargs="+",
-                        default=[30.0, 40.0, 50.0, 60.0, 70.0],
-                        help="SNR grid in dB (ascending)")
-    parser.add_argument("--out-dir", type=Path, default=Path("battery_out"))
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on a usage error, and 2 means a failed verdict here
-        return EXIT_USAGE if exc.code == 2 else exc.code
-    args.grid = tuple(args.grid)
-    try:
-        check_args(args)
-    except (ValueError, SimulationError) as exc:
-        print(f"run_prelog_battery: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    failures = 0
-    lines = []
-
+def run_battery(trials, seed):
+    """All runs, in memory: texts by file name, summary lines, count of outside verdicts."""
+    outputs, lines, failures = {}, [], 0
     for name, config, spec, pick_region in battery_entries():
-        trace, estimate, report = run_entry(name, config, spec, pick_region(config), args)
-        (args.out_dir / f"{name}.csv").write_text(trace_to_csv(trace))
-        (args.out_dir / f"{name}.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
+        trace, estimate, report = run_entry(config, spec, pick_region(config), trials, seed)
+        outputs[f"{name}.csv"] = trace_to_csv(trace)
+        outputs[f"{name}.json"] = json.dumps(report, indent=2, sort_keys=True) + "\n"
         verdict = report["verdict"]
         if verdict == "outside":
             failures += 1
@@ -157,14 +122,34 @@ def main(argv=None) -> int:
     # power loses half of that user's slope (0.75 vs 1.5 at tau = 1/2 on a
     # 4x(2,3) broadcast network), while the alignment scheme above keeps a
     # full extra degree of freedom from the same square-root scaling.
-    trace = capped_tdm_trace(BcConfig(4, 2, 3), args.grid, args.trials, args.seed)
+    trace = capped_tdm_trace(BcConfig(4, 2, 3), GRID, trials, seed)
     estimate = fit_slope(trace, DEFAULT_WINDOW)
-    (args.out_dir / "tdm-capped-423.csv").write_text(trace_to_csv(trace))
+    outputs["tdm-capped-423.csv"] = trace_to_csv(trace)
     lines.append(
         f"{'tdm-capped-423':>14}  d=({estimate.d1_hat:6.3f}, {estimate.d2_hat:6.3f})"
         f"  expected d2 ~ 0.75 under sqrt-power cap")
+    return outputs, lines, failures
 
-    print(f"battery: trials={args.trials} seed={args.seed} grid={list(args.grid)}")
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--trials", type=int, default=10_000)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--out-dir", type=Path, default=Path("battery_out"))
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, and 2 means a failed verdict here
+        return EXIT_USAGE if exc.code == 2 else exc.code
+    try:
+        outputs, lines, failures = run_battery(args.trials, args.seed)
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        for file_name, text in outputs.items():
+            (args.out_dir / file_name).write_text(text)
+    except (ValueError, SimulationError, MemoryError, OSError) as exc:
+        print(f"run_prelog_battery: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+    print(f"battery: trials={args.trials} seed={args.seed} grid={list(GRID)}")
     for line in lines:
         print(line)
     print(f"outputs in {args.out_dir}/ ({'no ' if failures == 0 else ''}verdict failures)")

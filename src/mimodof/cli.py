@@ -36,8 +36,7 @@ from .catalog import (
 )
 from .regions import (
     DofRegion,
-    InfeasibleBound,
-    UnboundedRegion,
+    RegionError,
     contains,
     equals,
     is_subset,
@@ -74,10 +73,6 @@ _SCHEME_ALIASES = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags, which collides with the verdict
     # exit code, so route usage problems to 3.
@@ -87,22 +82,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise _UsageError(f"{what} must be a comma list of integers, got {text!r}")
-    return values
+        raise ValueError(f"{what} must be a comma list of integers, got {text!r}")
 
 
-def _parse_antennas(text: str, channel: str) -> tuple[int, ...]:
+def _config_for(channel: str, text: str):
+    """The configuration an ``--antennas`` list names; the config refuses counts below 1."""
+    kind, want = (BcConfig, 3) if channel == "bc" else (IcConfig, 4)
     values = _parse_ints(text, "--antennas")
-    want = 3 if channel == "bc" else 4
     if len(values) != want:
-        raise _UsageError(
-            f"--antennas for {channel} needs {want} counts, got {len(values)}"
-        )
-    if any(v < 1 for v in values):
-        raise _UsageError("antenna counts must be positive")
-    return values
+        raise ValueError(f"--antennas for {channel} needs {want} counts, got {len(values)}")
+    return kind(*values)
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -114,13 +105,13 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             raise ValueError
         start, stop, step = (float(p) for p in parts)
     except ValueError:
-        raise _UsageError(f"--snr-db must look like start:stop:step, got {text!r}")
+        raise ValueError(f"--snr-db must look like start:stop:step, got {text!r}")
     if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise _UsageError(f"--snr-db needs a finite start, stop and step, got {text!r}")
+        raise ValueError(f"--snr-db needs a finite start, stop and step, got {text!r}")
     if step <= 0 or stop < start:
-        raise _UsageError("--snr-db needs stop >= start and step > 0")
+        raise ValueError("--snr-db needs stop >= start and step > 0")
     if start + step == start:
-        raise _UsageError(f"--snr-db step {step!r} is too small to move the start {start!r}")
+        raise ValueError(f"--snr-db step {step!r} is too small to move the start {start!r}")
 
     # Point i is start + i*step, so rounding error does not build up, and the
     # grid runs while points stay <= stop + 1e-9. That test is monotone in i,
@@ -130,17 +121,13 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
     span = (stop + 1e-9 - start) / step
     if not span < sys.maxsize:  # also false for inf
-        raise _UsageError(f"--snr-db {text!r} has too many points")
+        raise ValueError(f"--snr-db {text!r} has too many points")
     count = int(span) + 1
     while within(count):
         count += 1
     while not within(count - 1):
         count -= 1
     return tuple(round(start + i * step, 9) for i in range(count))
-
-
-def _config_for(channel: str, antennas: tuple[int, ...]):
-    return BcConfig(*antennas) if channel == "bc" else IcConfig(*antennas)
 
 
 def _emit(args, text: str) -> None:
@@ -163,8 +150,7 @@ def _known_or_bounds(cr) -> dict:
 
 
 def cmd_region(args) -> int:
-    antennas = _parse_antennas(args.antennas, args.channel)
-    config = _config_for(args.channel, antennas)
+    config = _config_for(args.channel, args.antennas)
     if args.channel == "bc":
         region = bc_csit_region(config) if args.csit else bc_region(config)
         _emit(args, _dump(region_to_dict(region)))
@@ -180,8 +166,7 @@ def cmd_region(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    antennas = _parse_antennas(args.antennas, "ic")
-    cr = ic_classify(IcConfig(*antennas))
+    cr = ic_classify(_config_for("ic", args.antennas))
     _emit(args, _dump(cr.to_dict()))
     return EXIT_OK
 
@@ -190,10 +175,7 @@ def _scheme_from_args(args) -> SchemeSpec:
     kind = _SCHEME_ALIASES[args.scheme]
     streams = (1, 1)
     if args.streams is not None:
-        parsed = _parse_ints(args.streams, "--streams")
-        if len(parsed) != 2:
-            raise _UsageError("--streams needs exactly two counts")
-        streams = parsed
+        streams = _parse_ints(args.streams, "--streams")
     return SchemeSpec(
         kind=kind,
         tau=args.tau,
@@ -214,7 +196,7 @@ def _region_for_verify(channel: str, config, against: str) -> DofRegion:
     cr = ic_classify(config)
     region = {"exact": cr.no_csit, "inner": cr.inner, "outer": cr.outer, "csit": cr.csit}[against]
     if region is None:
-        raise _UsageError(
+        raise ValueError(
             "the exact region for this configuration is not known; "
             "verify against inner or outer instead"
         )
@@ -227,13 +209,9 @@ def _run_simulation(
     """Validate every input, resolve the region to grade ``against`` (if
     any), check the tolerance, the fit window and the output directories,
     and only then draw the trials."""
-    config = _config_for(args.channel, _parse_antennas(args.antennas, args.channel))
+    config = _config_for(args.channel, args.antennas)
     spec = _scheme_from_args(args)
     grid = _parse_grid(args.snr_db)
-    if args.trials < 1:
-        raise _UsageError("--trials must be at least 1")
-    if args.seed < 0:
-        raise _UsageError("--seed must be nonnegative")
     region = None
     if against:
         region = _region_for_verify(args.channel, config, against)
@@ -304,8 +282,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    antennas = _parse_antennas(args.antennas, "ic")
-    cr = ic_classify(IcConfig(*antennas))
+    cr = ic_classify(_config_for("ic", args.antennas))
     # The outer bound is the exact region whenever that is known.
     subset = is_subset(cr.outer, cr.csit)
     strict = subset and not equals(cr.outer, cr.csit)
@@ -390,7 +367,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (_UsageError, ValueError, OSError, MemoryError, SimulationError, InfeasibleBound, UnboundedRegion) as exc:
+    except (ValueError, OSError, MemoryError, SimulationError, RegionError) as exc:
         print(f"mimodof: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,10 +14,10 @@ draws are the same values as when trials came first.
 Each scheme is one entry of a table keyed by ``SchemeSpec.kind``: the links
 it draws, a shape check, and a prepare step that maps the stacked draws to
 one per-point rate evaluator per user. ``simulate_scheme`` is the single
-driver. It checks the grid and the scheme before any draw, draws every
-trial once and prepares once. Each served user's rates at every SNR point
-then form one (points, trials) array, and all its rows are reduced at once
-by error-free extraction (``_exact_row_sums``).
+driver. It checks the trial count, the seed, the grid and the scheme before
+any draw, draws every trial once and prepares once. Each served user's rates
+at every SNR point then form one (points, trials) array, and all its rows
+are reduced at once by error-free extraction (``_exact_row_sums``).
 
 Rates are log-det mutual informations in bits. Only the power changes
 between SNR points, so each trial's Gram eigenvalues λ are taken once per
@@ -263,16 +263,19 @@ def trace_from_csv(text: str, seed: int = 0) -> RateTrace:
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"expected header {CSV_HEADER!r}")
     columns: list[list[float]] = [[] for _ in range(5)]
-    trials = None
+    counts = set()
     for line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 6:
             raise ValueError(f"malformed row {line!r}")
         for col, part in zip(columns, parts[:5]):
             col.append(float(part))
-        trials = int(parts[5])
-    if trials is None:
+        counts.add(int(parts[5]))
+    if not counts:
         raise ValueError("no data rows")
+    if len(counts) > 1:
+        raise ValueError(f"rows disagree on trials: {sorted(counts)}")
+    (trials,) = counts
     # Columns follow the field order snr_db, rate1, stderr1, rate2, stderr2.
     return RateTrace(*(tuple(col) for col in columns), trials=trials, seed=seed)
 
@@ -291,10 +294,6 @@ def _stack_draws(link_dims: Mapping[str, tuple[int, int]], seed: int, trials: in
     (n_b, K) scratch and written, transposed and scaled by 1/√2, into its
     columns of a single (K, trials) buffer. Every link is a view into it.
     """
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     entries = sum(rows * cols for rows, cols in link_dims.values())
     buf = np.empty((entries, trials), dtype=complex)
     scratch = np.empty((min(BLOCK, trials), entries), dtype=complex)
@@ -547,11 +546,15 @@ class SchemeSpec:
 def simulate_scheme(spec: SchemeSpec, config, snr_db: Sequence[float], trials: int, seed: int) -> RateTrace:
     """Run one scheme on one network configuration.
 
-    The grid and the scheme's fit to the configuration are checked before
-    any draw. Every trial is drawn and prepared once, and every SNR point
-    reuses what was prepared. Each served user's (points, trials) rates are
-    reduced in one batch.
+    The trial count, the seed, the grid and the scheme's fit to the
+    configuration are checked before any draw. Every trial is drawn and
+    prepared once, and every SNR point reuses what was prepared. Each served
+    user's (points, trials) rates are reduced in one batch.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     scheme = _SCHEMES[spec.kind]
     grid = _validate_grid(snr_db)
     scheme.check(config, spec, grid)

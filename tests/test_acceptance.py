@@ -41,7 +41,7 @@ _spec = importlib.util.spec_from_file_location("run_prelog_battery", _SCRIPT)
 prelog_battery = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(prelog_battery)
 
-GRID = (30.0, 40.0, 50.0, 60.0, 70.0)
+GRID = prelog_battery.GRID
 TRIALS = 10_000
 SEED = 7
 TOL = 0.1

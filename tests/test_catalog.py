@@ -6,9 +6,11 @@ own invariants by the sweep tests at the bottom.
 """
 
 import hashlib
+import importlib.util
 import json
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -225,6 +227,45 @@ class TestPartitionCheck:
     def test_violations_carry_the_config(self):
         err = CasePartitionError(IcConfig(1, 2, 3, 4), "demo")
         assert err.config == IcConfig(1, 2, 3, 4)
+
+
+def load_atlas_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "region_atlas.py"
+    spec = importlib.util.spec_from_file_location("region_atlas", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestAtlasScript:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--limit", "0"], "--limit must be >= 1"),
+            (["--limit", "many"], "invalid int value: 'many'"),
+            (["--out", "missing/atlas.jsonl"], "No such file or directory: 'missing/atlas.jsonl'"),
+            (["--out", "d"], "Is a directory: 'd'"),
+        ],
+        ids=["zero-limit", "unparsable-limit", "out-in-missing-dir", "out-is-dir"],
+    )
+    def test_bad_input_exits_three_before_the_sweep(self, argv, message, capsys, monkeypatch, tmp_path):
+        atlas = load_atlas_script()
+        monkeypatch.setattr(atlas, "ic_classify", lambda config: pytest.fail("sweep started"))
+        # The paths above are relative: under a missing directory, or naming d.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        with pytest.raises(SystemExit) as exited:
+            atlas.main(argv)
+        captured = capsys.readouterr()
+        assert exited.value.code == 3 and captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["d"] and not any((tmp_path / "d").iterdir())
+
+    def test_writes_one_row_per_config(self, tmp_path):
+        out = tmp_path / "atlas.jsonl"
+        assert load_atlas_script().main(["--limit", "2", "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [row["antennas"] for row in rows] == [list(c) for c in product((1, 2), repeat=4)]
 
 
 class TestRegionShapes:

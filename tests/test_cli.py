@@ -55,8 +55,8 @@ class TestRegionCommand:
     def test_bad_antennas_exit_three(self, capsys):
         code, _, err = run(capsys, "region", "--channel", "bc", "--antennas", "1,2")
         assert code == 3
-        code, _, _ = run(capsys, "region", "--channel", "ic", "--antennas", "0,1,1,1")
-        assert code == 3
+        code, _, err = run(capsys, "region", "--channel", "ic", "--antennas", "0,1,1,1")
+        assert (code, err) == (3, "mimodof: error: M1 must be a positive integer, got 0\n")
 
     def test_unknown_flag_exit_three(self, capsys):
         code = cli.main(["region", "--nope"])
@@ -256,6 +256,11 @@ class TestVerifyCommand:
             ),
             pytest.param(("simulate", *P2P_BC, "--window", "2"), "window holds 2", id="simulate-window"),
             pytest.param(
+                ("verify", *SIM_FLAGS[:6], "--streams", "1,1,1", "--against", "outer"),
+                "streams must be a pair",
+                id="verify-three-streams",
+            ),
+            pytest.param(
                 ("verify", *P2P_BC, "--against", "exact", "--out", "missing/x.json"),
                 "No such file or directory: 'missing/x.json'",
                 id="verify-out",
@@ -298,6 +303,23 @@ class TestVerifyCommand:
         # Nothing was written: no t.csv, and d is still empty.
         assert list(tmp_path.iterdir()) == [tmp_path / "d"]
         assert list((tmp_path / "d").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(("--trials", "0"), "trials must be at least 1", id="no-trials"),
+            pytest.param(("--seed", "-1"), "seed must be nonnegative", id="negative-seed"),
+        ],
+    )
+    def test_bad_trials_or_seed_exits_three_before_any_draw(self, capsys, monkeypatch, tmp_path, argv, message):
+        monkeypatch.setattr(simulate, "_stack_draws", lambda *args: pytest.fail("trials drawn"))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(
+            capsys, "simulate", *P2P_BC, "--verify-against", "exact", "--trace-out", "t.csv", "--out", "o.json", *argv
+        )
+        assert (code, out) == (3, "")
+        assert err == f"mimodof: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",

@@ -261,11 +261,13 @@ class TestDraws:
         assert stacked["H1"].shape == (2, 4, 1)
         assert stacked["H2"].shape == (3, 4, 1)
 
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError):
-            _stack_draws({"H": (1, 1)}, -1, 1)
-        with pytest.raises(ValueError):
-            _stack_draws({"H": (1, 1)}, 0, 0)
+    def test_negative_seed_rejected(self, monkeypatch):
+        # The driver refuses a negative seed and an empty run before any draw.
+        monkeypatch.setattr(simulate, "_stack_draws", lambda *args: pytest.fail("trials drawn"))
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            simulate_scheme(P2P, BcConfig(2, 2, 2), GRID, 1, -1)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            simulate_scheme(P2P, BcConfig(2, 2, 2), GRID, 0, 0)
 
     def test_entry_statistics(self):
         # 1e5 independent scalar draws: mean, variance and the real/imag
@@ -771,14 +773,10 @@ class TestBatteryScript:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--grid", "30", "40"], "at least 4 points"),
-            (["--grid", "70", "30", "40", "50"], "strictly ascending"),
-            (["--grid", "30", "40", "50", "nan"], "finite"),
-            (["--grid", "0", "10", "20", "30"], "above 0 dB"),
-            (["--trials", "0"], "--trials"),
-            (["--seed", "-1"], "--seed"),
+            (["--trials", "0"], "trials must be at least 1"),
+            (["--seed", "-1"], "seed must be nonnegative"),
         ],
-        ids=["two-points", "descending", "nan", "ia-at-0-db", "no-trials", "negative-seed"],
+        ids=["no-trials", "negative-seed"],
     )
     def test_bad_input_exits_three_before_any_draw(self, argv, message, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(simulate, "_stack_draws", lambda *args: pytest.fail("trials drawn"))
@@ -789,6 +787,27 @@ class TestBatteryScript:
         assert captured.err.count("\n") == 1 and message in captured.err
         assert "Traceback" not in captured.err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "trials, under_file, message",
+        [
+            # numpy refuses the draw array up front, without allocating.
+            (str(10**15), False, "Unable to allocate"),
+            # Every run succeeds, and only then is the directory made.
+            ("2", True, "Not a directory"),
+        ],
+        ids=["unallocatable-trials", "out-dir-under-file"],
+    )
+    def test_failed_run_or_write_exits_three_and_writes_nothing(self, trials, under_file, message, capsys, tmp_path):
+        (tmp_path / "file").write_text("kept\n")
+        out_dir = tmp_path / ("file" if under_file else "missing") / "battery_bad"
+        assert load_battery_script().main(["--trials", trials, "--out-dir", str(out_dir)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
+        assert "Traceback" not in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     def test_unparsable_argument_exits_three(self, capsys, tmp_path):
         # argparse would exit 2, which the script reserves for failed verdicts.
@@ -818,7 +837,7 @@ class TestIsotropicInput:
 
 class TestTraces:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly ascending"):
             RateTrace((20.0, 10.0), (1, 1), (0, 0), (1, 1), (0, 0), 10, 0)
         with pytest.raises(ValueError):
             RateTrace((10.0,), (1, 2), (0,), (1,), (0,), 10, 0)
@@ -840,6 +859,12 @@ class TestTraces:
     def test_csv_rejects_garbage(self):
         with pytest.raises(ValueError):
             trace_from_csv("nope\n1,2,3")
+
+    def test_csv_rejects_rows_that_disagree_on_trials(self):
+        rows = trace_to_csv(simulate_scheme(P2P, BcConfig(2, 2, 2), GRID, 10, 3)).splitlines()
+        rows[-1] = rows[-1].rsplit(",", 1)[0] + ",20"
+        with pytest.raises(ValueError, match=r"rows disagree on trials: \[10, 20\]"):
+            trace_from_csv("\n".join(rows))
 
 
 class TestDrivers:
