@@ -214,7 +214,8 @@ def ic_classify(config: IcConfig) -> ClassifiedRegions:
         case_id=case_id,
         swapped=swapped,
         region_known=no_csit is not None,
-        csit_equal=no_csit is not None and equals(no_csit, csit),
+        # By the caps, case I is the CSIT region and case II lies strictly inside.
+        csit_equal=case_id == "I",
         scheme=scheme,
     )
     return ClassifiedRegions(label=label, no_csit=no_csit, outer=outer, inner=inner, csit=csit)
@@ -270,8 +271,8 @@ def case_partition_check(limit: int) -> bool:
         expect_unknown = cr.label.table == TABLE_UNEQUAL and cr.label.case_id == "III"
         if known == expect_unknown:
             fail("region_known wrong for this case")
-        if cr.label.csit_equal and not known:
-            fail("csit_equal set for an unknown region")
+        if cr.label.csit_equal != (known and equals(cr.no_csit, cr.csit)):
+            fail("csit_equal disagrees with comparing the region to the CSIT region")
         if known and not (equals(cr.inner, cr.no_csit) and equals(cr.outer, cr.no_csit)):
             fail("known region must coincide with both bounds")
         if norm.N1 == norm.N2:

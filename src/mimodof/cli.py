@@ -46,7 +46,6 @@ from .simulate import (
     RateTrace,
     SchemeSpec,
     SimulationError,
-    _validate_grid,
     simulate_scheme,
     trace_to_csv,
 )
@@ -99,15 +98,16 @@ def _config_for(channel: str, text: str):
 def _parse_grid(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            return (float(parts[0]),)
-        if len(parts) != 3:
+        if len(parts) not in (1, 3):
             raise ValueError
-        start, stop, step = (float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError:
         raise ValueError(f"--snr-db must look like start:stop:step, got {text!r}")
-    if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise ValueError(f"--snr-db needs a finite start, stop and step, got {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"--snr-db needs finite SNR grid values, got {text!r}")
+    if len(values) == 1:
+        return values
+    start, stop, step = values
     if step <= 0 or stop < start:
         raise ValueError("--snr-db needs stop >= start and step > 0")
     if start + step == start:
@@ -216,8 +216,7 @@ def _run_simulation(
     if against:
         region = _region_for_verify(args.channel, config, against)
         check_tol(args.tol)
-    # A single non-finite point is reported as such, not as a short window.
-    check_window(args.window, len(_validate_grid(grid)))
+    check_window(args.window, len(grid))
     for path in filter(None, (args.out, getattr(args, "trace_out", None))):
         # Checked, not created: a call that fails must write nothing.
         if os.path.isdir(path):

@@ -11,11 +11,12 @@ Stacks are trials-last: a link is a (rows, cols, trials) view of one
 contiguous rows of trials. The layout does not touch the random stream; the
 draws are the same values as when trials came first.
 
-Each scheme is one entry of a table keyed by ``SchemeSpec.kind``: the links
-it draws, a shape check, and a prepare step that maps the stacked draws to
-one per-point rate evaluator per user. ``simulate_scheme`` is the single
-driver. It checks the trial count, the seed, the grid and the scheme before
-any draw, draws every trial once and prepares once. Each served user's rates
+Each scheme is one entry of a table keyed by ``SchemeSpec.kind``: a shape
+check, and a prepare step that maps the stacked draws to one per-point rate
+evaluator per user. ``simulate_scheme`` is the single driver. It checks the
+trial count, the seed, the grid and the scheme before any draw, draws every
+link of the network once per trial and prepares once, so every scheme on a
+configuration sees the same channel realizations. Each served user's rates
 at every SNR point then form one (points, trials) array, and all its rows
 are reduced at once by error-free extraction (``_exact_row_sums``).
 
@@ -280,7 +281,7 @@ def trace_from_csv(text: str, seed: int = 0) -> RateTrace:
     return RateTrace(*(tuple(col) for col in columns), trials=trials, seed=seed)
 
 
-def _stack_draws(link_dims: Mapping[str, tuple[int, int]], seed: int, trials: int) -> dict[str, np.ndarray]:
+def _stack_draws(dims: Mapping[str, tuple[int, int]], seed: int, trials: int) -> dict[str, np.ndarray]:
     """Draw every trial as stacked (rows, cols, trials) arrays, trials last.
 
     Entries are CN(0, 1): independent real and imaginary parts of variance
@@ -294,7 +295,7 @@ def _stack_draws(link_dims: Mapping[str, tuple[int, int]], seed: int, trials: in
     (n_b, K) scratch and written, transposed and scaled by 1/√2, into its
     columns of a single (K, trials) buffer. Every link is a view into it.
     """
-    entries = sum(rows * cols for rows, cols in link_dims.values())
+    entries = sum(rows * cols for rows, cols in dims.values())
     buf = np.empty((entries, trials), dtype=complex)
     scratch = np.empty((min(BLOCK, trials), entries), dtype=complex)
     for block in range(-(-trials // BLOCK)):
@@ -305,20 +306,20 @@ def _stack_draws(link_dims: Mapping[str, tuple[int, int]], seed: int, trials: in
         # Multiplying by fl(1/√2) is what numpy's complex division by √2 does.
         np.multiply(drawn.T, 1.0 / math.sqrt(2.0), out=part)
     stacked, start = {}, 0
-    for name, (rows, cols) in link_dims.items():
+    for name, (rows, cols) in dims.items():
         stacked[name] = buf[start:start + rows * cols].reshape(rows, cols, trials)
         start += rows * cols
     return stacked
 
 
 # --- scheme table ----------------------------------------------------------
-# An entry is link_dims(config, spec) -> links to draw, check(config, spec,
-# grid) -> raises before any draw if the scheme does not fit, and
-# prepare(stacked, config, spec) -> one evaluator per user, run once per run,
-# which maps one linear power to that user's per-trial rates (None if unserved).
+# An entry is check(config, spec, grid) -> raises before any draw if the
+# scheme does not fit, and prepare(stacked, config, spec) -> one evaluator per
+# user, run once per run, which maps one linear power to that user's
+# per-trial rates (None if unserved).
 
 
-def _network_dims(config, spec) -> dict[str, tuple[int, int]]:
+def _network_dims(config) -> dict[str, tuple[int, int]]:
     """Every link of the network, in canonical draw order. Hji is the
     interference link from transmitter i to receiver j, of shape Nj x Mi."""
     # The whole network is drawn even when one link is used, so every
@@ -471,41 +472,27 @@ def _alignment(stacked, config, spec):
     return rate1, lambda power: joint(power ** exponent)
 
 
-def _iso_rx(config: BcConfig, user: int) -> int:
-    return config.N1 if user == 1 else config.N2
-
-
-def _iso_dims(config, spec) -> dict[str, tuple[int, int]]:
-    return {"Q": (config.M, config.M)}
-
-
+# Isotropic input: a white input at P/M per antenna over the served user's
+# own i.i.d. Gaussian n x M link, n <= M. That is point-to-point on the same
+# draws; the fixed channel [I 0] times a fresh Gaussian M x M mixing matrix
+# has the same law (Telatar, Eur. Trans. Telecomm. 10(6), 1999).
 def _iso_check(config, spec, grid) -> None:
     _require(config, BcConfig, "the isotropic input scheme runs on broadcast configs")
-    if _iso_rx(config, spec.user) > config.M:
+    if (config.N1 if spec.user == 1 else config.N2) > config.M:
         raise SchemeShapeError("isotropic input needs the served receiver to have at most M antennas")
 
 
-def _isotropic(stacked, config, spec):
-    """The fixed channel H = [I 0] has orthonormal rows and sees a fresh
-    complex Gaussian M x M mixing matrix Q per trial, so the input
-    covariance (P/M) Q Q* is isotropic in expectation. H Q is the first n
-    rows of Q."""
-    n = _iso_rx(config, spec.user)
-    return _served(spec.user, _log_det_rate(stacked["Q"][:n], 1.0 / config.M))
-
-
 class _Scheme(NamedTuple):
-    link_dims: Callable
     check: Callable
     prepare: Callable
 
 
 _SCHEMES = {
-    "point-to-point": _Scheme(_network_dims, _any_network, _point_to_point),
-    "time-division": _Scheme(_network_dims, _any_network, _time_division),
-    "receiver-zero-forcing": _Scheme(_network_dims, _zf_check, _zero_forcing),
-    "ia-power-scaling": _Scheme(_network_dims, _ia_check, _alignment),
-    "isotropic-bc": _Scheme(_iso_dims, _iso_check, _isotropic),
+    "point-to-point": _Scheme(_any_network, _point_to_point),
+    "time-division": _Scheme(_any_network, _time_division),
+    "receiver-zero-forcing": _Scheme(_zf_check, _zero_forcing),
+    "ia-power-scaling": _Scheme(_ia_check, _alignment),
+    "isotropic-bc": _Scheme(_iso_check, _point_to_point),
 }
 
 SCHEME_KINDS = tuple(_SCHEMES)
@@ -559,7 +546,7 @@ def simulate_scheme(spec: SchemeSpec, config, snr_db: Sequence[float], trials: i
     grid = _validate_grid(snr_db)
     scheme.check(config, spec, grid)
     # The evaluators keep what they need, so the draws go once prepared.
-    rates = scheme.prepare(_stack_draws(scheme.link_dims(config, spec), seed, trials), config, spec)
+    rates = scheme.prepare(_stack_draws(_network_dims(config), seed, trials), config, spec)
     powers = [_db_to_linear(snr) for snr in grid]
     columns = []  # rate1, stderr1, rate2, stderr2
     for rate in rates:

@@ -4,7 +4,8 @@ Eight criteria, each printed as one pass/fail line. The Monte Carlo battery
 (criteria 4, 5, 7) is the entry list of ``scripts/run_prelog_battery.py``,
 computed once per session at 10^4 trials per SNR point with a fixed seed,
 over the 30 to 70 dB grid in 10 dB steps. A sha256 golden pins the
-battery's traces bit for bit. Criterion 8 runs a table scheme to every
+battery's traces bit for bit, and every log-det battery mean is z-tested
+against its exact ergodic value. Criterion 8 runs a table scheme to every
 corner of every inner bound with up to four antennas per node, and time
 division to three points on every such broadcast edge.
 """
@@ -18,6 +19,7 @@ from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mimodof import (
@@ -196,6 +198,80 @@ def test_criterion_7_outer_bound_consistency(battery):
             assert verify_point(est, inner, tol=TOL) in ("inside", "boundary"), key
 
 
+def _wishart_density(lam, small, alpha):
+    """Marginal eigenvalue density of HH* for an i.i.d. CN(0, 1) matrix H
+    with min side ``small`` and sides differing by ``alpha`` (Telatar, Eur.
+    Trans. Telecomm. 10(6), 1999): Σ_k k!/(k+α)! [L_k^α(λ)]² λ^α e^{-λ}
+    over k < small. It integrates to ``small``, the number of eigenvalues."""
+    total = np.zeros_like(lam)
+    prev, cur = np.zeros_like(lam), np.ones_like(lam)  # L_{k-1}^α, L_k^α
+    for k in range(small):
+        total += math.factorial(k) / math.factorial(k + alpha) * cur**2
+        prev, cur = cur, ((2 * k + 1 + alpha - lam) * cur - (k + alpha) * prev) / (k + 1)
+    return total * lam**alpha * np.exp(-lam)
+
+
+def expect_over_wishart(rows, cols, f):
+    """∫ f(λ) times the eigenvalue density of an i.i.d. CN(0, 1) rows x cols
+    matrix, by 30-node Gauss-Legendre on each piece of [0, 120]. Pieces
+    double from 1e-9 up to 1 so that log2(1 + xλ) is resolved near 0 for
+    any x up to 1e9, then run in unit steps; the density's tail past 120
+    is below 1e-40."""
+    edges = [0.0] + [2.0**k for k in range(-30, 0)] + [float(v) for v in range(1, 121)]
+    nodes, weights = np.polynomial.legendre.leggauss(30)
+    lo, hi = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+    lam = (0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)).ravel()
+    w = (0.5 * (hi - lo) * weights).ravel()
+    return float(np.sum(w * f(lam) * _wishart_density(lam, min(rows, cols), abs(rows - cols))))
+
+
+def exact_log2det(rows, cols, x):
+    """E log2 det(I + x HH*) for an i.i.d. CN(0, 1) rows x cols matrix H."""
+    return expect_over_wishart(rows, cols, lambda lam: np.log2(1.0 + x * lam))
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (2, 2), (1, 4), (2, 4), (3, 4), (2, 1)])
+def test_wishart_density_moments(rows, cols):
+    # The density counts min(rows, cols) eigenvalues, and their sum is
+    # E tr HH* = rows * cols; a 1 x 1 link has E log2(1 + xg) = e^{1/x} E1(1/x)/ln 2,
+    # which at x = 1 is 0.596347362323194/ln 2.
+    assert expect_over_wishart(rows, cols, np.ones_like) == pytest.approx(min(rows, cols), rel=1e-13)
+    assert expect_over_wishart(rows, cols, lambda lam: lam) == pytest.approx(rows * cols, rel=1e-13)
+    if rows == cols == 1:
+        assert exact_log2det(1, 1, 1.0) == pytest.approx(0.596347362323194 / math.log(2.0), rel=1e-13)
+
+
+# Each log-det battery rate as (rows, cols, power share, time share) of the
+# i.i.d. Gaussian link it is a Wishart log-det of, per user (None: unserved).
+# Solo and isotropic input read the user's own N x M link at P/M; time
+# division scales the solo rates by its shares. Zero-forcing's projected own
+# beams are an i.i.d. (N - s_int) x s_own Gaussian at P/s_own, by rotational
+# invariance. Alignment's user 1 is not a log-det and is left out.
+EXACT_LAWS = {
+    "p2p-2x2": ((2, 2, 1 / 2, 1.0), None),
+    "zf-2123": ((1, 1, 1.0, 1.0), (2, 1, 1.0, 1.0)),
+    "tdm-423": ((2, 4, 1 / 4, 0.5), (3, 4, 1 / 4, 0.5)),
+    "isobc-4x1": ((1, 4, 1 / 4, 1.0), None),
+    "isobc-4x2": (None, (2, 4, 1 / 4, 1.0)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(EXACT_LAWS))
+def test_battery_means_match_exact_rates(battery, key):
+    trace = battery[key]["trace"]
+    columns = ((trace.rate1, trace.stderr1), (trace.rate2, trace.stderr2))
+    for law, (rates, stderrs) in zip(EXACT_LAWS[key], columns):
+        if law is None:
+            assert rates == (0.0,) * len(GRID)
+            continue
+        rows, cols, power_share, time_share = law
+        for snr, rate, stderr in zip(trace.snr_db, rates, stderrs):
+            exact = time_share * exact_log2det(rows, cols, power_share * 10.0 ** (snr / 10.0))
+            z = (rate - exact) / stderr
+            print(f"[acceptance] exact mean: {key} snr={snr:g} dB z={z:+.2f}")
+            assert abs(z) < 4.0, (key, snr, z)
+
+
 def test_criterion_8_achievability_atlas():
     with criterion(8, "every inner-bound vertex reached, [1,4]^4 IC and [1,4]^3 BC"):
         # A corner (d1, d2) with both users active is receiver zero-forcing
@@ -241,10 +317,13 @@ def test_battery_traces_sha256():
     # One hash over the CSV of every battery trace at 2000 trials, so a
     # Monte Carlo value that moves by even one bit shows here. Re-recorded
     # when Gram side 3 and zero-forcing moved to Gram-Schmidt kernels: same
-    # draws, values within 2.1e-16 relative of the previous golden.
+    # draws, values within 2.1e-16 relative of the previous golden. Then
+    # re-recorded once isotropic input became point-to-point on the served
+    # user's own link: the isobc entries moved to new draws, and every other
+    # trace is unchanged.
     h = hashlib.sha256()
     for _, config, spec, _ in prelog_battery.battery_entries():
         h.update(trace_to_csv(simulate_scheme(spec, config, GRID, 2000, SEED)).encode())
     assert h.hexdigest() == (
-        "b5326a6f79a716dfc8ec4995848c246779725e52ff6f10bf4244fbf04b2a586e"
+        "79101ecacd7c501f6cb42cac8f700ae2776d76f657a9ea77350dcf3007add332"
     )

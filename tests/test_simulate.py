@@ -119,22 +119,20 @@ def reference_rates(spec, stacked, config, power):
             beams = np.matmul(q[..., :, s_int:].conj().swapaxes(-1, -2), beams)
         return _capacity_log2det(beams, power / s_own)
 
-    if spec.kind == "point-to-point":
+    if spec.kind in ("point-to-point", "isotropic-bc"):
         return served(solo_rate(spec.user))
     if spec.kind == "time-division":
         return spec.tau * solo_rate(1), (1.0 - spec.tau) * solo_rate(2)
     if spec.kind == "receiver-zero-forcing":
         s1, s2 = spec.streams
         return zf_rate(stacked["H11"], stacked["H12"], s1, s2), zf_rate(stacked["H22"], stacked["H21"], s2, s1)
-    if spec.kind == "ia-power-scaling":
-        nb = config.M2 if spec.beams is None else spec.beams
-        beam_power = power ** spec.power_exponent
-        gain = np.abs(stacked["H11"][:, 0, 0]) ** 2
-        cross_gain = np.sum(np.abs(stacked["H12"][:, 0, :nb]) ** 2, axis=-1)
-        r1 = np.log2(1.0 + power * gain / (1.0 + beam_power * cross_gain))
-        return r1, _capacity_log2det(stacked["H22"][:, :, :nb], beam_power)
-    n = config.N1 if spec.user == 1 else config.N2
-    return served(_capacity_log2det(stacked["Q"][:, :n, :], power / config.M))
+    assert spec.kind == "ia-power-scaling"
+    nb = config.M2 if spec.beams is None else spec.beams
+    beam_power = power ** spec.power_exponent
+    gain = np.abs(stacked["H11"][:, 0, 0]) ** 2
+    cross_gain = np.sum(np.abs(stacked["H12"][:, 0, :nb]) ** 2, axis=-1)
+    r1 = np.log2(1.0 + power * gain / (1.0 + beam_power * cross_gain))
+    return r1, _capacity_log2det(stacked["H22"][:, :, :nb], beam_power)
 
 
 def exact_log2det(h, x):
@@ -201,7 +199,7 @@ def solo(config, user, grid, trials, seed):
 
 class TestDraws:
     def test_deterministic_per_seed_and_trial(self):
-        dims = _network_dims(IcConfig(2, 1, 2, 3), None)
+        dims = _network_dims(IcConfig(2, 1, 2, 3))
         a = _stack_draws(dims, 7, 5)
         b = _stack_draws(dims, 7, 4)
         for link in dims:
@@ -214,7 +212,7 @@ class TestDraws:
     def test_prefix_across_block_boundary(self):
         # The short run draws the second block only up to trial BLOCK + 3,
         # the long run in full; every shared trial agrees.
-        dims = _network_dims(IcConfig(2, 1, 2, 3), None)
+        dims = _network_dims(IcConfig(2, 1, 2, 3))
         short = _stack_draws(dims, 7, BLOCK + 4)
         long = _stack_draws(dims, 7, 3 * BLOCK)
         for link in dims:
@@ -225,7 +223,7 @@ class TestDraws:
         # default_rng([seed, b]), read as complex pairs, scaled by 1/sqrt(2)
         # and cut into links in draw order; the last block is partial. Each
         # link holds the same values with the trial axis moved last.
-        dims = _network_dims(IcConfig(2, 1, 2, 3), None)
+        dims = _network_dims(IcConfig(2, 1, 2, 3))
         trials = 2 * BLOCK + 7
         entries = sum(rows * cols for rows, cols in dims.values())
         blocks = []
@@ -244,7 +242,7 @@ class TestDraws:
         # The draws live in one (K, trials) buffer; each block passes through
         # a block-sized scratch. Transposing a whole trials-first buffer
         # instead would double the peak.
-        dims = _network_dims(IcConfig(1, 3, 1, 4), None)
+        dims = _network_dims(IcConfig(1, 3, 1, 4))
         trials = 10_000
         entries = sum(rows * cols for rows, cols in dims.values())
         _stack_draws(dims, 7, 1)  # numpy sets up its generator state once per process
@@ -257,7 +255,7 @@ class TestDraws:
         assert peak <= 1.25 * entries * trials * np.dtype(complex).itemsize
 
     def test_shapes(self):
-        stacked = _stack_draws(_network_dims(BcConfig(4, 2, 3), None), 0, 1)
+        stacked = _stack_draws(_network_dims(BcConfig(4, 2, 3)), 0, 1)
         assert stacked["H1"].shape == (2, 4, 1)
         assert stacked["H2"].shape == (3, 4, 1)
 
@@ -397,7 +395,7 @@ class TestRatePrimitives:
 
     def test_monotone_in_power(self):
         config = BcConfig(2, 3, 1)
-        stacked = _stack_draws(_network_dims(config, None), 5, 1)
+        stacked = _stack_draws(_network_dims(config), 5, 1)
         rates = [kernel(P2P, stacked, config, p)[0][0] for p in (0.1, 1, 10, 100, 1000)]
         assert all(b > a for a, b in zip(rates, rates[1:]))
         assert all(r >= 0 for r in rates)
@@ -426,7 +424,7 @@ class TestSpectralKernels:
 
     @pytest.mark.parametrize("spec, config", CASES, ids=[f"{s.kind}-{c}" for s, c in CASES])
     def test_matches_cholesky_reference(self, spec, config):
-        stacked = _stack_draws(_SCHEMES[spec.kind].link_dims(config, spec), 5, 300)
+        stacked = _stack_draws(_network_dims(config), 5, 300)
         # Both kernels round 1 + x before the logarithm, so a small rate
         # carries an absolute error of a few 2**-52 whichever kernel runs;
         # atol covers that and nothing more.
@@ -608,7 +606,7 @@ class TestZeroForcing:
     CONFIG = IcConfig(2, 1, 2, 3)
 
     def draws(self, seed, trials=1):
-        return _stack_draws(_network_dims(self.CONFIG, None), seed, trials)
+        return _stack_draws(_network_dims(self.CONFIG), seed, trials)
 
     def test_silenced_interferer_matches_plain_rate(self):
         stacked = self.draws(11)
@@ -646,7 +644,7 @@ class TestAlignmentScheme:
     CONFIG = IcConfig(1, 3, 1, 4)
 
     def draws(self, seed, trials=1):
-        return _stack_draws(_network_dims(self.CONFIG, None), seed, trials)
+        return _stack_draws(_network_dims(self.CONFIG), seed, trials)
 
     def test_shape_validation(self):
         with pytest.raises(SchemeShapeError):
@@ -730,7 +728,7 @@ class TestTimeDivision:
         # The user whose share is 0 gets no evaluator, so its link is never
         # factored; the other user's is still prepared.
         config = BcConfig(2, 1, 2)
-        stacked = _stack_draws(_network_dims(config, None), 5, 10)
+        stacked = _stack_draws(_network_dims(config), 5, 10)
         rates = _SCHEMES["time-division"].prepare(stacked, config, SchemeSpec("time-division", tau=tau))
         assert rates[idle] is None
         assert rates[1 - idle] is not None
@@ -834,6 +832,18 @@ class TestIsotropicInput:
         b = simulate_scheme(self.SPEC, BcConfig(4, 2, 2), GRID, 100, 7)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "config, user",
+        [(BcConfig(4, 1, 1), 1), (BcConfig(4, 2, 2), 2), (BcConfig(3, 3, 1), 1),
+         (BcConfig(2, 1, 2), 2), (BcConfig(4, 2, 3), 2)],
+    )
+    def test_isotropic_is_point_to_point(self, config, user):
+        # A white input at P/M per antenna over the served user's own link is
+        # point-to-point on that link: the same draws and the same trace.
+        spec = SchemeSpec("isotropic-bc", user=user)
+        trials = 2 * BLOCK + 7
+        assert simulate_scheme(spec, config, GRID, trials, 7) == solo(config, user, GRID, trials, 7)
+
 
 class TestTraces:
     def test_validation(self):
@@ -875,12 +885,14 @@ class TestDrivers:
     # 4.0e-16 relative of the threaded drivers' traces. Time division's was
     # re-recorded once it scaled per-trial rates by tau = 0.3 before the
     # reduction, within 3.4e-16 relative of the reduced-then-scaled trace.
+    # Isotropic input's was re-recorded once it became point-to-point on the
+    # served user's link; it is that user's point-to-point trace.
     ACROSS_BLOCKS = {
         "point-to-point": "3d1b4b1b281474e1ec5fec59d3e477d0e2604e4bf1e4e38c5bee38a0e1400408",
         "time-division": "b1e9f9b79c83cf41b93b76b625c6af36fcbb1350882574882f32dac792ed7500",
         "receiver-zero-forcing": "5b0f5c7edd56b68bbebf0b26aa91df730d19be818f6424491a07b94c0d53249b",
         "ia-power-scaling": "03acdbb7760357d65c085656076c8f00b1a8c068375b93541530054ddf6f98e1",
-        "isotropic-bc": "61a5ded4e3aa74443307b8a10493cb013a6d57e63e445cf8d44aca37a496f7b6",
+        "isotropic-bc": "598b77b9e334297235eeea73ae55a74c40069601b3e7af57a39fb6d2b5bfc4f6",
     }
 
     @pytest.mark.parametrize("spec, config", ONE_OF_EACH, ids=[s.kind for s, _ in ONE_OF_EACH])
@@ -910,7 +922,7 @@ class TestDrivers:
         solo2 = solo(config, 2, GRID, 100, 13)
         assert solo1.rate2 == (0.0,) * len(GRID)
         assert solo2.rate1 == (0.0,) * len(GRID)
-        stacked = _stack_draws(_network_dims(config, None), 13, 100)
+        stacked = _stack_draws(_network_dims(config), 13, 100)
         powers = [_db_to_linear(snr) for snr in GRID]
         r1 = np.stack([kernel(P2P, stacked, config, p)[0] for p in powers])
         r2 = np.stack([kernel(SchemeSpec("point-to-point", user=2), stacked, config, p)[1] for p in powers])
@@ -922,7 +934,7 @@ class TestDrivers:
         # SNR points reduced together.
         config = IcConfig(2, 1, 2, 3)
         trace = simulate_scheme(ZF, config, GRID, 50, 7)
-        stacked = _stack_draws(_network_dims(config, None), 7, 50)
+        stacked = _stack_draws(_network_dims(config), 7, 50)
         pairs = [kernel(ZF, stacked, config, _db_to_linear(snr)) for snr in GRID]
         r1, r2 = (np.stack(rows) for rows in zip(*pairs))
         assert [list(trace.rate1), list(trace.stderr1)] == list(_mean_stderr(r1))
@@ -938,9 +950,7 @@ class TestDrivers:
         trace = simulate_scheme(spec, BcConfig(4, 2, 3), GRID, 50, 7)
         assert trace.rate1 == (0.0,) * len(GRID)
         assert all(r > 0 for r in trace.rate2)
-        # Only the served receiver's antenna count enters the rate.
-        mirror = simulate_scheme(SchemeSpec(kind="isotropic-bc"), BcConfig(4, 3, 2), GRID, 50, 7)
-        assert (trace.rate2, trace.stderr2) == (mirror.rate1, mirror.stderr1)
+        assert trace == solo(BcConfig(4, 2, 3), 2, GRID, 50, 7)
         tall = SchemeSpec(kind="isotropic-bc", user=1)
         with pytest.raises(SchemeShapeError):
             simulate_scheme(tall, BcConfig(2, 3, 2), GRID, 10, 7)
