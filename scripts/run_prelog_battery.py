@@ -31,7 +31,6 @@ from mimodof import (
     IcConfig,
     RateTrace,
     SchemeSpec,
-    SimulationError,
     bc_region,
     fit_slope,
     ic_classify,
@@ -145,7 +144,7 @@ def main(argv=None) -> int:
         args.out_dir.mkdir(parents=True, exist_ok=True)
         for file_name, text in outputs.items():
             (args.out_dir / file_name).write_text(text)
-    except (ValueError, SimulationError, MemoryError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"run_prelog_battery: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,9 +12,7 @@ The package has four layers:
 from .regions import (
     DofRegion,
     Halfspace,
-    InfeasibleBound,
     RegionError,
-    UnboundedRegion,
     boundary_slope,
     contains,
     equals,
@@ -42,9 +40,7 @@ from .catalog import (
     ic_csit_region,
 )
 from .simulate import (
-    InfeasibleZf,
     RateTrace,
-    SchemeShapeError,
     SchemeSpec,
     SimulationError,
     simulate_scheme,
@@ -54,7 +50,6 @@ from .simulate import (
 from .slopes import (
     DEFAULT_TOL,
     DEFAULT_WINDOW,
-    InsufficientPoints,
     SlopeEstimate,
     fit_slope,
     verdict_report,

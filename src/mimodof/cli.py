@@ -36,7 +36,6 @@ from .catalog import (
 )
 from .regions import (
     DofRegion,
-    RegionError,
     contains,
     equals,
     is_subset,
@@ -45,7 +44,6 @@ from .regions import (
 from .simulate import (
     RateTrace,
     SchemeSpec,
-    SimulationError,
     simulate_scheme,
     trace_to_csv,
 )
@@ -96,18 +94,12 @@ def _config_for(channel: str, text: str):
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    parts = text.split(":")
     try:
-        if len(parts) not in (1, 3):
-            raise ValueError
-        values = tuple(float(p) for p in parts)
+        start, stop, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise ValueError(f"--snr-db must look like start:stop:step, got {text!r}")
-    if not all(math.isfinite(v) for v in values):
+    if not all(math.isfinite(v) for v in (start, stop, step)):
         raise ValueError(f"--snr-db needs finite SNR grid values, got {text!r}")
-    if len(values) == 1:
-        return values
-    start, stop, step = values
     if step <= 0 or stop < start:
         raise ValueError("--snr-db needs stop >= start and step > 0")
     if start + step == start:
@@ -366,7 +358,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, MemoryError, SimulationError, RegionError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"mimodof: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -24,8 +24,6 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 __all__ = [
     "Rational",
     "RegionError",
-    "UnboundedRegion",
-    "InfeasibleBound",
     "Halfspace",
     "DofRegion",
     "region_from_halfspaces",
@@ -44,23 +42,16 @@ Rational = Union[int, str, Fraction]
 Vertex = tuple[Fraction, Fraction]
 
 
-class RegionError(Exception):
-    """Base class for errors raised while building a region."""
-
-
-class UnboundedRegion(RegionError):
-    """The halfspace intersection is unbounded inside the quadrant."""
-
-
-class InfeasibleBound(RegionError):
-    """Some halfspace has b < 0 and therefore excludes the origin."""
+class RegionError(ValueError):
+    """A halfspace list that cuts out no bounded region containing the origin."""
 
 
 def _as_fraction(value: Rational) -> Fraction:
     """Coerce int/str/Fraction to Fraction. Floats are rejected outright
-    so that rounding error can never leak into exact predicates."""
-    if isinstance(value, float):
-        raise TypeError(f"expected an exact rational, got float {value!r}")
+    so that rounding error can never leak into exact predicates, and bools
+    so that a flag is never read as a count."""
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"expected an exact rational, got {type(value).__name__} {value!r}")
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
@@ -160,9 +151,7 @@ def _reduce(halfspaces: tuple[Halfspace, ...]) -> tuple[tuple[Halfspace, ...], t
     ``halfspaces`` must already be deduplicated and canonically sorted.
     """
     if any(_recession_rays(_rows(halfspaces))):
-        raise UnboundedRegion(
-            "halfspace intersection is unbounded within the quadrant"
-        )
+        raise RegionError("halfspace intersection is unbounded within the quadrant")
     kept = list(halfspaces)
     for h in list(kept):
         rest = _rows(x for x in kept if x is not h)
@@ -185,16 +174,16 @@ def region_from_halfspaces(halfspaces: Iterable, tag: str = "") -> DofRegion:
     """Build the canonical region cut out by ``halfspaces`` and the quadrant.
 
     Accepts Halfspace instances or (a1, a2, b) triples of exact rationals.
-    Raises InfeasibleBound if some b < 0 (the origin is feasible otherwise,
-    so the region is never empty) and UnboundedRegion if the intersection
-    is unbounded. Input order and duplicates do not affect the result.
+    Raises RegionError if some b < 0 (the origin is feasible otherwise, so
+    the region is never empty) or if the intersection is unbounded. Input
+    order and duplicates do not affect the result.
     """
     hs = tuple(h if isinstance(h, Halfspace) else Halfspace(*h) for h in halfspaces)
     if not hs:
         raise ValueError("need at least one halfspace")
     for h in hs:
         if h.b < 0:
-            raise InfeasibleBound(f"halfspace {h} excludes the origin")
+            raise RegionError(f"halfspace {h} excludes the origin")
     key = tuple(sorted(set(hs), key=lambda h: (h.a1, h.a2, h.b)))
     minimal, vertices = _reduce(key)
     return DofRegion(minimal, vertices, tag)
@@ -215,8 +204,10 @@ def is_subset(a: DofRegion, b: DofRegion) -> bool:
 
 
 def equals(a: DofRegion, b: DofRegion) -> bool:
-    """Geometric equality, independent of how either region was described."""
-    return is_subset(a, b) and is_subset(b, a)
+    """Geometric equality, independent of how either region was described.
+    A bounded region is the hull of its vertices, which are stored exactly
+    and sorted, so equal regions have equal vertex tuples."""
+    return a.vertices == b.vertices
 
 
 def boundary_slope(region: DofRegion) -> Optional[Fraction]:
@@ -264,19 +255,25 @@ def region_to_json(region: DofRegion) -> str:
 def region_from_json(text: str) -> DofRegion:
     """Rebuild a region from its JSON form.
 
+    Every coefficient and vertex coordinate must be an int or an exact
+    string such as "3/2", and the tag a string; a float, a bool or a
+    malformed document raises ValueError.
     Vertices, when present, are cross-checked against the reconstruction;
     a mismatch means the document was edited inconsistently and raises
     ValueError.
     """
     data = json.loads(text)
-    halfspaces = [
-        Halfspace(Fraction(h["a1"]), Fraction(h["a2"]), Fraction(h["b"]))
-        for h in data["halfspaces"]
-    ]
-    region = region_from_halfspaces(halfspaces, tag=data.get("tag", ""))
-    if "vertices" in data:
-        given = tuple(sorted((Fraction(v[0]), Fraction(v[1])) for v in data["vertices"]))
-        if given != region.vertices:
-            raise ValueError("vertex list does not match the stated halfspaces")
+    try:
+        halfspaces = [Halfspace(h["a1"], h["a2"], h["b"]) for h in data["halfspaces"]]
+        tag = data.get("tag", "")
+        if not isinstance(tag, str):
+            raise TypeError(f"tag must be a string, got {tag!r}")
+        given = [(_as_fraction(d1), _as_fraction(d2)) for d1, d2 in data.get("vertices", ())]
+    except KeyError as exc:
+        raise ValueError(f"malformed region document: no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed region document: {exc}") from None
+    region = region_from_halfspaces(halfspaces, tag=tag)
+    if "vertices" in data and tuple(sorted(given)) != region.vertices:
+        raise ValueError("vertex list does not match the stated halfspaces")
     return region
-

@@ -40,8 +40,7 @@ import numpy as np
 from .catalog import BcConfig, IcConfig
 
 __all__ = [
-    "SCHEME_KINDS",
-    "SimulationError", "InfeasibleZf", "SchemeShapeError",
+    "SCHEME_KINDS", "SimulationError",
     "SchemeSpec", "RateTrace", "trace_to_csv", "trace_from_csv", "simulate_scheme",
 ]
 
@@ -52,16 +51,8 @@ BLOCK = 1024
 CSV_HEADER = "snr_db,rate1,stderr1,rate2,stderr2,trials"
 
 
-class SimulationError(Exception):
-    """Base class for simulation failures."""
-
-
-class InfeasibleZf(SimulationError):
-    """Requested stream split cannot be zero-forced at some receiver."""
-
-
-class SchemeShapeError(SimulationError):
-    """Antenna configuration does not fit the requested scheme."""
+class SimulationError(ValueError):
+    """A scheme that does not fit its configuration, or rates that cannot be reduced."""
 
 
 def _db_to_linear(snr_db: float) -> float:
@@ -374,7 +365,7 @@ def _time_division(stacked, config, spec):
 
 def _require(config, kind: type, message: str) -> None:
     if not isinstance(config, kind):
-        raise SchemeShapeError(message)
+        raise SimulationError(message)
 
 
 def _zf_check(config, spec, grid) -> None:
@@ -382,13 +373,13 @@ def _zf_check(config, spec, grid) -> None:
     s1, s2 = spec.streams
     for name, s, m in (("s1", s1, config.M1), ("s2", s2, config.M2)):
         if not isinstance(s, int) or isinstance(s, bool) or s < 0:
-            raise InfeasibleZf(f"{name} must be a nonnegative integer")
+            raise SimulationError(f"{name} must be a nonnegative integer")
         if s > m:
-            raise InfeasibleZf(f"{name}={s} exceeds the transmitter's {m} antennas")
+            raise SimulationError(f"{name}={s} exceeds the transmitter's {m} antennas")
     total = s1 + s2
     # A receiver that decodes nothing has nothing to zero-force.
     if any(s > 0 and total > n for s, n in ((s1, config.N1), (s2, config.N2))):
-        raise InfeasibleZf(
+        raise SimulationError(
             f"receivers need at least {total} antennas to zero-force "
             f"{s1}+{s2} streams, have N1={config.N1}, N2={config.N2}"
         )
@@ -437,13 +428,13 @@ def _ia_beams(config: IcConfig, spec) -> int:
 def _ia_check(config, spec, grid) -> None:
     _require(config, IcConfig, "the alignment scheme runs on interference configs")
     if not (config.M1 == 1 and config.N1 == 1 and config.M2 <= config.N2 - 1):
-        raise SchemeShapeError(
+        raise SimulationError(
             "interference-alignment power scaling needs M1 = N1 = 1 and "
             f"M2 <= N2 - 1, got {config}"
         )
     nb = _ia_beams(config, spec)
     if not isinstance(nb, int) or isinstance(nb, bool) or nb < 0 or nb > config.M2:
-        raise SchemeShapeError(f"beams must be in [0, {config.M2}], got {spec.beams!r}")
+        raise SimulationError(f"beams must be in [0, {config.M2}], got {spec.beams!r}")
     # Interference at P**exponent only shrinks relative to P when P > 1.
     if any(_db_to_linear(snr) <= 1.0 for snr in grid):
         raise ValueError("power scaling schemes need every grid point above 0 dB")
@@ -479,7 +470,7 @@ def _alignment(stacked, config, spec):
 def _iso_check(config, spec, grid) -> None:
     _require(config, BcConfig, "the isotropic input scheme runs on broadcast configs")
     if (config.N1 if spec.user == 1 else config.N2) > config.M:
-        raise SchemeShapeError("isotropic input needs the served receiver to have at most M antennas")
+        raise SimulationError("isotropic input needs the served receiver to have at most M antennas")
 
 
 class _Scheme(NamedTuple):

@@ -20,7 +20,6 @@ __all__ = [
     "LOG2_PER_DB",
     "DEFAULT_WINDOW",
     "DEFAULT_TOL",
-    "InsufficientPoints",
     "SlopeEstimate",
     "fit_slope",
     "check_window",
@@ -36,10 +35,6 @@ DEFAULT_WINDOW = 4
 DEFAULT_TOL = 0.1
 
 _Z95 = 1.96
-
-
-class InsufficientPoints(ValueError):
-    """The fitting window holds fewer than three points."""
 
 
 @dataclass(frozen=True)
@@ -80,8 +75,8 @@ def _ols_slope(x: Sequence[float], y: Sequence[float], se: Sequence[float]) -> t
 def fit_slope(trace: RateTrace, window: int = DEFAULT_WINDOW) -> SlopeEstimate:
     """Fit both users' prelogs over the top ``window`` SNR points.
 
-    Raises InsufficientPoints when fewer than three points are available in
-    the window.
+    Raises ValueError when fewer than three points are available in the
+    window.
     """
     count = check_window(window, len(trace.snr_db))
     snr = trace.snr_db[-count:]
@@ -98,12 +93,10 @@ def fit_slope(trace: RateTrace, window: int = DEFAULT_WINDOW) -> SlopeEstimate:
 
 def check_window(window: int, points: int) -> int:
     """How many of ``points`` grid points a fit over ``window`` uses; raises
-    InsufficientPoints when that is fewer than three."""
+    ValueError when that is fewer than three."""
     count = min(int(window), points)
     if count < 3:
-        raise InsufficientPoints(
-            f"need at least 3 points to fit a slope, window holds {count}"
-        )
+        raise ValueError(f"need at least 3 points to fit a slope, window holds {count}")
     return count
 
 

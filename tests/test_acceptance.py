@@ -4,8 +4,8 @@ Eight criteria, each printed as one pass/fail line. The Monte Carlo battery
 (criteria 4, 5, 7) is the entry list of ``scripts/run_prelog_battery.py``,
 computed once per session at 10^4 trials per SNR point with a fixed seed,
 over the 30 to 70 dB grid in 10 dB steps. A sha256 golden pins the
-battery's traces bit for bit, and every log-det battery mean is z-tested
-against its exact ergodic value. Criterion 8 runs a table scheme to every
+battery's traces bit for bit, and every battery mean is z-tested against
+its exact ergodic value. Criterion 8 runs a table scheme to every
 corner of every inner bound with up to four antennas per node, and time
 division to three points on every such broadcast edge.
 """
@@ -25,6 +25,7 @@ import pytest
 from mimodof import (
     BcConfig,
     IcConfig,
+    RateTrace,
     SchemeSpec,
     bc_region,
     boundary_slope,
@@ -211,18 +212,25 @@ def _wishart_density(lam, small, alpha):
     return total * lam**alpha * np.exp(-lam)
 
 
-def expect_over_wishart(rows, cols, f):
-    """∫ f(λ) times the eigenvalue density of an i.i.d. CN(0, 1) rows x cols
-    matrix, by 30-node Gauss-Legendre on each piece of [0, 120]. Pieces
-    double from 1e-9 up to 1 so that log2(1 + xλ) is resolved near 0 for
-    any x up to 1e9, then run in unit steps; the density's tail past 120
-    is below 1e-40."""
+def wishart_rule(rows, cols):
+    """Nodes λ and weights w with Σ w f(λ) ≈ ∫ f(λ) times the eigenvalue
+    density of an i.i.d. CN(0, 1) rows x cols matrix: 30-node
+    Gauss-Legendre on each piece of [0, 120]. Pieces double from 1e-9 up
+    to 1 so that log2(1 + xλ) is resolved near 0 for any x up to 1e9, then
+    run in unit steps; the density's tail past 120 is below 1e-40."""
     edges = [0.0] + [2.0**k for k in range(-30, 0)] + [float(v) for v in range(1, 121)]
     nodes, weights = np.polynomial.legendre.leggauss(30)
     lo, hi = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
     lam = (0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)).ravel()
     w = (0.5 * (hi - lo) * weights).ravel()
-    return float(np.sum(w * f(lam) * _wishart_density(lam, min(rows, cols), abs(rows - cols))))
+    return lam, w * _wishart_density(lam, min(rows, cols), abs(rows - cols))
+
+
+def expect_over_wishart(rows, cols, f):
+    """∫ f(λ) times the eigenvalue density of an i.i.d. CN(0, 1) rows x cols
+    matrix, by :func:`wishart_rule`."""
+    lam, w = wishart_rule(rows, cols)
+    return float(np.sum(w * f(lam)))
 
 
 def exact_log2det(rows, cols, x):
@@ -241,35 +249,84 @@ def test_wishart_density_moments(rows, cols):
         assert exact_log2det(1, 1, 1.0) == pytest.approx(0.596347362323194 / math.log(2.0), rel=1e-13)
 
 
-# Each log-det battery rate as (rows, cols, power share, time share) of the
-# i.i.d. Gaussian link it is a Wishart log-det of, per user (None: unserved).
+def log_det_law(rows, cols, power_share, time_share=1.0):
+    """The exact mean, as a function of P, of a rate that is a time share of
+    a Wishart log-det over an i.i.d. rows x cols link at power share * P."""
+    return lambda p: time_share * exact_log2det(rows, cols, power_share * p)
+
+
+def alignment_rate1(p):
+    """E log2(1 + P g/(1 + P**0.5 X)): receiver 1's own gain g ~ Exp(1)
+    against the summed gain X ~ Gamma(3) of three beams at P**0.5 each.
+    The rule over g nests inside the rule over X, a block of X nodes at a
+    time."""
+    g, wg = wishart_rule(1, 1)
+    x, wx = wishart_rule(1, 3)
+    a = p / (1.0 + p**0.5 * x)
+    inner = [np.log2(1.0 + np.outer(block, g)) @ wg for block in np.array_split(a, 16)]
+    return float(np.concatenate(inner) @ wx)
+
+
+# Each battery user's exact mean rate as a function of P (None: unserved).
 # Solo and isotropic input read the user's own N x M link at P/M; time
 # division scales the solo rates by its shares. Zero-forcing's projected own
 # beams are an i.i.d. (N - s_int) x s_own Gaussian at P/s_own, by rotational
-# invariance. Alignment's user 1 is not a log-det and is left out.
+# invariance. Alignment's user 2 decodes its three beams at P**0.5 each.
 EXACT_LAWS = {
-    "p2p-2x2": ((2, 2, 1 / 2, 1.0), None),
-    "zf-2123": ((1, 1, 1.0, 1.0), (2, 1, 1.0, 1.0)),
-    "tdm-423": ((2, 4, 1 / 4, 0.5), (3, 4, 1 / 4, 0.5)),
-    "isobc-4x1": ((1, 4, 1 / 4, 1.0), None),
-    "isobc-4x2": (None, (2, 4, 1 / 4, 1.0)),
+    "p2p-2x2": (log_det_law(2, 2, 1 / 2), None),
+    "zf-2123": (log_det_law(1, 1, 1.0), log_det_law(2, 1, 1.0)),
+    "tdm-423": (log_det_law(2, 4, 1 / 4, 0.5), log_det_law(3, 4, 1 / 4, 0.5)),
+    "ia-1314": (alignment_rate1, lambda p: exact_log2det(4, 3, p**0.5)),
+    "isobc-4x1": (log_det_law(1, 4, 1 / 4), None),
+    "isobc-4x2": (None, log_det_law(2, 4, 1 / 4)),
+}
+
+# Slopes of the exact means over the 40-70 dB fit window, each with the DoF
+# it estimates and its entry's criterion 4 tolerance. The gap to the DoF is
+# finite-SNR bias, not Monte Carlo error.
+EXACT_SLOPES = {
+    ("p2p-2x2", 1): (1.999544, 2.0, 0.1),
+    ("zf-2123", 1): (0.999870, 1.0, 0.1),
+    ("ia-1314", 1): (0.485213, 0.5, 0.15),
+    ("ia-1314", 2): (1.496086, 1.5, 0.15),
 }
 
 
+@pytest.fixture(scope="module")
+def exact_means():
+    """Every EXACT_LAWS mean at each GRID point, per user (None: unserved)."""
+    return {
+        key: tuple(
+            None if law is None else tuple(law(10.0 ** (snr / 10.0)) for snr in GRID) for law in laws
+        )
+        for key, laws in EXACT_LAWS.items()
+    }
+
+
 @pytest.mark.parametrize("key", sorted(EXACT_LAWS))
-def test_battery_means_match_exact_rates(battery, key):
+def test_battery_means_match_exact_rates(battery, exact_means, key):
     trace = battery[key]["trace"]
     columns = ((trace.rate1, trace.stderr1), (trace.rate2, trace.stderr2))
-    for law, (rates, stderrs) in zip(EXACT_LAWS[key], columns):
-        if law is None:
+    for means, (rates, stderrs) in zip(exact_means[key], columns):
+        if means is None:
             assert rates == (0.0,) * len(GRID)
             continue
-        rows, cols, power_share, time_share = law
-        for snr, rate, stderr in zip(trace.snr_db, rates, stderrs):
-            exact = time_share * exact_log2det(rows, cols, power_share * 10.0 ** (snr / 10.0))
+        for snr, exact, rate, stderr in zip(trace.snr_db, means, rates, stderrs):
             z = (rate - exact) / stderr
             print(f"[acceptance] exact mean: {key} snr={snr:g} dB z={z:+.2f}")
             assert abs(z) < 4.0, (key, snr, z)
+
+
+def test_exact_window_slopes(exact_means):
+    zeros = (0.0,) * len(GRID)
+    for (key, user), (pinned, dof, tol) in EXACT_SLOPES.items():
+        r1, r2 = (means or zeros for means in exact_means[key])
+        est = fit_slope(RateTrace(GRID, r1, zeros, r2, zeros, TRIALS, SEED))
+        slope = (est.d1_hat, est.d2_hat)[user - 1]
+        print(f"[acceptance] exact slope: {key} user {user} {est.snr_window} dB: {slope:.6f}")
+        assert est.snr_window == (40.0, 70.0)
+        assert slope == pytest.approx(pinned, abs=1e-5), (key, user, slope)
+        assert abs(pinned - dof) <= tol, (key, user)
 
 
 def test_criterion_8_achievability_atlas():

@@ -77,9 +77,9 @@ class TestBroadcast:
             assert slope == F(-min(m, n2), min(m, n1))
 
     def test_bad_antennas_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="M must be a positive integer, got 0"):
             BcConfig(0, 1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="N1 must be a positive integer, got -2"):
             BcConfig(1, -2, 1)
 
 
@@ -221,7 +221,7 @@ class TestPartitionCheck:
         assert case_partition_check(4) is True
 
     def test_bad_limit_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="limit must be at least 1"):
             case_partition_check(0)
 
     def test_violations_carry_the_config(self):

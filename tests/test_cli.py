@@ -381,9 +381,9 @@ class TestSnrGridCommand:
     @pytest.mark.parametrize(
         ("argv", "message"),
         [
-            pytest.param((*P2P_BC, "--snr-db=inf"), "SNR grid", id="inf"),
-            pytest.param((*P2P_BC, "--snr-db=-inf"), "SNR grid", id="-inf"),
-            pytest.param((*P2P_BC, "--snr-db=nan"), "SNR grid", id="nan"),
+            pytest.param((*P2P_BC, "--snr-db=inf:70:10"), "SNR grid", id="inf"),
+            pytest.param((*P2P_BC, "--snr-db=-inf:70:10"), "SNR grid", id="-inf"),
+            pytest.param((*P2P_BC, "--snr-db=30:nan:10"), "SNR grid", id="nan"),
             pytest.param((*IA_IC, "--exponent=inf"), "power_exponent", id="exponent-inf"),
             pytest.param((*IA_IC, "--exponent=nan"), "power_exponent", id="exponent-nan"),
             # 10**(dB/10) overflows a float above about 3082 dB.
@@ -485,10 +485,12 @@ class TestSnrGridCommand:
             ("1e16:1e17:0.5", "too small to move the start"),
             ("0:1e300:1e-300", "too many points"),
             ("-1e308:1e308:1e300", "too many points"),
+            # A lone point is no range, and no window could fit it.
+            ("40", "start:stop:step"),
         ],
     )
     def test_unbounded_grid_exits_three(self, capsys, monkeypatch, grid, message):
-        # Each of these used to spin in the counting loop.
+        # The four ranges used to spin in the counting loop.
         monkeypatch.setattr(simulate, "_stack_draws", lambda *args: pytest.fail("trials drawn"))
         code, out, err = run(capsys, "simulate", *P2P_BC, f"--snr-db={grid}", "--trials", "10")
         assert (code, out) == (3, "")

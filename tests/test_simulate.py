@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 from mimodof import (
     BcConfig,
     IcConfig,
-    InfeasibleZf,
     RateTrace,
-    SchemeShapeError,
     SchemeSpec,
     SimulationError,
     fit_slope,
@@ -373,9 +371,9 @@ class TestExactRowSums:
         # Extraction would never clear a nan, so it must raise, not loop.
         values = np.ones((3, 5))
         values[1, 2] = bad
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="not finite"):
             _exact_row_sums(values)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="not finite"):
             _mean_stderr(values)
 
 
@@ -624,8 +622,12 @@ class TestZeroForcing:
         assert all(b[0][1] > a[0][1] and b[1][1] > a[1][1] for a, b in zip(rates, rates[1:]))
 
     def test_infeasible_splits_rejected(self):
-        for streams in ((2, 1), (1, 2), (-1, 1)):  # N1 = 2 < 3 streams; s2 > M2; negative
-            with pytest.raises(InfeasibleZf):
+        for streams, rule in (
+            ((2, 1), "receivers need"),  # N1 = 2 < 3 streams
+            ((1, 2), "exceeds the transmitter"),  # s2 > M2
+            ((-1, 1), "nonnegative integer"),
+        ):
+            with pytest.raises(SimulationError, match=rule):
                 simulate_scheme(
                     SchemeSpec("receiver-zero-forcing", streams=streams), self.CONFIG, GRID, 10, 11
                 )
@@ -647,15 +649,15 @@ class TestAlignmentScheme:
         return _stack_draws(_network_dims(self.CONFIG), seed, trials)
 
     def test_shape_validation(self):
-        with pytest.raises(SchemeShapeError):
+        with pytest.raises(SimulationError, match="M1 = N1 = 1"):
             simulate_scheme(IA, IcConfig(2, 3, 2, 4), GRID, 10, 3)
-        with pytest.raises(SchemeShapeError):
+        with pytest.raises(SimulationError, match="M2 <= N2 - 1"):
             simulate_scheme(IA, IcConfig(1, 4, 1, 4), GRID, 10, 3)
-        with pytest.raises(SchemeShapeError):
+        with pytest.raises(SimulationError, match="runs on interference configs"):
             simulate_scheme(IA, BcConfig(1, 1, 4), GRID, 10, 3)
 
     def test_beams_out_of_range_rejected(self):
-        with pytest.raises(SchemeShapeError):
+        with pytest.raises(SimulationError, match="beams must be"):
             simulate_scheme(SchemeSpec("ia-power-scaling", beams=4), self.CONFIG, GRID, 10, 3)
 
     def test_power_must_exceed_one(self):
@@ -849,11 +851,11 @@ class TestTraces:
     def test_validation(self):
         with pytest.raises(ValueError, match="strictly ascending"):
             RateTrace((20.0, 10.0), (1, 1), (0, 0), (1, 1), (0, 0), 10, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rate1 length does not match"):
             RateTrace((10.0,), (1, 2), (0,), (1,), (0,), 10, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rate1 entries must be finite and nonnegative"):
             RateTrace((10.0,), (-1,), (0,), (1,), (0,), 10, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
             RateTrace((10.0,), (1,), (0,), (1,), (0,), 0, 0)
 
     def test_csv_round_trip(self):
@@ -867,7 +869,7 @@ class TestTraces:
         assert again == trace
 
     def test_csv_rejects_garbage(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected header"):
             trace_from_csv("nope\n1,2,3")
 
     def test_csv_rejects_rows_that_disagree_on_trials(self):
@@ -942,7 +944,7 @@ class TestDrivers:
         for i in range(len(GRID)):
             assert (trace.rate1[i], trace.stderr1[i]) == TestMeanStderr.reference(r1[i])
             assert (trace.rate2[i], trace.stderr2[i]) == TestMeanStderr.reference(r2[i])
-        with pytest.raises(SchemeShapeError):
+        with pytest.raises(SimulationError, match="runs on interference configs"):
             simulate_scheme(ZF, BcConfig(2, 2, 2), GRID, 10, 7)
 
     def test_isotropic_dispatch_reslots_user_two(self):
@@ -952,15 +954,15 @@ class TestDrivers:
         assert all(r > 0 for r in trace.rate2)
         assert trace == solo(BcConfig(4, 2, 3), 2, GRID, 50, 7)
         tall = SchemeSpec(kind="isotropic-bc", user=1)
-        with pytest.raises(SchemeShapeError):
+        with pytest.raises(SimulationError, match="at most M antennas"):
             simulate_scheme(tall, BcConfig(2, 3, 2), GRID, 10, 7)
 
     def test_scheme_spec_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown scheme kind"):
             SchemeSpec(kind="magic")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tau must be in"):
             SchemeSpec(kind="time-division", tau=2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="user must be 1 or 2"):
             SchemeSpec(kind="point-to-point", user=3)
 
     def test_db_to_linear(self):
