@@ -11,8 +11,9 @@ Stacks are trials-last: a link is a (rows, cols, trials) view of one
 contiguous rows of trials. The layout does not touch the random stream; the
 draws are the same values as when trials came first.
 
-Each scheme is one entry of a table keyed by ``SchemeSpec.kind``: a shape
-check, and a prepare step that maps the stacked draws to one per-point rate
+Each scheme is one function in a table keyed by ``SchemeSpec.kind``: it
+raises if the scheme does not fit the configuration, spec and grid, and
+returns a prepare step that maps the stacked draws to one per-point rate
 evaluator per user. ``simulate_scheme`` is the single driver. It checks the
 trial count, the seed, the grid and the scheme before any draw, draws every
 link of the network once per trial and prepares once, so every scheme on a
@@ -33,7 +34,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -304,10 +305,11 @@ def _stack_draws(dims: Mapping[str, tuple[int, int]], seed: int, trials: int) ->
 
 
 # --- scheme table ----------------------------------------------------------
-# An entry is check(config, spec, grid) -> raises before any draw if the
-# scheme does not fit, and prepare(stacked, config, spec) -> one evaluator per
-# user, run once per run, which maps one linear power to that user's
-# per-trial rates (None if unserved).
+# An entry is scheme(config, spec, grid) -> prepare. It raises before any
+# draw if the scheme does not fit. prepare(stacked), run once per run, maps
+# the stacked draws to one evaluator per user, which maps one linear power to
+# that user's per-trial rates (None if unserved). Point-to-point is time
+# division at a share of 1, and isotropic input is point-to-point.
 
 
 def _network_dims(config) -> dict[str, tuple[int, int]]:
@@ -325,25 +327,6 @@ def _network_dims(config) -> dict[str, tuple[int, int]]:
     raise TypeError(f"expected BcConfig or IcConfig, got {type(config).__name__}")
 
 
-def _any_network(config, spec, grid) -> None:
-    """Point-to-point and time division run on every configuration."""
-
-
-def _served(user: int, rate: Callable) -> tuple[Optional[Callable], Optional[Callable]]:
-    return (rate, None) if user == 1 else (None, rate)
-
-
-def _solo_rate(stacked, config, user: int) -> Callable:
-    # Full power P over the user's direct link, P/m per transmit antenna.
-    link = f"H{user}" if isinstance(config, BcConfig) else f"H{user}{user}"
-    channels = stacked[link]
-    return _log_det_rate(channels, 1.0 / channels.shape[1])
-
-
-def _point_to_point(stacked, config, spec):
-    return _served(spec.user, _solo_rate(stacked, config, spec.user))
-
-
 def _time_share(rate: Callable, share: float) -> Callable:
     def shared(power):
         rates = rate(power)
@@ -352,37 +335,31 @@ def _time_share(rate: Callable, share: float) -> Callable:
     return shared
 
 
-def _time_division(stacked, config, spec):
-    # User 1 holds the links a fraction tau of the time at full power, user 2
-    # the rest, so each solo link's per-trial rates scale by its user's share.
-    # A user whose share is 0 is not served, and its link is not factored.
-    tau = float(spec.tau)
-    return tuple(
-        _time_share(_solo_rate(stacked, config, u), share) if share > 0 else None
-        for u, share in ((1, tau), (2, 1.0 - tau))
+def _solo_links(config, shares: tuple[float, float]) -> Callable:
+    """User u holds its direct link a fraction shares[u - 1] of the time at
+    full power P, P/m over its m transmit antennas, so the link's per-trial
+    rates scale by the share. A user whose share is 0 is not served, and its
+    link is not factored."""
+    links = ("H1", "H2") if isinstance(config, BcConfig) else ("H11", "H22")
+    return lambda stacked: tuple(
+        _time_share(_log_det_rate(stacked[link], 1.0 / stacked[link].shape[1]), share)
+        if share > 0 else None
+        for link, share in zip(links, shares)
     )
+
+
+def _time_division(config, spec, grid) -> Callable:
+    return _solo_links(config, (float(spec.tau), 1.0 - float(spec.tau)))
+
+
+def _point_to_point(config, spec, grid) -> Callable:
+    # Time division at a share of 1: multiplying by 1.0 is exact.
+    return _solo_links(config, (1.0, 0.0) if spec.user == 1 else (0.0, 1.0))
 
 
 def _require(config, kind: type, message: str) -> None:
     if not isinstance(config, kind):
         raise SimulationError(message)
-
-
-def _zf_check(config, spec, grid) -> None:
-    _require(config, IcConfig, "receiver zero-forcing runs on interference configs")
-    s1, s2 = spec.streams
-    for name, s, m in (("s1", s1, config.M1), ("s2", s2, config.M2)):
-        if not isinstance(s, int) or isinstance(s, bool) or s < 0:
-            raise SimulationError(f"{name} must be a nonnegative integer")
-        if s > m:
-            raise SimulationError(f"{name}={s} exceeds the transmitter's {m} antennas")
-    total = s1 + s2
-    # A receiver that decodes nothing has nothing to zero-force.
-    if any(s > 0 and total > n for s, n in ((s1, config.N1), (s2, config.N2))):
-        raise SimulationError(
-            f"receivers need at least {total} antennas to zero-force "
-            f"{s1}+{s2} streams, have N1={config.N1}, N2={config.N2}"
-        )
 
 
 def _orthonormal_rows(rows: np.ndarray) -> list[np.ndarray]:
@@ -410,80 +387,84 @@ def _zf_user_rate(own: np.ndarray, cross: np.ndarray, s_own: int, s_int: int) ->
     return _log_det_rate(beams, 1.0 / s_own)
 
 
-def _zero_forcing(stacked, config, spec):
+def _zero_forcing(config, spec, grid) -> Callable:
     """Transmitter i sends si streams on its first si antennas at power
     P/si each; receiver i projects out the other user's streams and decodes
     its own. With s_int = 0 the projection is the identity."""
+    _require(config, IcConfig, "receiver zero-forcing runs on interference configs")
     s1, s2 = spec.streams
-    return (
+    for name, s, m in (("s1", s1, config.M1), ("s2", s2, config.M2)):
+        if not isinstance(s, int) or isinstance(s, bool) or s < 0:
+            raise SimulationError(f"{name} must be a nonnegative integer")
+        if s > m:
+            raise SimulationError(f"{name}={s} exceeds the transmitter's {m} antennas")
+    total = s1 + s2
+    # A receiver that decodes nothing has nothing to zero-force.
+    if any(s > 0 and total > n for s, n in ((s1, config.N1), (s2, config.N2))):
+        raise SimulationError(
+            f"receivers need at least {total} antennas to zero-force "
+            f"{s1}+{s2} streams, have N1={config.N1}, N2={config.N2}"
+        )
+    return lambda stacked: (
         _zf_user_rate(stacked["H11"], stacked["H12"], s1, s2),
         _zf_user_rate(stacked["H22"], stacked["H21"], s2, s1),
     )
 
 
-def _ia_beams(config: IcConfig, spec) -> int:
-    return config.M2 if spec.beams is None else spec.beams
-
-
-def _ia_check(config, spec, grid) -> None:
+def _alignment(config, spec, grid) -> Callable:
+    """User 1 sends a single stream at full power P; user 2 sends ``beams``
+    streams at P**power_exponent each. Receiver 1 treats the scaled
+    interference as noise; receiver 2 has enough antennas to decode
+    everything and is credited the joint log-det rate of its own streams."""
     _require(config, IcConfig, "the alignment scheme runs on interference configs")
     if not (config.M1 == 1 and config.N1 == 1 and config.M2 <= config.N2 - 1):
         raise SimulationError(
             "interference-alignment power scaling needs M1 = N1 = 1 and "
             f"M2 <= N2 - 1, got {config}"
         )
-    nb = _ia_beams(config, spec)
+    nb = config.M2 if spec.beams is None else spec.beams
     if not isinstance(nb, int) or isinstance(nb, bool) or nb < 0 or nb > config.M2:
         raise SimulationError(f"beams must be in [0, {config.M2}], got {spec.beams!r}")
     # Interference at P**exponent only shrinks relative to P when P > 1.
     if any(_db_to_linear(snr) <= 1.0 for snr in grid):
         raise ValueError("power scaling schemes need every grid point above 0 dB")
+    exponent = float(spec.power_exponent)
     # With P > 1, P**exponent is monotone in P, so the last point bounds it.
-    if not _within_headroom(grid[-1], float(spec.power_exponent)):
+    if not _within_headroom(grid[-1], exponent):
         raise ValueError(
             f"SNR grid point {grid[-1]} dB raised to the power exponent "
             f"{spec.power_exponent} overflows a float power with 2**64 headroom"
         )
 
+    def prepare(stacked):
+        gain = np.abs(stacked["H11"][0, 0]) ** 2
+        cross_gain = np.sum(np.abs(stacked["H12"][0, :nb]) ** 2, axis=0)
+        joint = _log_det_rate(stacked["H22"][:, :nb])
 
-def _alignment(stacked, config, spec):
-    """User 1 sends a single stream at full power P; user 2 sends ``beams``
-    streams at P**power_exponent each. Receiver 1 treats the scaled
-    interference as noise; receiver 2 has enough antennas to decode
-    everything and is credited the joint log-det rate of its own streams."""
-    nb = _ia_beams(config, spec)
-    exponent = float(spec.power_exponent)
-    gain = np.abs(stacked["H11"][0, 0]) ** 2
-    cross_gain = np.sum(np.abs(stacked["H12"][0, :nb]) ** 2, axis=0)
-    joint = _log_det_rate(stacked["H22"][:, :nb])
+        def rate1(power):
+            return np.log2(1.0 + power * gain / (1.0 + power ** exponent * cross_gain))
 
-    def rate1(power):
-        return np.log2(1.0 + power * gain / (1.0 + power ** exponent * cross_gain))
-
-    return rate1, lambda power: joint(power ** exponent)
+        return rate1, lambda power: joint(power ** exponent)
+    return prepare
 
 
-# Isotropic input: a white input at P/M per antenna over the served user's
-# own i.i.d. Gaussian n x M link, n <= M. That is point-to-point on the same
-# draws; the fixed channel [I 0] times a fresh Gaussian M x M mixing matrix
-# has the same law (Telatar, Eur. Trans. Telecomm. 10(6), 1999).
-def _iso_check(config, spec, grid) -> None:
+def _isotropic(config, spec, grid) -> Callable:
+    """A white input at P/M per antenna over the served user's own i.i.d.
+    Gaussian n x M link, n <= M. That is point-to-point on the same draws;
+    the fixed channel [I 0] times a fresh Gaussian M x M mixing matrix has
+    the same law (Telatar, Eur. Trans. Telecomm. 10(6), 1999)."""
     _require(config, BcConfig, "the isotropic input scheme runs on broadcast configs")
     if (config.N1 if spec.user == 1 else config.N2) > config.M:
         raise SimulationError("isotropic input needs the served receiver to have at most M antennas")
-
-
-class _Scheme(NamedTuple):
-    check: Callable
-    prepare: Callable
+    return _point_to_point(config, spec, grid)
 
 
 _SCHEMES = {
-    "point-to-point": _Scheme(_any_network, _point_to_point),
-    "time-division": _Scheme(_any_network, _time_division),
-    "receiver-zero-forcing": _Scheme(_zf_check, _zero_forcing),
-    "ia-power-scaling": _Scheme(_ia_check, _alignment),
-    "isotropic-bc": _Scheme(_iso_check, _point_to_point),
+    "point-to-point": _point_to_point,
+    "time-division": _time_division,
+    "receiver-zero-forcing": _zero_forcing,
+    "ia-power-scaling": _alignment,
+    "isotropic-bc": _isotropic,
 }
 
 SCHEME_KINDS = tuple(_SCHEMES)
@@ -512,7 +493,7 @@ class SchemeSpec:
             raise ValueError("tau must be in [0, 1]")
         if not math.isfinite(float(self.power_exponent)):
             raise ValueError("power_exponent must be finite")
-        if self.user not in (1, 2):
+        if not isinstance(self.user, int) or isinstance(self.user, bool) or self.user not in (1, 2):
             raise ValueError("user must be 1 or 2")
         if len(self.streams) != 2:
             raise ValueError("streams must be a pair")
@@ -533,11 +514,10 @@ def simulate_scheme(spec: SchemeSpec, config, snr_db: Sequence[float], trials: i
         raise ValueError("trials must be at least 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    scheme = _SCHEMES[spec.kind]
     grid = _validate_grid(snr_db)
-    scheme.check(config, spec, grid)
+    prepare = _SCHEMES[spec.kind](config, spec, grid)
     # The evaluators keep what they need, so the draws go once prepared.
-    rates = scheme.prepare(_stack_draws(_network_dims(config), seed, trials), config, spec)
+    rates = prepare(_stack_draws(_network_dims(config), seed, trials))
     powers = [_db_to_linear(snr) for snr in grid]
     columns = []  # rate1, stderr1, rate2, stderr2
     for rate in rates:

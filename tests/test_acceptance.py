@@ -329,6 +329,24 @@ def test_exact_window_slopes(exact_means):
         assert abs(pinned - dof) <= tol, (key, user)
 
 
+def test_stderr_coverage():
+    # rate ± 1.96·stderr must cover the exact mean in about 95% of seeded
+    # runs: 400 runs of point-to-point 2x2 at 30 dB and 200 trials each. The
+    # window is 0.95 ± 3 binomial sigma. A stderr off by √2 either way
+    # covers 0.82 or 0.99 of these runs.
+    snr, trials, runs = 30.0, 200, 400
+    p = 10.0 ** (snr / 10.0)
+    exact = exact_log2det(2, 2, p / 2)
+    spec = SchemeSpec("point-to-point", user=1)
+    covered = sum(
+        abs(trace.rate1[0] - exact) <= 1.96 * trace.stderr1[0]
+        for trace in (simulate_scheme(spec, BcConfig(2, 2, 2), (snr,), trials, seed) for seed in range(runs))
+    )
+    share, sigma = covered / runs, math.sqrt(0.95 * 0.05 / runs)
+    print(f"[acceptance] stderr coverage: {share:.4f} of {runs} runs")
+    assert abs(share - 0.95) <= 3 * sigma, share
+
+
 def test_criterion_8_achievability_atlas():
     with criterion(8, "every inner-bound vertex reached, [1,4]^4 IC and [1,4]^3 BC"):
         # A corner (d1, d2) with both users active is receiver zero-forcing

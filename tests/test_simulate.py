@@ -61,7 +61,7 @@ def kernel(spec, stacked, config, power):
     power on stacked (rows, cols, trials) draws; an unserved user's column
     reads as zeros."""
     trials = next(iter(stacked.values())).shape[-1]
-    rates = _SCHEMES[spec.kind].prepare(stacked, config, spec)
+    rates = _SCHEMES[spec.kind](config, spec, GRID)(stacked)
     return tuple(np.zeros(trials) if rate is None else rate(power) for rate in rates)
 
 
@@ -731,7 +731,7 @@ class TestTimeDivision:
         # factored; the other user's is still prepared.
         config = BcConfig(2, 1, 2)
         stacked = _stack_draws(_network_dims(config), 5, 10)
-        rates = _SCHEMES["time-division"].prepare(stacked, config, SchemeSpec("time-division", tau=tau))
+        rates = _SCHEMES["time-division"](config, SchemeSpec("time-division", tau=tau), GRID)(stacked)
         assert rates[idle] is None
         assert rates[1 - idle] is not None
 
@@ -957,6 +957,38 @@ class TestDrivers:
         with pytest.raises(SimulationError, match="at most M antennas"):
             simulate_scheme(tall, BcConfig(2, 3, 2), GRID, 10, 7)
 
+    @pytest.mark.parametrize(
+        "spec, config, grid, message",
+        [
+            (ZF, BcConfig(2, 2, 2), GRID, "runs on interference configs"),
+            (SchemeSpec("receiver-zero-forcing", streams=(-1, 1)), IcConfig(2, 1, 2, 3), GRID,
+             "s1 must be a nonnegative integer"),
+            (SchemeSpec("receiver-zero-forcing", streams=(1, 3)), IcConfig(2, 2, 2, 3), GRID,
+             "s2=3 exceeds the transmitter's 2 antennas"),
+            (SchemeSpec("receiver-zero-forcing", streams=(1, 1)), IcConfig(2, 1, 2, 1), GRID,
+             "receivers need at least 2 antennas"),
+            (IA, BcConfig(2, 2, 2), GRID, "the alignment scheme runs on interference configs"),
+            (IA, IcConfig(2, 3, 1, 4), GRID, "needs M1 = N1 = 1"),
+            (SchemeSpec("ia-power-scaling", beams=4), IcConfig(1, 3, 1, 4), GRID, r"beams must be in \[0, 3\]"),
+            (IA, IcConfig(1, 3, 1, 4), (0.0, 10.0), "above 0 dB"),
+            (SchemeSpec("ia-power-scaling", power_exponent=2.0), IcConfig(1, 3, 1, 4), (10.0, 1500.0),
+             "raised to the power exponent"),
+            (SchemeSpec("isotropic-bc"), IcConfig(2, 1, 2, 1), GRID, "runs on broadcast configs"),
+            (SchemeSpec("isotropic-bc", user=2), BcConfig(2, 1, 3), GRID, "at most M antennas"),
+        ],
+        ids=[
+            "zf-on-bc", "zf-negative-s1", "zf-s2-over-M2", "zf-short-receiver",
+            "ia-on-bc", "ia-shape", "ia-beams", "ia-0dB", "ia-exponent-overflow",
+            "iso-on-ic", "iso-tall-receiver",
+        ],
+    )
+    def test_every_refusal_comes_before_any_draw(self, spec, config, grid, message, monkeypatch):
+        # Each kind's function checks the fit before it returns the prepare
+        # step, and the driver calls it before drawing.
+        monkeypatch.setattr(simulate, "_stack_draws", lambda *args: pytest.fail("trials drawn"))
+        with pytest.raises(ValueError, match=message):
+            simulate_scheme(spec, config, grid, 10, 7)
+
     def test_scheme_spec_validation(self):
         with pytest.raises(ValueError, match="unknown scheme kind"):
             SchemeSpec(kind="magic")
@@ -964,6 +996,11 @@ class TestDrivers:
             SchemeSpec(kind="time-division", tau=2.0)
         with pytest.raises(ValueError, match="user must be 1 or 2"):
             SchemeSpec(kind="point-to-point", user=3)
+        # 2.0 == 2 and True == 1, but neither is a user index.
+        with pytest.raises(ValueError, match="user must be 1 or 2"):
+            SchemeSpec(kind="point-to-point", user=2.0)
+        with pytest.raises(ValueError, match="user must be 1 or 2"):
+            SchemeSpec(kind="isotropic-bc", user=True)
 
     def test_db_to_linear(self):
         assert _db_to_linear(0.0) == 1.0
