@@ -1,23 +1,22 @@
 """Monte Carlo rate simulation for two-user MIMO fading networks.
 
 Channels are i.i.d. circularly symmetric complex Gaussian with unit entry
-variance, redrawn per trial. Reproducibility contract: trials are grouped in
-fixed blocks of ``BLOCK``, block b owns the substream
-``default_rng([seed, b])`` and fills its trials row by row in a fixed link
-order, and per-SNR averages are exactly rounded sums, which do not depend on
-the order of accumulation. A trial's draws do not depend on the trial count.
-Stacks are trials-last: a link is a (rows, cols, trials) view of one
-(entries, trials) buffer, so every kernel reduces over leading axes and adds
-contiguous rows of trials. The layout does not touch the random stream; the
-draws are the same values as when trials came first.
+variance, redrawn per trial. Reproducibility contract: each link has its own
+substreams; trials are grouped in fixed blocks of ``BLOCK``, block b of link
+ℓ owns ``SFC64([seed, ℓ, b])`` and fills its trials row by row, and per-SNR
+averages are exactly rounded sums, which do not depend on the order of
+accumulation. A trial's draws do not depend on the trial count, and a link's
+draws do not depend on which other links are drawn. Stacks are trials-last:
+each link is a (rows, cols, trials) array, so every kernel reduces over
+leading axes and adds contiguous rows of trials.
 
 Each scheme is one function in a table keyed by ``SchemeSpec.kind``: it
 raises if the scheme does not fit the configuration, spec and grid, and
 returns a prepare step that maps the stacked draws to one per-point rate
 evaluator per user. ``simulate_scheme`` is the single driver. It checks the
-trial count, the seed, the grid and the scheme before any draw, draws every
-link of the network once per trial and prepares once, so every scheme on a
-configuration sees the same channel realizations. Each served user's rates
+trial count, the seed, the grid and the scheme before any draw, and
+prepares once; a link is drawn only if the prepare step reads it, so every
+scheme that reads a link sees the same draws of it. Each served user's rates
 at every SNR point then form one (points, trials) array, and all its rows
 are reduced at once by error-free extraction (``_exact_row_sums``).
 
@@ -273,50 +272,62 @@ def trace_from_csv(text: str, seed: int = 0) -> RateTrace:
     return RateTrace(*(tuple(col) for col in columns), trials=trials, seed=seed)
 
 
-def _stack_draws(dims: Mapping[str, tuple[int, int]], seed: int, trials: int) -> dict[str, np.ndarray]:
-    """Draw every trial as stacked (rows, cols, trials) arrays, trials last.
+# Every link name in a fixed order; a link's index keys its substreams.
+_LINKS = ("H1", "H2", "H11", "H12", "H21", "H22")
 
-    Entries are CN(0, 1): independent real and imaginary parts of variance
-    one half each. Trials come in blocks of ``BLOCK``; block b draws its
-    trials with one ``standard_normal`` call of shape (n_b, K, 2) on
-    ``default_rng([seed, b])``, where K counts the entries of all links.
-    Each trial's row holds its links in the mapping's iteration order, each
-    entry a (real, imaginary) pair. The fill is row-major, so a trial's
-    values do not depend on the trial count. The random stream is the same
-    as when trials came first: each block is drawn into one reused
-    (n_b, K) scratch and written, transposed and scaled by 1/√2, into its
-    columns of a single (K, trials) buffer. Every link is a view into it.
+
+class _Draws(Mapping):
+    """Read-only stacked draws keyed by link; a link is drawn when first read."""
+
+    def __init__(self, dims: Mapping[str, tuple[int, int]], seed: int, trials: int) -> None:
+        self._keys = {link: (seed, _LINKS.index(link)) for link in dims}  # ValueError if unknown
+        self._dims, self._trials, self._drawn = dims, trials, {}
+
+    def __iter__(self):
+        return iter(self._dims)
+
+    def __len__(self) -> int:
+        return len(self._dims)
+
+    def __getitem__(self, link: str) -> np.ndarray:
+        if link not in self._drawn:
+            (rows, cols), trials = self._dims[link], self._trials
+            buf = np.empty((rows * cols, trials), dtype=complex)
+            scratch = np.empty((min(BLOCK, trials), rows * cols), dtype=complex)
+            for block in range(-(-trials // BLOCK)):
+                part = buf[:, block * BLOCK:(block + 1) * BLOCK]
+                drawn = scratch[:part.shape[1]]
+                rng = np.random.Generator(np.random.SFC64([*self._keys[link], block]))
+                rng.standard_normal(out=drawn.view(float).reshape(len(drawn), rows * cols, 2))
+                # Multiplying by fl(1/√2) is what numpy's complex division by √2 does.
+                np.multiply(drawn.T, 1.0 / math.sqrt(2.0), out=part)
+            self._drawn[link] = buf.reshape(rows, cols, trials)
+        return self._drawn[link]
+
+
+def _stack_draws(dims: Mapping[str, tuple[int, int]], seed: int, trials: int) -> Mapping[str, np.ndarray]:
+    """Stacked (rows, cols, trials) draws of the links in ``dims``, as a
+    read-only mapping whose keys are exactly ``dims``. A link is drawn once,
+    when first read, into its own buffer. Entries are CN(0, 1): block b of
+    link ℓ is one ``standard_normal`` call of shape (n_b, rows·cols, 2) on
+    ``Generator(SFC64([seed, ℓ, b]))``, ℓ the link's index in ``_LINKS``,
+    read as (real, imaginary) pairs and filled row-major, one trial after
+    another; it is transposed into the buffer and scaled by 1/√2.
     """
-    entries = sum(rows * cols for rows, cols in dims.values())
-    buf = np.empty((entries, trials), dtype=complex)
-    scratch = np.empty((min(BLOCK, trials), entries), dtype=complex)
-    for block in range(-(-trials // BLOCK)):
-        part = buf[:, block * BLOCK:(block + 1) * BLOCK]
-        drawn = scratch[:part.shape[1]]
-        pairs = drawn.view(float).reshape(len(drawn), entries, 2)
-        np.random.default_rng([seed, block]).standard_normal(out=pairs)
-        # Multiplying by fl(1/√2) is what numpy's complex division by √2 does.
-        np.multiply(drawn.T, 1.0 / math.sqrt(2.0), out=part)
-    stacked, start = {}, 0
-    for name, (rows, cols) in dims.items():
-        stacked[name] = buf[start:start + rows * cols].reshape(rows, cols, trials)
-        start += rows * cols
-    return stacked
+    return _Draws(dims, seed, trials)
 
 
 # --- scheme table ----------------------------------------------------------
 # An entry is scheme(config, spec, grid) -> prepare. It raises before any
-# draw if the scheme does not fit. prepare(stacked), run once per run, maps
-# the stacked draws to one evaluator per user, which maps one linear power to
-# that user's per-trial rates (None if unserved). Point-to-point is time
-# division at a share of 1, and isotropic input is point-to-point.
+# draw if the scheme does not fit. prepare(stacked), run once per run, maps the
+# links it reads (only those are drawn) to one evaluator per user, which maps a
+# linear power to that user's per-trial rates (None if unserved). Point-to-point
+# is time division at a share of 1, and isotropic input is point-to-point.
 
 
 def _network_dims(config) -> dict[str, tuple[int, int]]:
-    """Every link of the network, in canonical draw order. Hji is the
-    interference link from transmitter i to receiver j, of shape Nj x Mi."""
-    # The whole network is drawn even when one link is used, so every
-    # scheme on a configuration sees the same channel realizations.
+    """The shape of every link of the network. Hji is the interference
+    link from transmitter i to receiver j, of shape Nj x Mi."""
     if isinstance(config, BcConfig):
         return {"H1": (config.N1, config.M), "H2": (config.N2, config.M)}
     if isinstance(config, IcConfig):
@@ -375,12 +386,10 @@ def _orthonormal_rows(rows: np.ndarray) -> list[np.ndarray]:
     return basis
 
 
-def _zf_user_rate(own: np.ndarray, cross: np.ndarray, s_own: int, s_int: int) -> Optional[Callable]:
+def _zf_user_rate(own: np.ndarray, cross: np.ndarray, s_own: int, s_int: int) -> Callable:
     # own (N, M_own, trials), cross (N, M_int, trials). Own beams projected off the
     # first s_int interfering ones in C^N have the Gram of their orthocomplement
     # coordinates.
-    if s_own == 0:
-        return None
     beams = own[:, :s_own].swapaxes(0, 1)
     for q in _orthonormal_rows(cross[:, :s_int].swapaxes(0, 1)):
         beams = _reject(beams, q, 1.0)
@@ -405,9 +414,10 @@ def _zero_forcing(config, spec, grid) -> Callable:
             f"receivers need at least {total} antennas to zero-force "
             f"{s1}+{s2} streams, have N1={config.N1}, N2={config.N2}"
         )
+    # A silent user is not served, and its links are not read.
     return lambda stacked: (
-        _zf_user_rate(stacked["H11"], stacked["H12"], s1, s2),
-        _zf_user_rate(stacked["H22"], stacked["H21"], s2, s1),
+        _zf_user_rate(stacked["H11"], stacked["H12"], s1, s2) if s1 > 0 else None,
+        _zf_user_rate(stacked["H22"], stacked["H21"], s2, s1) if s2 > 0 else None,
     )
 
 
@@ -489,9 +499,12 @@ class SchemeSpec:
     def __post_init__(self) -> None:
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if not 0.0 <= float(self.tau) <= 1.0:
+        for name, value in (("tau", self.tau), ("power_exponent", self.power_exponent)):
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must be in [0, 1]")
-        if not math.isfinite(float(self.power_exponent)):
+        if not math.isfinite(self.power_exponent):
             raise ValueError("power_exponent must be finite")
         if not isinstance(self.user, int) or isinstance(self.user, bool) or self.user not in (1, 2):
             raise ValueError("user must be 1 or 2")
@@ -506,9 +519,9 @@ def simulate_scheme(spec: SchemeSpec, config, snr_db: Sequence[float], trials: i
     """Run one scheme on one network configuration.
 
     The trial count, the seed, the grid and the scheme's fit to the
-    configuration are checked before any draw. Every trial is drawn and
-    prepared once, and every SNR point reuses what was prepared. Each served
-    user's (points, trials) rates are reduced in one batch.
+    configuration are checked before any draw. Each link the scheme reads is
+    drawn and prepared once, every SNR point reuses what was prepared, and
+    each served user's (points, trials) rates are reduced in one batch.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

@@ -42,6 +42,9 @@ from mimodof.simulate import (
 
 GRID = (10.0, 20.0, 30.0)
 
+# Every link name; a link's index here keys its random substreams.
+LINK_ORDER = ("H1", "H2", "H11", "H12", "H21", "H22")
+
 P2P = SchemeSpec("point-to-point")
 ZF = SchemeSpec("receiver-zero-forcing", streams=(1, 1))
 IA = SchemeSpec("ia-power-scaling")
@@ -217,36 +220,68 @@ class TestDraws:
             assert np.array_equal(short[link], long[link][..., : BLOCK + 4])
 
     def test_blocks_follow_reference_stream(self):
-        # Block b is one standard_normal((n_b, K, 2)) call on
-        # default_rng([seed, b]), read as complex pairs, scaled by 1/sqrt(2)
-        # and cut into links in draw order; the last block is partial. Each
-        # link holds the same values with the trial axis moved last.
+        # Block b of link l is one standard_normal((n_b, rows * cols, 2)) call
+        # on Generator(SFC64([seed, l, b])), l the link's index in the fixed
+        # link order, read as complex pairs and scaled by 1/sqrt(2); the last
+        # block is partial. Each link holds the same values with the trial
+        # axis moved last.
         dims = _network_dims(IcConfig(2, 1, 2, 3))
         trials = 2 * BLOCK + 7
-        entries = sum(rows * cols for rows, cols in dims.values())
-        blocks = []
-        for b in range(3):
-            normals = np.random.default_rng([7, b]).standard_normal((min(BLOCK, trials - b * BLOCK), entries, 2))
-            blocks.append(normals.view(complex)[..., 0] / math.sqrt(2.0))
-        values = np.concatenate(blocks)
         stacked = _stack_draws(dims, 7, trials)
-        start = 0
         for link, (rows, cols) in dims.items():
-            expected = values[:, start:start + rows * cols].reshape(trials, rows, cols)
+            blocks = []
+            for b in range(3):
+                rng = np.random.Generator(np.random.SFC64([7, LINK_ORDER.index(link), b]))
+                normals = rng.standard_normal((min(BLOCK, trials - b * BLOCK), rows * cols, 2))
+                blocks.append(normals.view(complex)[..., 0] / math.sqrt(2.0))
+            expected = np.concatenate(blocks).reshape(trials, rows, cols)
             assert np.array_equal(stacked[link], np.moveaxis(expected, 0, -1))
-            start += rows * cols
+
+    @pytest.mark.parametrize("config", [BcConfig(4, 2, 3), IcConfig(2, 1, 2, 3)], ids=["bc", "ic"])
+    def test_link_draws_do_not_depend_on_other_links(self, config):
+        # A link's draws depend only on (seed, link, block): drawn alone, in
+        # either order, or with the whole network, they are the same bits.
+        dims = _network_dims(config)
+        trials = 2 * BLOCK + 7
+        forwards = _stack_draws(dims, 7, trials)
+        whole = {link: forwards[link] for link in dims}
+        backwards = _stack_draws(dims, 7, trials)
+        for link in reversed(list(dims)):
+            assert np.array_equal(backwards[link], whole[link])
+        for link, shape in dims.items():
+            assert np.array_equal(_stack_draws({link: shape}, 7, trials)[link], whole[link])
+
+    def test_draws_are_a_lazy_read_only_mapping(self, monkeypatch):
+        # The keys are exactly the links asked for; nothing is drawn until a
+        # link is read, and a link read twice is drawn once.
+        dims = _network_dims(BcConfig(4, 2, 3))
+        seeds = []
+        sfc64 = np.random.SFC64
+        monkeypatch.setattr(np.random, "SFC64", lambda seed: seeds.append(seed) or sfc64(seed))
+        stacked = _stack_draws(dims, 7, 10)
+        assert list(stacked) == ["H1", "H2"] and len(stacked) == 2 and seeds == []
+        assert stacked["H2"] is stacked["H2"]
+        assert seeds == [[7, 1, 0]]
+        with pytest.raises(TypeError):
+            stacked["H1"] = stacked["H2"]
+        with pytest.raises(KeyError):
+            stacked["H11"]
+        with pytest.raises(ValueError):
+            _stack_draws({"H3": (1, 1)}, 7, 10)
 
     def test_peak_memory_is_one_buffer(self):
-        # The draws live in one (K, trials) buffer; each block passes through
-        # a block-sized scratch. Transposing a whole trials-first buffer
-        # instead would double the peak.
+        # Every link is read: the draws live in one (entries, trials) buffer
+        # per link, and each block passes through a block-sized scratch.
+        # Transposing a whole trials-first buffer instead would double the
+        # peak.
         dims = _network_dims(IcConfig(1, 3, 1, 4))
         trials = 10_000
         entries = sum(rows * cols for rows, cols in dims.values())
-        _stack_draws(dims, 7, 1)  # numpy sets up its generator state once per process
+        _stack_draws(dims, 7, 1)["H11"]  # numpy sets up its generator state once per process
         tracemalloc.start()
         try:
-            _stack_draws(dims, 7, trials)
+            stacked = _stack_draws(dims, 7, trials)
+            assert sum(stacked[link].size for link in dims) == entries * trials
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -269,7 +304,7 @@ class TestDraws:
         # 1e5 independent scalar draws: mean, variance and the real/imag
         # correlation all sit within 3 sigma of their estimators.
         n = 100_000
-        values = _stack_draws({"H": (1, 1)}, 123, n)["H"][0, 0]
+        values = _stack_draws({"H1": (1, 1)}, 123, n)["H1"][0, 0]
         assert abs(values.mean()) < 3.0 * math.sqrt(1.0 / n)
         var = np.mean(np.abs(values) ** 2)
         assert 0.99 < var < 1.01
@@ -357,8 +392,8 @@ class TestExactRowSums:
     def test_rates_and_squared_deviations(self):
         # Rates and squared deviations spanning 10^-3 to 10^7 SNR, as the
         # driver hands them over.
-        stacked = _stack_draws({"H": (2, 2)}, 3, 4000)
-        rate = _log_det_rate(stacked["H"], 0.5)
+        stacked = _stack_draws({"H1": (2, 2)}, 3, 4000)
+        rate = _log_det_rate(stacked["H1"], 0.5)
         values = np.stack([rate(_db_to_linear(snr)) for snr in range(-30, 71, 10)])
         deviations = (values - np.array(fsum_rows(values))[:, None] / values.shape[1]) ** 2
         for rows in (values, deviations, values[:, :2], values[:, :1]):
@@ -740,12 +775,13 @@ class TestCappedContrast:
     # sha256 of trace_to_csv(capped_tdm_trace(...)) at 2*BLOCK + 7 trials,
     # seed 7, recorded from the two-run form: solo point-to-point traces on
     # the nominal and the half-dB grid, joined at tau = 1/2 after reduction.
-    # The second grid's half-dB points 10 and 20 lie on it.
+    # The second grid's half-dB points 10 and 20 lie on it. Re-recorded when
+    # each link moved to its own SFC64 substreams.
     BATTERY_GRID = (30.0, 40.0, 50.0, 60.0, 70.0)
     GOLDEN = [
-        (BcConfig(4, 2, 3), BATTERY_GRID, "c52f5617b8a84776854fcf231dee124f95e53a10b68f8a6d687a7c889629af8e"),
-        (IcConfig(1, 3, 1, 4), BATTERY_GRID, "70850f43eb82ac3de8f745a131aeb6e68277f577c4a35c1991cd9b25c20b4bc1"),
-        (BcConfig(4, 2, 3), (10.0, 20.0, 30.0, 40.0), "86fc8c387b30c4fd0eaba2f2899b99649b96971c89094b41b1366c8ae2b04103"),
+        (BcConfig(4, 2, 3), BATTERY_GRID, "90521d4ccdd10b48dceb86e5e889c6a9cc83baf99bbfe5df41e60db1c4447a4f"),
+        (IcConfig(1, 3, 1, 4), BATTERY_GRID, "efcb8de61b861b2aeb28cef86cc1a6da8bbb5a8f3159984f7f7c15dcd4b701fb"),
+        (BcConfig(4, 2, 3), (10.0, 20.0, 30.0, 40.0), "fca728e9250e764651f709ff05b0dc8a0a729c72fde44ed345c339ca3f01c912"),
     ]
     IDS = ["bc-423", "ic-1314", "bc-423-overlap"]
 
@@ -888,13 +924,14 @@ class TestDrivers:
     # re-recorded once it scaled per-trial rates by tau = 0.3 before the
     # reduction, within 3.4e-16 relative of the reduced-then-scaled trace.
     # Isotropic input's was re-recorded once it became point-to-point on the
-    # served user's link; it is that user's point-to-point trace.
+    # served user's link; it is that user's point-to-point trace. All five
+    # were re-recorded when each link moved to its own SFC64 substreams.
     ACROSS_BLOCKS = {
-        "point-to-point": "3d1b4b1b281474e1ec5fec59d3e477d0e2604e4bf1e4e38c5bee38a0e1400408",
-        "time-division": "b1e9f9b79c83cf41b93b76b625c6af36fcbb1350882574882f32dac792ed7500",
-        "receiver-zero-forcing": "5b0f5c7edd56b68bbebf0b26aa91df730d19be818f6424491a07b94c0d53249b",
-        "ia-power-scaling": "03acdbb7760357d65c085656076c8f00b1a8c068375b93541530054ddf6f98e1",
-        "isotropic-bc": "598b77b9e334297235eeea73ae55a74c40069601b3e7af57a39fb6d2b5bfc4f6",
+        "point-to-point": "df4a2f889cfdccdb7725306383c20c51bc02a619862546020eb36964193470ae",
+        "time-division": "9ab348291fd6aa4103f77c0e213e0ab323e5ea25613231395c715ab05634e509",
+        "receiver-zero-forcing": "ff93080157d074eb51636b3462c2b7abefd11f571cae629f36e56ea7727c4de5",
+        "ia-power-scaling": "cb89f283021b40270b6e58852ea3fad1a5d2778629e369c1d693049796a869ad",
+        "isotropic-bc": "ff794e2132c47c09f8d204eb29b8192e03e374e89affdd0ff0b6102dcf1ea4c1",
     }
 
     @pytest.mark.parametrize("spec, config", ONE_OF_EACH, ids=[s.kind for s, _ in ONE_OF_EACH])
@@ -989,6 +1026,30 @@ class TestDrivers:
         with pytest.raises(ValueError, match=message):
             simulate_scheme(spec, config, grid, 10, 7)
 
+    @pytest.mark.parametrize(
+        "spec, config, links",
+        [
+            (P2P, BcConfig(4, 2, 3), ["H1"]),
+            (SchemeSpec("point-to-point", user=2), IcConfig(3, 2, 2, 4), ["H22"]),
+            (SchemeSpec("isotropic-bc", user=2), BcConfig(4, 2, 3), ["H2"]),
+            (SchemeSpec("time-division", tau=1.0), BcConfig(4, 2, 3), ["H1"]),
+            (SchemeSpec("time-division", tau=0.0), BcConfig(4, 2, 3), ["H2"]),
+            (SchemeSpec("time-division", tau=0.3), IcConfig(2, 3, 2, 3), ["H11", "H22"]),
+            (IA, IcConfig(1, 3, 1, 4), ["H11", "H12", "H22"]),
+            (ZF, IcConfig(2, 1, 2, 3), ["H11", "H12", "H21", "H22"]),
+            (SchemeSpec("receiver-zero-forcing", streams=(0, 2)), IcConfig(1, 2, 1, 2), ["H21", "H22"]),
+        ],
+        ids=["p2p", "p2p-user2", "iso-user2", "tdm-tau1", "tdm-tau0", "tdm-tau0.3", "ia", "zf-1-1", "zf-0-2"],
+    )
+    def test_draws_only_the_links_the_scheme_reads(self, spec, config, links, monkeypatch):
+        # Each link the scheme reads is drawn once, one substream per block
+        # over three blocks; no other link is drawn.
+        drawn = []
+        sfc64 = np.random.SFC64
+        monkeypatch.setattr(np.random, "SFC64", lambda seed: drawn.append(seed[1]) or sfc64(seed))
+        simulate_scheme(spec, config, GRID, 2 * BLOCK + 7, 7)
+        assert sorted(drawn) == [LINK_ORDER.index(link) for link in links for _ in range(3)]
+
     def test_scheme_spec_validation(self):
         with pytest.raises(ValueError, match="unknown scheme kind"):
             SchemeSpec(kind="magic")
@@ -1001,6 +1062,13 @@ class TestDrivers:
             SchemeSpec(kind="point-to-point", user=2.0)
         with pytest.raises(ValueError, match="user must be 1 or 2"):
             SchemeSpec(kind="isotropic-bc", user=True)
+        # A numeric string or a bool is not a real parameter either.
+        for value in ("0.5", True, None):
+            with pytest.raises(ValueError, match="tau must be a real number"):
+                SchemeSpec(kind="time-division", tau=value)
+            with pytest.raises(ValueError, match="power_exponent must be a real number"):
+                SchemeSpec(kind="ia-power-scaling", power_exponent=value)
+        assert SchemeSpec(kind="time-division", tau=1).to_dict()["tau"] == 1
 
     def test_db_to_linear(self):
         assert _db_to_linear(0.0) == 1.0
