@@ -22,10 +22,12 @@ are reduced at once by error-free extraction (``_exact_row_sums``).
 
 Rates are log-det mutual informations in bits. Only the power changes
 between SNR points, so each trial's Gram eigenvalues λ are taken once per
-run: for Gram sides up to 3 in closed form from Gram-Schmidt residuals, with
-no Gram matrix and no LAPACK call, and for larger sides as squared singular
-values. Zero-forcing projects by Gram-Schmidt as well. Each point costs
-Σ log2(1 + c·p·λ) for the link's power share c.
+run, over fixed slices of ``SLICE`` trials that bound the working memory; a
+trial's λ does not depend on the slices. For Gram sides up to 3 they come in
+closed form from Gram-Schmidt residuals, with no Gram matrix and no LAPACK
+call, and for larger sides as squared singular values. Zero-forcing projects
+by Gram-Schmidt as well. Each point costs τ·Σ log2(1 + c·p·λ) for the link's
+power share c and time share τ.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
 # Trials per random substream. Fixed, so that a trial's draws depend only on
 # the seed and the trial's index.
 BLOCK = 1024
+SLICE = 2 * BLOCK  # trials per slice of a Gram spectrum: it bounds memory, not values
 
 CSV_HEADER = "snr_db,rate1,stderr1,rate2,stderr2,trials"
 
@@ -69,11 +72,13 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _sq_norm(x: np.ndarray) -> np.ndarray:
-    return np.sum(x.real**2 + x.imag**2, axis=-2)  # ‖x‖² per trial, with no conjugate copy
+    squares = x.view(float) ** 2  # (re², im²) pairs: trials must be contiguous
+    return np.add(squares[..., ::2], squares[..., 1::2]).sum(axis=-2)
 
 
 def _reject(x: np.ndarray, u: np.ndarray, uu) -> np.ndarray:  # x less its part along u; uu = ‖u‖²
-    return x - (_inner(u, x) / np.where(uu > 0, uu, 1.0))[..., None, :] * u
+    part = (_inner(u, x) / np.where(uu > 0, uu, 1.0))[..., None, :] * u
+    return np.subtract(x, part, out=part)
 
 
 def _largest_root(e1: np.ndarray, e2: np.ndarray, e3: np.ndarray) -> np.ndarray:
@@ -97,6 +102,17 @@ def _gram_spectrum(channels: np.ndarray) -> np.ndarray:
     All are sums and products of squares, so λ >= 0 and keep cond(H), not its
     square; near a repeated λ, only the symmetric functions of λ that make up
     a rate keep every digit. n >= 4: squared singular values."""
+    rows, cols, trials = channels.shape
+    if channels.strides[-1] != channels.itemsize:
+        channels = np.ascontiguousarray(channels)  # _sq_norm reads trials as contiguous pairs
+    lam = np.empty((min(rows, cols), trials))
+    for start in range(0, trials, SLICE):
+        lam[:, start:start + SLICE] = _slice_spectrum(channels[..., start:start + SLICE])
+    return lam
+
+
+def _slice_spectrum(channels: np.ndarray) -> np.ndarray:
+    # _gram_spectrum of a (rows, cols, trials) slice.
     rows, cols = channels.shape[:2]
     side = min(rows, cols)
     if side > 3:
@@ -107,16 +123,16 @@ def _gram_spectrum(channels: np.ndarray) -> np.ndarray:
     # One vector at a time: each (N, trials) operand stays in cache.
     u, v = vectors[0], vectors[1]
     a, c, uv = _sq_norm(u), _sq_norm(v), _inner(u, v)
-    v_u = v - (uv / np.where(a > 0, a, 1.0)) * u  # _reject(v, u, a), reusing ⟨u, v⟩
-    vv_u = _sq_norm(v_u)
+    v_u = (uv / np.where(a > 0, a, 1.0)) * u  # _reject(v, u, a), reusing ⟨u, v⟩
+    vv_u = _sq_norm(np.subtract(v, v_u, out=v_u))
     if side == 2:
         top = 0.5 * (a + c) + np.hypot(0.5 * (a - c), np.abs(uv))
         return np.stack([a * vv_u / np.where(top > 0, top, 1.0), top])
     w = vectors[2]
-    w_u, w_v = _reject(w, u, a), _reject(w, v, c)
-    w_uv = _reject(w_u, v_u, vv_u)
-    e2 = a * (vv_u + _sq_norm(w_u)) + c * _sq_norm(w_v)
-    e3 = a * vv_u * _sq_norm(w_uv)
+    ww_v = _sq_norm(_reject(w, v, c))  # before w_u, so one fewer residual is alive at once
+    w_u = _reject(w, u, a)
+    e2 = a * (vv_u + _sq_norm(w_u)) + c * ww_v
+    e3 = a * vv_u * _sq_norm(_reject(w_u, v_u, vv_u))
     top = _largest_root(a + c + _sq_norm(w), e2, e3)
     top_or_1 = np.where(top > 0, top, 1.0)  # top = 0, on either side, only for H = 0
     product = e3 / top_or_1
@@ -125,12 +141,17 @@ def _gram_spectrum(channels: np.ndarray) -> np.ndarray:
     return np.stack([product / np.where(mid > 0, mid, 1.0), mid, top])
 
 
-def _log_det_rate(channels: np.ndarray, share: float = 1.0) -> Callable[[float], np.ndarray]:
-    """Per-point evaluator of log2 det(I + share * p * H H*) for stacked
-    (rows, cols, trials) channels H: Σ log2(1 + share * p * λ) over the λ of
-    ``_gram_spectrum``."""
+def _log_det_rate(channels: np.ndarray, share: float = 1.0, time: float = 1.0) -> Callable:
+    """Per-point evaluator of time * log2 det(I + share * p * H H*) for stacked
+    (rows, cols, trials) channels H: time * Σ log2(1 + share * p * λ) over the
+    λ of ``_gram_spectrum``, in place on one fresh (n, trials) array."""
     lam = _gram_spectrum(channels)
-    return lambda power: np.sum(np.log2(1.0 + (share * power) * lam), axis=0)
+
+    def rate(power):
+        terms = np.multiply(lam, share * power)
+        rates = np.log2(np.add(terms, 1.0, out=terms), out=terms).sum(axis=0)
+        return np.multiply(rates, time, out=rates)  # exact at time = 1
+    return rate
 
 
 def _exact_row_sums(values: np.ndarray) -> list[float]:
@@ -147,20 +168,23 @@ def _exact_row_sums(values: np.ndarray) -> list[float]:
     Non-finite input, or input so large that σ overflows, raises
     ``SimulationError``.
     """
-    rest = np.array(values, dtype=float)  # a copy: the passes consume it
+    return _consume_row_sums(np.array(values, dtype=float))  # a copy: the passes consume it
+
+
+def _consume_row_sums(rest: np.ndarray) -> list[float]:
     headroom = (rest.shape[1] - 1).bit_length() + 1  # 2**headroom >= 2n
-    top = float(np.max(np.abs(rest), initial=0.0))
+    q, partials = np.empty_like(rest), []  # q is also where |rest| goes
+    top = float(np.abs(rest, out=q).max(initial=0.0))
     # Also false for nan; below this bound σ cannot overflow.
     if not top < 2.0 ** (1023 - headroom):
         raise SimulationError("rates to reduce are not finite or too large to sum exactly")
-    partials = []
     while True:
         sigma = math.ldexp(1.0, math.frexp(top)[1] + headroom)
-        q = rest + sigma
+        np.add(rest, sigma, out=q)
         q -= sigma
         rest -= q
         partials.append(q.sum(axis=1).tolist())
-        top = float(np.max(np.abs(rest), initial=0.0))
+        top = float(np.abs(rest, out=q).max(initial=0.0))
         if top == 0.0:
             return [math.fsum(row) for row in zip(*partials)]
 
@@ -174,7 +198,7 @@ def _mean_stderr(values: np.ndarray) -> tuple[list[float], list[float]]:
         return means, [0.0] * len(means)
     deviations = values - np.array(means)[:, None]
     deviations **= 2
-    var = [total / (count - 1) for total in _exact_row_sums(deviations)]
+    var = [total / (count - 1) for total in _consume_row_sums(deviations)]
     return means, [math.sqrt(v / count) for v in var]
 
 
@@ -338,14 +362,6 @@ def _network_dims(config) -> dict[str, tuple[int, int]]:
     raise TypeError(f"expected BcConfig or IcConfig, got {type(config).__name__}")
 
 
-def _time_share(rate: Callable, share: float) -> Callable:
-    def shared(power):
-        rates = rate(power)
-        rates *= share  # in place: the solo evaluator returns a fresh array
-        return rates
-    return shared
-
-
 def _solo_links(config, shares: tuple[float, float]) -> Callable:
     """User u holds its direct link a fraction shares[u - 1] of the time at
     full power P, P/m over its m transmit antennas, so the link's per-trial
@@ -353,8 +369,7 @@ def _solo_links(config, shares: tuple[float, float]) -> Callable:
     link is not factored."""
     links = ("H1", "H2") if isinstance(config, BcConfig) else ("H11", "H22")
     return lambda stacked: tuple(
-        _time_share(_log_det_rate(stacked[link], 1.0 / stacked[link].shape[1]), share)
-        if share > 0 else None
+        _log_det_rate(stacked[link], 1.0 / stacked[link].shape[1], share) if share > 0 else None
         for link, share in zip(links, shares)
     )
 
@@ -539,5 +554,8 @@ def simulate_scheme(spec: SchemeSpec, config, snr_db: Sequence[float], trials: i
             columns += [(0.0,) * len(grid)] * 2
         else:
             # One user at a time keeps the arrays in cache and peak memory flat.
-            columns += _mean_stderr(np.stack([rate(power) for power in powers]))
+            values = np.empty((len(powers), trials))
+            for row, power in zip(values, powers):
+                row[:] = rate(power)
+            columns += _mean_stderr(values)
     return RateTrace(grid, *columns, trials=trials, seed=seed)

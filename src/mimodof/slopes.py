@@ -93,19 +93,21 @@ def fit_slope(trace: RateTrace, window: int = DEFAULT_WINDOW) -> SlopeEstimate:
 
 def check_window(window: int, points: int) -> int:
     """How many of ``points`` grid points a fit over ``window`` uses; raises
-    ValueError when that is fewer than three."""
-    count = min(int(window), points)
+    ValueError when that is fewer than three or ``window`` is not an int."""
+    if isinstance(window, bool) or not isinstance(window, int):
+        raise ValueError(f"window must be an integer, got {window!r}")
+    count = min(window, points)
     if count < 3:
         raise ValueError(f"need at least 3 points to fit a slope, window holds {count}")
     return count
 
 
 def check_tol(tol: float) -> float:
-    """``tol`` as a float; raises ValueError unless it is positive and finite."""
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    return tol
+    """``tol`` as a float; raises ValueError unless it is a positive, finite
+    int or float (not a bool)."""
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    return float(tol)
 
 
 def verify_point(estimate: SlopeEstimate, region: DofRegion, tol: float = DEFAULT_TOL) -> str:

@@ -28,6 +28,7 @@ from mimodof import cli, simulate
 from mimodof.simulate import (
     BLOCK,
     SCHEME_KINDS,
+    SLICE,
     _SCHEMES,
     _db_to_linear,
     _exact_row_sums,
@@ -36,6 +37,7 @@ from mimodof.simulate import (
     _mean_stderr,
     _network_dims,
     _orthonormal_rows,
+    _sq_norm,
     _stack_draws,
     _zf_user_rate,
 )
@@ -616,6 +618,59 @@ class TestSpectralKernels:
                 for h, rate in zip(trials_first(channels), rates):
                     want = exact_log2det(h, power / cols)
                     assert abs(rate - want) <= 1e-14 * want
+
+    # Gram sides 1 to 4, each with trials taken on both the short and the
+    # long side.
+    SPECTRUM_SHAPES = [(1, 3), (3, 1), (2, 3), (3, 2), (3, 4), (4, 3), (4, 5), (5, 4)]
+
+    @pytest.mark.parametrize("shape", SPECTRUM_SHAPES, ids=[f"{r}x{c}" for r, c in SPECTRUM_SHAPES])
+    def test_slices_change_no_bits(self, shape):
+        # λ is filled SLICE trials at a time. Spectra of uneven trial splits,
+        # whose slices start at other trials, concatenate to the same bits,
+        # and so does a stack whose trials axis is not contiguous.
+        trials = 2 * SLICE + 7
+        channels = _stack_draws({"H1": shape}, 7, trials)["H1"]
+        whole = _gram_spectrum(channels)
+        assert whole.shape == (min(shape), trials)
+        for cuts in ((0, 1, 700, SLICE + 703, trials), (0, SLICE - 1, SLICE + 1, trials), (0, 5, trials)):
+            parts = [_gram_spectrum(channels[..., lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+            assert np.concatenate(parts, axis=1).tobytes() == whole.tobytes()
+        strided = np.moveaxis(np.ascontiguousarray(trials_first(channels)), 0, -1)
+        assert strided.strides[-1] != strided.itemsize and np.array_equal(strided, channels)
+        assert _gram_spectrum(strided).tobytes() == whole.tobytes()
+
+    def test_sq_norm_matches_real_imag_form(self):
+        # Squares of the float view, added in (re², im²) pairs, are the same
+        # operations in the same order as the real/imaginary form, on every
+        # layout the kernels pass: whole stacks, swapaxes views, single
+        # vectors of those and slices of trials.
+        def reference(x):
+            return np.sum(x.real**2 + x.imag**2, axis=-2)
+
+        channels = _stack_draws({"H1": (3, 4)}, 7, SLICE + 9)["H1"]
+        vectors = channels.swapaxes(0, 1)
+        layouts = [channels, vectors, vectors[1], channels[0], channels[:, :2].swapaxes(0, 1)]
+        layouts += [x[..., 3:SLICE + 5] for x in layouts] + [vectors[..., -1:]]
+        for x in layouts:
+            assert _sq_norm(x).tobytes() == reference(x).tobytes()
+
+    def test_spectrum_peak_is_lambda_plus_slices(self):
+        # λ is one (3, trials) float array, and the rest is per slice. With R
+        # one (4, SLICE) complex residual, side 3 holds at most three
+        # residuals at once (v⊥, w⊥ and the one being made), plus _inner's
+        # conjugate copy or _sq_norm's squares (1.5 R) and about a dozen
+        # (SLICE,) float rows (1.5 R): about 6 R. The bound allows 8 R. The
+        # whole-run kernel this replaced held (4, trials) temporaries, over
+        # 27 R here.
+        channels = _stack_draws({"H1": (3, 4)}, 7, 10_000)["H1"]
+        _gram_spectrum(channels[..., :10])  # numpy sets up its ufunc and einsum loops once
+        tracemalloc.start()
+        try:
+            lam = _gram_spectrum(channels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= lam.nbytes + 8 * 4 * SLICE * np.dtype(complex).itemsize
 
     @pytest.mark.parametrize("spec, config", ONE_OF_EACH, ids=[s.kind for s, _ in ONE_OF_EACH])
     def test_extreme_snr_slopes(self, spec, config):

@@ -75,6 +75,14 @@ class TestFit:
         with pytest.raises(ValueError, match="window holds 2"):
             fit_slope(short)
 
+    @pytest.mark.parametrize("window", [4.9, 4.0, "4", True, None, float("inf"), float("nan")])
+    def test_window_that_is_not_an_int_rejected(self, window):
+        # A float window used to be truncated (4.9 fitted 4 points), a string
+        # parsed, and inf raised OverflowError.
+        trace = synthetic_trace((30, 40, 50, 60, 70), 1.0, 0.0)
+        with pytest.raises(ValueError, match="window must be an integer"):
+            fit_slope(trace, window)
+
     @given(
         st.lists(st.integers(-50, 50), min_size=4, max_size=4),
         st.integers(-100, 100),
@@ -117,6 +125,11 @@ class TestVerdicts:
         for tol in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 verify_point(self.estimate(0, 0), self.REGION, tol=tol)
+        # Only an int or a float is a tolerance, as for SchemeSpec's reals.
+        for tol in ("0.1", True, None, [0.1], 0.1j):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                verify_point(self.estimate(0, 0), self.REGION, tol=tol)
+        assert verify_point(self.estimate(0.0, 0.0), self.REGION, tol=1) == "inside"
 
     def test_report_fields(self):
         region = region_from_halfspaces([Halfspace(1, 1, 2)], tag="demo-region")
