@@ -3,9 +3,11 @@
 A region is the intersection of closed halfspaces ``a1*d1 + a2*d2 <= b``
 with the nonnegative quadrant. Every halfspace is stored as coprime ``int``
 coefficients and every vertex is a ``fractions.Fraction``. The reduction
-kernel compares by integer cross-multiplication and no floating-point
-arithmetic enters any predicate, so vertex lists and minimal facet sets are
-bit-stable and safe to freeze as golden values.
+enumerates a region's pair-intersection points and recession-ray
+candidates once, each with a bitmask of the rows it violates, and reads
+boundedness, redundancy and the vertex list off those masks. Every
+predicate is an integer cross-multiplication, so vertex lists and minimal
+facet sets are bit-stable and safe to freeze as golden values.
 
 The quadrant constraints ``d1 >= 0`` and ``d2 >= 0`` are implicit: they are
 never stored in a region's halfspace list, but every feasibility test
@@ -17,9 +19,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import gcd, lcm
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 __all__ = [
     "Rational",
@@ -47,12 +49,15 @@ class RegionError(ValueError):
 
 
 def _as_fraction(value: Rational) -> Fraction:
-    """Coerce int/str/Fraction to Fraction. Floats are rejected outright
-    so that rounding error can never leak into exact predicates, and bools
-    so that a flag is never read as a count."""
+    """Coerce int/str/Fraction to a Fraction of Python ints. Floats are
+    rejected outright so that rounding error can never leak into exact
+    predicates, and bools so that a flag is never read as a count."""
     if isinstance(value, (float, bool)):
         raise TypeError(f"expected an exact rational, got {type(value).__name__} {value!r}")
-    return value if isinstance(value, Fraction) else Fraction(value)
+    q = value if isinstance(value, Fraction) else Fraction(value)
+    # A numpy integer survives inside a Fraction, where products would wrap.
+    n, d = q.numerator, q.denominator
+    return q if type(n) is int is type(d) else Fraction(int(n), int(d))
 
 
 @dataclass(frozen=True)
@@ -71,22 +76,31 @@ class Halfspace:
     b: int
 
     def __post_init__(self) -> None:
-        a1 = _as_fraction(self.a1)
-        a2 = _as_fraction(self.a2)
-        b = _as_fraction(self.b)
-        if a1 == 0 and a2 == 0:
+        i1, i2, ib = self.a1, self.a2, self.b
+        if not (type(i1) is int and type(i2) is int and type(ib) is int):
+            a1, a2, b = (_as_fraction(q) for q in (i1, i2, ib))
+            mult = lcm(a1.denominator, a2.denominator, b.denominator)
+            i1, i2, ib = (q.numerator * (mult // q.denominator) for q in (a1, a2, b))
+        if i1 == 0 and i2 == 0:
             raise ValueError("halfspace normal must be nonzero")
-        mult = lcm(a1.denominator, a2.denominator, b.denominator)
-        i1, i2, ib = (q.numerator * (mult // q.denominator) for q in (a1, a2, b))
         g = gcd(i1, i2, ib)
         object.__setattr__(self, "a1", i1 // g)
         object.__setattr__(self, "a2", i2 // g)
         object.__setattr__(self, "b", ib // g)
 
     def contains(self, d1: Rational, d2: Rational) -> bool:
-        # Cross-multiplied over the denominators q1, q2 > 0 of the point.
-        (p1, q1), (p2, q2) = (_as_fraction(d).as_integer_ratio() for d in (d1, d2))
-        return self.a1 * p1 * q2 + self.a2 * p2 * q1 <= self.b * q1 * q2
+        return _holds((self,), ((_as_fraction(d1), _as_fraction(d2)),))
+
+
+def _holds(halfspaces: tuple[Halfspace, ...], points: Iterable[Vertex]) -> bool:
+    """True iff every halfspace holds at every point, cross-multiplied over
+    the point's denominators q1, q2 > 0; the Fractions must hold ints."""
+    for d1, d2 in points:
+        (p1, q1), (p2, q2) = d1.as_integer_ratio(), d2.as_integer_ratio()
+        x, y, z = p1 * q2, p2 * q1, q1 * q2
+        if any(h.a1 * x + h.a2 * y > h.b * z for h in halfspaces):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -104,25 +118,31 @@ class DofRegion:
     tag: str = ""
 
 
-# The kernel below works on integer rows (a1, a2, b), one per halfspace,
-# and integer points (n1, n2, den): the vertex (n1/den, n2/den) when
-# den > 0, the recession direction (n1, n2) when den == 0. Either way a row
-# holds at a point iff a1*n1 + a2*n2 <= b*den.
-_Row = tuple[int, int, int]
-
-# Implicit quadrant constraints, only ever used internally.
 _AXES = ((-1, 0, 0), (0, -1, 0))
 
 
-def _rows(halfspaces: Iterable[Halfspace]) -> list[_Row]:
-    """The halfspaces' rows followed by the two axis rows."""
-    return [(h.a1, h.a2, h.b) for h in halfspaces] + list(_AXES)
+def _reduce(halfspaces: tuple[Halfspace, ...]) -> tuple[tuple[Halfspace, ...], tuple[Vertex, ...]]:
+    """Drop redundant halfspaces and enumerate vertices.
 
+    ``halfspaces`` must already be deduplicated and canonically sorted.
+    Rows are integer triples (a1, a2, b), the halfspaces' then the axes',
+    and row i is bit i of a mask. A point (n1, n2, den) is the vertex
+    (n1/den, n2/den) when den > 0 and the direction (n1, n2) when den == 0;
+    a row holds there iff a1*n1 + a2*n2 <= b*den. One pass finds every
+    candidate, each with the mask of the rows it violates: the meeting
+    point of each pair of rows and each row's nonnegative perpendiculars.
+    """
+    rows = [(h.a1, h.a2, h.b) for h in halfspaces] + list(_AXES)
+    bits = [1 << r for r in range(len(rows))]
 
-def _feasible_vertices(rows: Sequence[_Row]) -> Iterator[tuple[int, int, int]]:
-    """Every basic feasible point of ``rows``, axis rows included.
-    In two dimensions these are exactly the extreme points. A point is
-    yielded once per pair of rows whose boundary lines meet there."""
+    def violated(n1: int, n2: int, den: int) -> int:
+        mask = 0
+        for bit, (a1, a2, b) in zip(bits, rows):
+            if a1 * n1 + a2 * n2 > b * den:
+                mask |= bit
+        return mask
+
+    points = []
     for (a1, a2, b), (c1, c2, c) in combinations(rows, 2):
         det = a1 * c2 - a2 * c1
         if det == 0:
@@ -130,44 +150,30 @@ def _feasible_vertices(rows: Sequence[_Row]) -> Iterator[tuple[int, int, int]]:
         n1, n2 = b * c2 - c * a2, a1 * c - c1 * b
         if det < 0:
             n1, n2, det = -n1, -n2, -det
-        if all(r1 * n1 + r2 * n2 <= rb * det for r1, r2, rb in rows):
-            yield n1, n2, det
-
-
-def _recession_rays(rows: Sequence[_Row]) -> Iterator[tuple[int, int, int]]:
-    # Extreme rays of the recession cone {u >= 0 : a.u <= 0}. Every extreme
-    # ray lies on some constraint boundary, so the two perpendiculars of each
-    # normal cover them all; the axis rows contribute the axis directions. A
-    # perpendicular is never zero because Halfspace rejects a zero normal.
-    cands = [u for a1, a2, _ in rows for u in ((a2, -a1), (-a2, a1))]
-    for n1, n2 in cands:
-        if n1 >= 0 and n2 >= 0 and all(r1 * n1 + r2 * n2 <= 0 for r1, r2, _ in rows):
-            yield n1, n2, 0
-
-
-def _reduce(halfspaces: tuple[Halfspace, ...]) -> tuple[tuple[Halfspace, ...], tuple[Vertex, ...]]:
-    """Drop redundant halfspaces and enumerate vertices.
-
-    ``halfspaces`` must already be deduplicated and canonically sorted.
-    """
-    if any(_recession_rays(_rows(halfspaces))):
+        points.append((n1, n2, det, violated(n1, n2, det)))
+    # Every extreme ray lies on a row's boundary; the axis rows give the axis
+    # directions. No perpendicular is zero: Halfspace rejects a zero normal.
+    rays = [violated(n1, n2, 0) for a1, a2, _ in rows for n1, n2 in ((a2, -a1), (-a2, a1)) if n1 >= 0 and n2 >= 0]
+    if 0 in rays:
         raise RegionError("halfspace intersection is unbounded within the quadrant")
-    kept = list(halfspaces)
-    for h in list(kept):
-        rest = _rows(x for x in kept if x is not h)
-        # h is redundant iff the polyhedron cut out by the rest, which may
-        # be unbounded, satisfies it at every extreme point and every ray.
-        extremes = chain(_recession_rays(rest), _feasible_vertices(rest))
-        if all(h.a1 * n1 + h.a2 * n2 <= h.b * den for n1, n2, den in extremes):
-            kept.remove(h)
-    # Dividing by the gcd gives each point one integer form, so duplicates
-    # merge before any Fraction is built.
-    points = set()
-    for n1, n2, den in _feasible_vertices(_rows(kept)):
-        g = gcd(n1, n2, den)
-        points.add((n1 // g, n2 // g, den // g))
-    vertices = sorted((Fraction(n1, den), Fraction(n2, den)) for n1, n2, den in points)
-    return tuple(kept), tuple(vertices)
+    masks = [p[3] for p in points] + rays
+    kept = (1 << len(rows)) - 1
+    for bit in bits[: len(halfspaces)]:
+        rest = kept ^ bit
+        # The candidates that violate none of the rest include all extreme
+        # points and rays of their polyhedron and lie in it.
+        if not any(mask & bit for mask in masks if not mask & rest):
+            kept = rest
+    # At a point that violates no row, two rows support the region along
+    # different lines, so it is a vertex. Dividing by the gcd merges
+    # duplicates before any Fraction is built.
+    found = set()
+    for n1, n2, den, mask in points:
+        if not mask:
+            g = gcd(n1, n2, den)
+            found.add((n1 // g, n2 // g, den // g))
+    vertices = sorted((Fraction(n1, den), Fraction(n2, den)) for n1, n2, den in found)
+    return tuple(h for h, bit in zip(halfspaces, bits) if kept & bit), tuple(vertices)
 
 
 def region_from_halfspaces(halfspaces: Iterable, tag: str = "") -> DofRegion:
@@ -185,8 +191,7 @@ def region_from_halfspaces(halfspaces: Iterable, tag: str = "") -> DofRegion:
         if h.b < 0:
             raise RegionError(f"halfspace {h} excludes the origin")
     key = tuple(sorted(set(hs), key=lambda h: (h.a1, h.a2, h.b)))
-    minimal, vertices = _reduce(key)
-    return DofRegion(minimal, vertices, tag)
+    return DofRegion(*_reduce(key), tag)
 
 
 def contains(region: DofRegion, point: tuple[Rational, Rational]) -> bool:
@@ -194,13 +199,13 @@ def contains(region: DofRegion, point: tuple[Rational, Rational]) -> bool:
     d1, d2 = (_as_fraction(d) for d in point)
     if d1 < 0 or d2 < 0:
         return False
-    return all(h.contains(d1, d2) for h in region.halfspaces)
+    return _holds(region.halfspaces, ((d1, d2),))
 
 
 def is_subset(a: DofRegion, b: DofRegion) -> bool:
     """True iff a is contained in b. Both regions are bounded and convex,
     so checking a's vertices against b's facets is exact."""
-    return all(h.contains(*v) for v in a.vertices for h in b.halfspaces)
+    return _holds(b.halfspaces, a.vertices)
 
 
 def equals(a: DofRegion, b: DofRegion) -> bool:
@@ -233,15 +238,8 @@ def _fraction_to_str(q: Fraction) -> str:
 def region_to_dict(region: DofRegion) -> dict:
     """Plain-dict form with "p/q" strings for every rational."""
     return {
-        "halfspaces": [
-            {
-                "a1": _fraction_to_str(h.a1),
-                "a2": _fraction_to_str(h.a2),
-                "b": _fraction_to_str(h.b),
-            }
-            for h in region.halfspaces
-        ],
-        "vertices": [[_fraction_to_str(v[0]), _fraction_to_str(v[1])] for v in region.vertices],
+        "halfspaces": [{"a1": f"{h.a1}/1", "a2": f"{h.a2}/1", "b": f"{h.b}/1"} for h in region.halfspaces],
+        "vertices": [[_fraction_to_str(d1), _fraction_to_str(d2)] for d1, d2 in region.vertices],
         "tag": region.tag,
     }
 

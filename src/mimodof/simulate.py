@@ -6,9 +6,11 @@ substreams; trials are grouped in fixed blocks of ``BLOCK``, block b of link
 ℓ owns ``SFC64([seed, ℓ, b])`` and fills its trials row by row, and per-SNR
 averages are exactly rounded sums, which do not depend on the order of
 accumulation. A trial's draws do not depend on the trial count, and a link's
-draws do not depend on which other links are drawn. Stacks are trials-last:
-each link is a (rows, cols, trials) array, so every kernel reduces over
-leading axes and adds contiguous rows of trials.
+draws do not depend on which other links are drawn. A trace is bit-identical
+only within one numpy build and SIMD dispatch level: numpy's ``log2`` and
+complex kernels may round the last bit differently at another. Stacks are
+trials-last: each link is a (rows, cols, trials) array, so every kernel
+reduces over leading axes and adds contiguous rows of trials.
 
 Each scheme is one function in a table keyed by ``SchemeSpec.kind``: it
 raises if the scheme does not fit the configuration, spec and grid, and

@@ -34,6 +34,7 @@ from mimodof import (
     ic_csit_region,
     is_subset,
     region_from_halfspaces,
+    region_to_json,
 )
 
 
@@ -212,6 +213,17 @@ class TestGolden:
             h.update(json.dumps(doc, sort_keys=True).encode())
         assert h.hexdigest() == (
             "4c935a7f16e2c6f40d405c0b02b031a6893ac357cab37ee7f40521570c912824"
+        )
+
+    def test_broadcast_documents_sha256(self):
+        # The same for both broadcast regions of every config in [1,8]^3.
+        h = hashlib.sha256()
+        for antennas in product(range(1, 9), repeat=3):
+            config = BcConfig(*antennas)
+            for region in (bc_region(config), bc_csit_region(config)):
+                h.update(region_to_json(region).encode())
+        assert h.hexdigest() == (
+            "c802e7cb0c24d5112cf8d745fcc7da815472fbb5393bbe3522abf5b2ab5a74dc"
         )
 
 

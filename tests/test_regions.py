@@ -6,11 +6,13 @@ Halfspace coefficients are coprime ints and vertices are Fractions, so
 assertions are exact.
 """
 
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import combinations
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +62,23 @@ class TestHalfspace:
             Halfspace(0.5, 1, 1)
         with pytest.raises(TypeError, match="got bool True"):
             Halfspace(True, 1, 1)
+
+    def test_numpy_integers_stored_as_int(self):
+        # Kept as np.int64, coefficients of this size would wrap silently in
+        # the kernel's cross-products and move a vertex to (2**40, 0).
+        big = 2**40
+        triples = [(big, 1, big), (1, big, big)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = region_from_halfspaces([tuple(np.int64(c) for c in t) for t in triples])
+            h = Halfspace(F(np.int64(big), 3), np.int64(1), 1)
+            inside = contains(r, (np.int64(1), F(np.int64(0), np.int64(big))))
+        assert r == region_from_halfspaces(triples)
+        assert (F(1), F(0)) in r.vertices
+        assert (h.a1, h.a2, h.b) == (big, 3, 3)
+        assert inside
+        for g in r.halfspaces + (h,):
+            assert all(type(c) is int for c in (g.a1, g.a2, g.b))
 
 
 class TestConstruction:
@@ -389,3 +408,61 @@ class TestAgainstFractionReference:
         if not isinstance(got[0], type):  # built, not refused
             assert all(type(c) is int for h in got[0] for c in h)
             assert all(type(c) is F for v in got[1] for c in v)
+
+    # Cases random lists seldom reach, where removing one halfspace at a
+    # time in canonical order decides which facets stay: (input, kept
+    # facets, vertices).
+    @pytest.mark.parametrize(
+        "triples, kept, vertices",
+        [
+            ([(1, 1, 0)], [(1, 1, 0)], [(0, 0)]),
+            ([(1, 0, 2), (0, 1, 0)], [(0, 1, 0), (1, 0, 2)], [(0, 0), (2, 0)]),
+            ([(0, 1, 3), (1, 0, 0)], [(0, 1, 3), (1, 0, 0)], [(0, 0), (0, 3)]),
+            ([(1, 1, 2), (1, 2, 4)], [(1, 1, 2)], [(0, 0), (0, 2), (2, 0)]),
+            ([(-1, 0, 0), (1, 1, 2)], [(1, 1, 2)], [(0, 0), (0, 2), (2, 0)]),
+            ([(0, -1, 0), (2, 1, 3)], [(2, 1, 3)], [(0, 0), (0, 3), ("3/2", 0)]),
+            (
+                [(2, 1, 3), (1, 2, 3), (1, 1, 2)],
+                [(1, 2, 3), (2, 1, 3)],
+                [(0, 0), (0, "3/2"), (1, 1), ("3/2", 0)],
+            ),
+            ([(0, 1, 0), (1, 0, 1), (1, 1, 1)], [(0, 1, 0), (1, 1, 1)], [(0, 0), (1, 0)]),
+            ([(1, 0, 0), (0, 1, 1), (1, 1, 1)], [(1, 0, 0), (1, 1, 1)], [(0, 0), (0, 1)]),
+            (
+                [(1, -1, 0), (-1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2)],
+                [(-1, 1, 0), (1, -1, 0), (1, 1, 2)],
+                [(0, 0), (1, 1)],
+            ),
+        ],
+        ids=[
+            "origin-alone",
+            "segment-on-d1-axis",
+            "segment-on-d2-axis",
+            "cap-touching-one-vertex",
+            "user-row-is-d1-axis",
+            "user-row-is-d2-axis",
+            "three-facets-through-one-vertex",
+            "caps-redundant-in-turn-on-d1-axis",
+            "caps-redundant-in-turn-on-d2-axis",
+            "caps-redundant-in-turn-on-diagonal",
+        ],
+    )
+    def test_degenerate_inputs(self, triples, kept, vertices):
+        expected = _outcome(_ref_region, triples)
+        assert _outcome(_integer_region, triples) == expected
+        assert expected == (tuple(kept), verts(*vertices))
+
+    @given(bounded_halfspace_lists(), bounded_halfspace_lists())
+    @settings(max_examples=100, deadline=None)
+    def test_subset_and_contains_match_fraction_arithmetic(self, hs_a, hs_b):
+        a, b = region_from_halfspaces(hs_a), region_from_halfspaces(hs_b)
+
+        def holds(h, v):
+            return F(h.a1) * v[0] + F(h.a2) * v[1] <= F(h.b)
+
+        assert is_subset(a, b) == all(holds(h, v) for v in a.vertices for h in b.halfspaces)
+        moved = tuple((v[0] / 2 + 1, v[1] + F(1, 3)) for v in a.vertices)
+        for v in a.vertices + moved:
+            for h in b.halfspaces:
+                assert h.contains(*v) == holds(h, v)
+            assert contains(b, v) == all(holds(h, v) for h in b.halfspaces)
