@@ -16,7 +16,6 @@ Example:
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import sys
@@ -24,15 +23,7 @@ from collections import Counter
 from pathlib import Path
 
 from mimodof import IcConfig, case_partition_check, ic_classify
-
-EXIT_USAGE = 3
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse prints its usage and exits 2 on a bad flag; route it to the
-    # one-line exit 3 of all other bad input.
-    def error(self, message):
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+from mimodof.cli import _Parser
 
 
 def classify_row(config: IcConfig) -> dict:

@@ -17,8 +17,6 @@ Example:
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -38,8 +36,8 @@ from mimodof import (
     trace_to_csv,
     verdict_report,
 )
+from mimodof.cli import EXIT_USAGE, _Parser
 
-EXIT_USAGE = 3
 GRID = (30.0, 40.0, 50.0, 60.0, 70.0)  # SNR in dB
 
 
@@ -87,17 +85,12 @@ def capped_tdm_trace(config, grid, trials, seed):
     )
 
 
-def config_dict(config):
-    kind = "bc" if isinstance(config, BcConfig) else "ic"
-    return {"channel": kind, "antennas": list(dataclasses.astuple(config))}
-
-
 def run_entry(config, spec, region, trials, seed):
     t0 = time.perf_counter()
     trace = simulate_scheme(spec, config, GRID, trials, seed)
     elapsed = time.perf_counter() - t0
     estimate = fit_slope(trace, DEFAULT_WINDOW)
-    report = verdict_report(config_dict(config), spec.to_dict(), estimate, region, DEFAULT_TOL)
+    report = verdict_report(config, spec, estimate, region, DEFAULT_TOL)
     report["elapsed_s"] = round(elapsed, 3)
     return trace, estimate, report
 
@@ -131,14 +124,11 @@ def run_battery(trials, seed):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out-dir", type=Path, default=Path("battery_out"))
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on a usage error, and 2 means a failed verdict here
-        return EXIT_USAGE if exc.code == 2 else exc.code
+    args = parser.parse_args(argv)
     try:
         outputs, lines, failures = run_battery(args.trials, args.seed)
         args.out_dir.mkdir(parents=True, exist_ok=True)

@@ -71,8 +71,9 @@ _SCHEME_ALIASES = {
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad flags, which collides with the verdict
-    # exit code, so route usage problems to 3.
+    # argparse prints its usage and exits 2 on a bad flag, which collides with
+    # the verdict exit code, so route it to the one-line exit 3 of all other
+    # bad input. The scripts build their parsers from this class too.
     def error(self, message: str):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
@@ -221,13 +222,7 @@ def _run_simulation(
 
 def _grade(args, config, spec: SchemeSpec, estimate: SlopeEstimate, region: DofRegion) -> tuple[dict, int]:
     """Verdict report against ``region``, plus its exit code."""
-    report = verdict_report(
-        {"channel": args.channel, "antennas": list(dataclasses.astuple(config))},
-        spec.to_dict(),
-        estimate,
-        region,
-        args.tol,
-    )
+    report = verdict_report(config, spec, estimate, region, args.tol)
     return report, EXIT_VERDICT if report["verdict"] == "outside" else EXIT_OK
 
 

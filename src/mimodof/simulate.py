@@ -14,13 +14,14 @@ reduces over leading axes and adds contiguous rows of trials.
 
 Each scheme is one function in a table keyed by ``SchemeSpec.kind``: it
 raises if the scheme does not fit the configuration, spec and grid, and
-returns a prepare step that maps the stacked draws to one per-point rate
-evaluator per user. ``simulate_scheme`` is the single driver. It checks the
-trial count, the seed, the grid and the scheme before any draw, and
-prepares once; a link is drawn only if the prepare step reads it, so every
-scheme that reads a link sees the same draws of it. Each served user's rates
-at every SNR point then form one (points, trials) array, and all its rows
-are reduced at once by error-free extraction (``_exact_row_sums``).
+returns prepare(draw), which reads each link it needs by calling draw(link)
+and returns one per-point rate evaluator per user. ``simulate_scheme`` is
+the single driver. It checks the trial count, the seed, the grid and the
+scheme before any draw, and prepares once; a link is drawn when the prepare
+step reads it, and only then, so every scheme that reads a link sees the
+same draws of it. Each served user's rates at every SNR point then form one
+(points, trials) array, and all its rows are reduced at once by error-free
+extraction (``_exact_row_sums``).
 
 Rates are log-det mutual informations in bits. Only the power changes
 between SNR points, so each trial's Gram eigenvalues λ are taken once per
@@ -37,7 +38,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -302,53 +303,34 @@ def trace_from_csv(text: str, seed: int = 0) -> RateTrace:
 _LINKS = ("H1", "H2", "H11", "H12", "H21", "H22")
 
 
-class _Draws(Mapping):
-    """Read-only stacked draws keyed by link; a link is drawn when first read."""
-
-    def __init__(self, dims: Mapping[str, tuple[int, int]], seed: int, trials: int) -> None:
-        self._keys = {link: (seed, _LINKS.index(link)) for link in dims}  # ValueError if unknown
-        self._dims, self._trials, self._drawn = dims, trials, {}
-
-    def __iter__(self):
-        return iter(self._dims)
-
-    def __len__(self) -> int:
-        return len(self._dims)
-
-    def __getitem__(self, link: str) -> np.ndarray:
-        if link not in self._drawn:
-            (rows, cols), trials = self._dims[link], self._trials
-            buf = np.empty((rows * cols, trials), dtype=complex)
-            scratch = np.empty((min(BLOCK, trials), rows * cols), dtype=complex)
-            for block in range(-(-trials // BLOCK)):
-                part = buf[:, block * BLOCK:(block + 1) * BLOCK]
-                drawn = scratch[:part.shape[1]]
-                rng = np.random.Generator(np.random.SFC64([*self._keys[link], block]))
-                rng.standard_normal(out=drawn.view(float).reshape(len(drawn), rows * cols, 2))
-                # Multiplying by fl(1/√2) is what numpy's complex division by √2 does.
-                np.multiply(drawn.T, 1.0 / math.sqrt(2.0), out=part)
-            self._drawn[link] = buf.reshape(rows, cols, trials)
-        return self._drawn[link]
-
-
-def _stack_draws(dims: Mapping[str, tuple[int, int]], seed: int, trials: int) -> Mapping[str, np.ndarray]:
-    """Stacked (rows, cols, trials) draws of the links in ``dims``, as a
-    read-only mapping whose keys are exactly ``dims``. A link is drawn once,
-    when first read, into its own buffer. Entries are CN(0, 1): block b of
-    link ℓ is one ``standard_normal`` call of shape (n_b, rows·cols, 2) on
-    ``Generator(SFC64([seed, ℓ, b]))``, ℓ the link's index in ``_LINKS``,
-    read as (real, imaginary) pairs and filled row-major, one trial after
-    another; it is transposed into the buffer and scaled by 1/√2.
+def _draw(link: str, shape: tuple[int, int], seed: int, trials: int) -> np.ndarray:
+    """Stacked (rows, cols, trials) CN(0, 1) draws of one link, in a buffer
+    of their own. Block b of link ℓ is one ``standard_normal`` call of shape
+    (n_b, rows·cols, 2) on ``Generator(SFC64([seed, ℓ, b]))``, ℓ the link's
+    index in ``_LINKS``, read as (real, imaginary) pairs and filled
+    row-major, one trial after another; it is transposed into the buffer
+    and scaled by 1/√2. An unknown link raises ``ValueError``.
     """
-    return _Draws(dims, seed, trials)
+    index, (rows, cols) = _LINKS.index(link), shape
+    buf = np.empty((rows * cols, trials), dtype=complex)
+    scratch = np.empty((min(BLOCK, trials), rows * cols), dtype=complex)
+    for block in range(-(-trials // BLOCK)):
+        part = buf[:, block * BLOCK:(block + 1) * BLOCK]
+        drawn = scratch[:part.shape[1]]
+        rng = np.random.Generator(np.random.SFC64([seed, index, block]))
+        rng.standard_normal(out=drawn.view(float).reshape(len(drawn), rows * cols, 2))
+        # Multiplying by fl(1/√2) is what numpy's complex division by √2 does.
+        np.multiply(drawn.T, 1.0 / math.sqrt(2.0), out=part)
+    return buf.reshape(rows, cols, trials)
 
 
 # --- scheme table ----------------------------------------------------------
 # An entry is scheme(config, spec, grid) -> prepare. It raises before any
-# draw if the scheme does not fit. prepare(stacked), run once per run, maps the
-# links it reads (only those are drawn) to one evaluator per user, which maps a
-# linear power to that user's per-trial rates (None if unserved). Point-to-point
-# is time division at a share of 1, and isotropic input is point-to-point.
+# draw if the scheme does not fit. prepare(draw), run once per run, calls
+# draw(link) for each link it reads, which draws that link then and there, and
+# returns one evaluator per user, which maps a linear power to that user's
+# per-trial rates (None if unserved). Point-to-point is time division at a
+# share of 1, and isotropic input is point-to-point.
 
 
 def _network_dims(config) -> dict[str, tuple[int, int]]:
@@ -368,10 +350,11 @@ def _solo_links(config, shares: tuple[float, float]) -> Callable:
     """User u holds its direct link a fraction shares[u - 1] of the time at
     full power P, P/m over its m transmit antennas, so the link's per-trial
     rates scale by the share. A user whose share is 0 is not served, and its
-    link is not factored."""
+    link is neither drawn nor factored."""
     links = ("H1", "H2") if isinstance(config, BcConfig) else ("H11", "H22")
-    return lambda stacked: tuple(
-        _log_det_rate(stacked[link], 1.0 / stacked[link].shape[1], share) if share > 0 else None
+    dims = _network_dims(config)
+    return lambda draw: tuple(
+        _log_det_rate(draw(link), 1.0 / dims[link][1], share) if share > 0 else None
         for link, share in zip(links, shares)
     )
 
@@ -432,9 +415,9 @@ def _zero_forcing(config, spec, grid) -> Callable:
             f"{s1}+{s2} streams, have N1={config.N1}, N2={config.N2}"
         )
     # A silent user is not served, and its links are not read.
-    return lambda stacked: (
-        _zf_user_rate(stacked["H11"], stacked["H12"], s1, s2) if s1 > 0 else None,
-        _zf_user_rate(stacked["H22"], stacked["H21"], s2, s1) if s2 > 0 else None,
+    return lambda draw: (
+        _zf_user_rate(draw("H11"), draw("H12"), s1, s2) if s1 > 0 else None,
+        _zf_user_rate(draw("H22"), draw("H21"), s2, s1) if s2 > 0 else None,
     )
 
 
@@ -463,10 +446,10 @@ def _alignment(config, spec, grid) -> Callable:
             f"{spec.power_exponent} overflows a float power with 2**64 headroom"
         )
 
-    def prepare(stacked):
-        gain = np.abs(stacked["H11"][0, 0]) ** 2
-        cross_gain = np.sum(np.abs(stacked["H12"][0, :nb]) ** 2, axis=0)
-        joint = _log_det_rate(stacked["H22"][:, :nb])
+    def prepare(draw):
+        gain = np.abs(draw("H11")[0, 0]) ** 2
+        cross_gain = np.sum(np.abs(draw("H12")[0, :nb]) ** 2, axis=0)
+        joint = _log_det_rate(draw("H22")[:, :nb])
 
         def rate1(power):
             return np.log2(1.0 + power * gain / (1.0 + power ** exponent * cross_gain))
@@ -540,14 +523,18 @@ def simulate_scheme(spec: SchemeSpec, config, snr_db: Sequence[float], trials: i
     drawn and prepared once, every SNR point reuses what was prepared, and
     each served user's (points, trials) rates are reduced in one batch.
     """
+    for name, value in (("trials", trials), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     grid = _validate_grid(snr_db)
     prepare = _SCHEMES[spec.kind](config, spec, grid)
+    dims = _network_dims(config)
     # The evaluators keep what they need, so the draws go once prepared.
-    rates = prepare(_stack_draws(_network_dims(config), seed, trials))
+    rates = prepare(lambda link: _draw(link, dims[link], seed, trials))
     powers = [_db_to_linear(snr) for snr in grid]
     columns = []  # rate1, stderr1, rate2, stderr2
     for rate in rates:

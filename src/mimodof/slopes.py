@@ -10,11 +10,12 @@ regression residual with the Monte Carlo standard errors of the points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
+from .catalog import BcConfig
 from .regions import DofRegion
-from .simulate import RateTrace
+from .simulate import RateTrace, SchemeSpec
 
 __all__ = [
     "LOG2_PER_DB",
@@ -133,15 +134,17 @@ def verify_point(estimate: SlopeEstimate, region: DofRegion, tol: float = DEFAUL
 
 def verdict_report(
     config,
-    scheme,
+    spec: SchemeSpec,
     estimate: SlopeEstimate,
     region: DofRegion,
     tol: float = DEFAULT_TOL,
 ) -> dict:
-    """Assemble the standard verdict document for one scheme run."""
+    """Assemble the standard verdict document for one run of ``spec`` on a
+    ``BcConfig`` or ``IcConfig``."""
+    channel = "bc" if isinstance(config, BcConfig) else "ic"
     return {
-        "config": config,
-        "scheme": scheme,
+        "config": {"channel": channel, "antennas": list(astuple(config))},
+        "scheme": spec.to_dict(),
         "estimate": [estimate.d1_hat, estimate.d2_hat],
         "ci": list(estimate.ci),
         "region_tag": region.tag,

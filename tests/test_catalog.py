@@ -8,6 +8,9 @@ own invariants by the sweep tests at the bottom.
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
@@ -272,6 +275,18 @@ class TestAtlasScript:
         assert exited.value.code == 3 and captured.out == ""
         assert captured.err.count("\n") == 1 and message in captured.err
         assert [p.name for p in tmp_path.iterdir()] == ["d"] and not any((tmp_path / "d").iterdir())
+
+    def test_bad_flag_as_a_script_prints_one_line(self, tmp_path):
+        # Run as a program: exit 3, one line on stderr, no usage, no files.
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "region_atlas.py"), "--limit", "x", "--out", "atlas.jsonl"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "region_atlas.py: error: argument --limit: invalid int value: 'x'\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_writes_one_row_per_config(self, tmp_path):
         out = tmp_path / "atlas.jsonl"

@@ -312,7 +312,7 @@ class TestVerifyCommand:
         ],
     )
     def test_bad_trials_or_seed_exits_three_before_any_draw(self, capsys, monkeypatch, tmp_path, argv, message):
-        monkeypatch.setattr(simulate, "_stack_draws", lambda *args: pytest.fail("trials drawn"))
+        monkeypatch.setattr(simulate, "_draw", lambda *args: pytest.fail("trials drawn"))
         monkeypatch.chdir(tmp_path)
         code, out, err = run(
             capsys, "simulate", *P2P_BC, "--verify-against", "exact", "--trace-out", "t.csv", "--out", "o.json", *argv
@@ -404,7 +404,7 @@ class TestSnrGridCommand:
         def no_draws(*args, **kwargs):
             raise AssertionError("trials drawn before the grid was checked")
 
-        monkeypatch.setattr(simulate, "_stack_draws", no_draws)
+        monkeypatch.setattr(simulate, "_draw", no_draws)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "simulate", *argv, "--trials", "10")
@@ -491,7 +491,7 @@ class TestSnrGridCommand:
     )
     def test_unbounded_grid_exits_three(self, capsys, monkeypatch, grid, message):
         # The four ranges used to spin in the counting loop.
-        monkeypatch.setattr(simulate, "_stack_draws", lambda *args: pytest.fail("trials drawn"))
+        monkeypatch.setattr(simulate, "_draw", lambda *args: pytest.fail("trials drawn"))
         code, out, err = run(capsys, "simulate", *P2P_BC, f"--snr-db={grid}", "--trials", "10")
         assert (code, out) == (3, "")
         assert "--snr-db" in err and message in err

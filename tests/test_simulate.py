@@ -4,6 +4,9 @@ import hashlib
 import importlib
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -31,6 +34,7 @@ from mimodof.simulate import (
     SLICE,
     _SCHEMES,
     _db_to_linear,
+    _draw,
     _exact_row_sums,
     _gram_spectrum,
     _log_det_rate,
@@ -38,7 +42,6 @@ from mimodof.simulate import (
     _network_dims,
     _orthonormal_rows,
     _sq_norm,
-    _stack_draws,
     _zf_user_rate,
 )
 
@@ -61,12 +64,17 @@ ONE_OF_EACH = [
 ]
 
 
+def draw_all(dims, seed, trials):
+    """``_draw`` of every link in ``dims``, by link name."""
+    return {link: _draw(link, shape, seed, trials) for link, shape in dims.items()}
+
+
 def kernel(spec, stacked, config, power):
     """Per-trial rate pair of one scheme's prepared table kernel at one
-    power on stacked (rows, cols, trials) draws; an unserved user's column
-    reads as zeros."""
+    power on stacked (rows, cols, trials) draws, read by link name; an
+    unserved user's column reads as zeros."""
     trials = next(iter(stacked.values())).shape[-1]
-    rates = _SCHEMES[spec.kind](config, spec, GRID)(stacked)
+    rates = _SCHEMES[spec.kind](config, spec, GRID)(stacked.__getitem__)
     return tuple(np.zeros(trials) if rate is None else rate(power) for rate in rates)
 
 
@@ -203,21 +211,21 @@ def solo(config, user, grid, trials, seed):
 class TestDraws:
     def test_deterministic_per_seed_and_trial(self):
         dims = _network_dims(IcConfig(2, 1, 2, 3))
-        a = _stack_draws(dims, 7, 5)
-        b = _stack_draws(dims, 7, 4)
+        a = draw_all(dims, 7, 5)
+        b = draw_all(dims, 7, 4)
         for link in dims:
             # Trial 3 is the same draw whatever the trial count around it.
             assert np.array_equal(a[link][..., 3], b[link][..., 3])
             assert not np.array_equal(a[link][..., 3], a[link][..., 4])
-        other_seed = _stack_draws(dims, 8, 5)
+        other_seed = draw_all(dims, 8, 5)
         assert not np.array_equal(a["H11"], other_seed["H11"])
 
     def test_prefix_across_block_boundary(self):
         # The short run draws the second block only up to trial BLOCK + 3,
         # the long run in full; every shared trial agrees.
         dims = _network_dims(IcConfig(2, 1, 2, 3))
-        short = _stack_draws(dims, 7, BLOCK + 4)
-        long = _stack_draws(dims, 7, 3 * BLOCK)
+        short = draw_all(dims, 7, BLOCK + 4)
+        long = draw_all(dims, 7, 3 * BLOCK)
         for link in dims:
             assert np.array_equal(short[link], long[link][..., : BLOCK + 4])
 
@@ -229,7 +237,7 @@ class TestDraws:
         # axis moved last.
         dims = _network_dims(IcConfig(2, 1, 2, 3))
         trials = 2 * BLOCK + 7
-        stacked = _stack_draws(dims, 7, trials)
+        stacked = draw_all(dims, 7, trials)
         for link, (rows, cols) in dims.items():
             blocks = []
             for b in range(3):
@@ -241,35 +249,31 @@ class TestDraws:
 
     @pytest.mark.parametrize("config", [BcConfig(4, 2, 3), IcConfig(2, 1, 2, 3)], ids=["bc", "ic"])
     def test_link_draws_do_not_depend_on_other_links(self, config):
-        # A link's draws depend only on (seed, link, block): drawn alone, in
-        # either order, or with the whole network, they are the same bits.
+        # A link's draws depend only on (seed, link, block): drawn after the
+        # whole network, one link at a time in reverse order, they are the
+        # same bits.
         dims = _network_dims(config)
         trials = 2 * BLOCK + 7
-        forwards = _stack_draws(dims, 7, trials)
-        whole = {link: forwards[link] for link in dims}
-        backwards = _stack_draws(dims, 7, trials)
+        whole = draw_all(dims, 7, trials)
         for link in reversed(list(dims)):
-            assert np.array_equal(backwards[link], whole[link])
-        for link, shape in dims.items():
-            assert np.array_equal(_stack_draws({link: shape}, 7, trials)[link], whole[link])
+            assert np.array_equal(_draw(link, dims[link], 7, trials), whole[link])
 
-    def test_draws_are_a_lazy_read_only_mapping(self, monkeypatch):
-        # The keys are exactly the links asked for; nothing is drawn until a
-        # link is read, and a link read twice is drawn once.
-        dims = _network_dims(BcConfig(4, 2, 3))
-        seeds = []
+    def test_draws_are_lazy_and_refuse_an_unknown_link(self, monkeypatch):
+        # Nothing is drawn when a scheme returns its prepare step, only when
+        # that step reads a link, and then only that link. A link name
+        # outside the fixed order is refused before any draw.
+        config = BcConfig(4, 2, 3)
+        dims = _network_dims(config)
+        seeds, read = [], []
         sfc64 = np.random.SFC64
         monkeypatch.setattr(np.random, "SFC64", lambda seed: seeds.append(seed) or sfc64(seed))
-        stacked = _stack_draws(dims, 7, 10)
-        assert list(stacked) == ["H1", "H2"] and len(stacked) == 2 and seeds == []
-        assert stacked["H2"] is stacked["H2"]
-        assert seeds == [[7, 1, 0]]
-        with pytest.raises(TypeError):
-            stacked["H1"] = stacked["H2"]
-        with pytest.raises(KeyError):
-            stacked["H11"]
+        prepare = _SCHEMES["point-to-point"](config, SchemeSpec("point-to-point", user=2), GRID)
+        assert seeds == []
+        prepare(lambda link: read.append(link) or _draw(link, dims[link], 7, 10))
+        assert read == ["H2"] and seeds == [[7, 1, 0]]
         with pytest.raises(ValueError):
-            _stack_draws({"H3": (1, 1)}, 7, 10)
+            _draw("H3", (1, 1), 7, 10)
+        assert seeds == [[7, 1, 0]]
 
     def test_peak_memory_is_one_buffer(self):
         # Every link is read: the draws live in one (entries, trials) buffer
@@ -279,10 +283,10 @@ class TestDraws:
         dims = _network_dims(IcConfig(1, 3, 1, 4))
         trials = 10_000
         entries = sum(rows * cols for rows, cols in dims.values())
-        _stack_draws(dims, 7, 1)["H11"]  # numpy sets up its generator state once per process
+        _draw("H11", dims["H11"], 7, 1)  # numpy sets up its generator state once per process
         tracemalloc.start()
         try:
-            stacked = _stack_draws(dims, 7, trials)
+            stacked = draw_all(dims, 7, trials)
             assert sum(stacked[link].size for link in dims) == entries * trials
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -290,23 +294,28 @@ class TestDraws:
         assert peak <= 1.25 * entries * trials * np.dtype(complex).itemsize
 
     def test_shapes(self):
-        stacked = _stack_draws(_network_dims(BcConfig(4, 2, 3)), 0, 1)
+        stacked = draw_all(_network_dims(BcConfig(4, 2, 3)), 0, 1)
         assert stacked["H1"].shape == (2, 4, 1)
         assert stacked["H2"].shape == (3, 4, 1)
 
     def test_negative_seed_rejected(self, monkeypatch):
-        # The driver refuses a negative seed and an empty run before any draw.
-        monkeypatch.setattr(simulate, "_stack_draws", lambda *args: pytest.fail("trials drawn"))
+        # The driver refuses a negative seed, an empty run, and a trial count
+        # or seed that is not an int (a bool is not one either) before any
+        # draw.
+        monkeypatch.setattr(simulate, "_draw", lambda *args: pytest.fail("trials drawn"))
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             simulate_scheme(P2P, BcConfig(2, 2, 2), GRID, 1, -1)
         with pytest.raises(ValueError, match="trials must be at least 1"):
             simulate_scheme(P2P, BcConfig(2, 2, 2), GRID, 0, 0)
+        for trials, seed, name in [(1, True, "seed"), (1, 1.5, "seed"), (True, 0, "trials"), (10.0, 0, "trials")]:
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                simulate_scheme(P2P, BcConfig(2, 2, 2), GRID, trials, seed)
 
     def test_entry_statistics(self):
         # 1e5 independent scalar draws: mean, variance and the real/imag
         # correlation all sit within 3 sigma of their estimators.
         n = 100_000
-        values = _stack_draws({"H1": (1, 1)}, 123, n)["H1"][0, 0]
+        values = _draw("H1", (1, 1), 123, n)[0, 0]
         assert abs(values.mean()) < 3.0 * math.sqrt(1.0 / n)
         var = np.mean(np.abs(values) ** 2)
         assert 0.99 < var < 1.01
@@ -394,8 +403,7 @@ class TestExactRowSums:
     def test_rates_and_squared_deviations(self):
         # Rates and squared deviations spanning 10^-3 to 10^7 SNR, as the
         # driver hands them over.
-        stacked = _stack_draws({"H1": (2, 2)}, 3, 4000)
-        rate = _log_det_rate(stacked["H1"], 0.5)
+        rate = _log_det_rate(_draw("H1", (2, 2), 3, 4000), 0.5)
         values = np.stack([rate(_db_to_linear(snr)) for snr in range(-30, 71, 10)])
         deviations = (values - np.array(fsum_rows(values))[:, None] / values.shape[1]) ** 2
         for rows in (values, deviations, values[:, :2], values[:, :1]):
@@ -430,7 +438,7 @@ class TestRatePrimitives:
 
     def test_monotone_in_power(self):
         config = BcConfig(2, 3, 1)
-        stacked = _stack_draws(_network_dims(config), 5, 1)
+        stacked = draw_all(_network_dims(config), 5, 1)
         rates = [kernel(P2P, stacked, config, p)[0][0] for p in (0.1, 1, 10, 100, 1000)]
         assert all(b > a for a, b in zip(rates, rates[1:]))
         assert all(r >= 0 for r in rates)
@@ -459,7 +467,7 @@ class TestSpectralKernels:
 
     @pytest.mark.parametrize("spec, config", CASES, ids=[f"{s.kind}-{c}" for s, c in CASES])
     def test_matches_cholesky_reference(self, spec, config):
-        stacked = _stack_draws(_network_dims(config), 5, 300)
+        stacked = draw_all(_network_dims(config), 5, 300)
         # Both kernels round 1 + x before the logarithm, so a small rate
         # carries an absolute error of a few 2**-52 whichever kernel runs;
         # atol covers that and nothing more.
@@ -629,7 +637,7 @@ class TestSpectralKernels:
         # whose slices start at other trials, concatenate to the same bits,
         # and so does a stack whose trials axis is not contiguous.
         trials = 2 * SLICE + 7
-        channels = _stack_draws({"H1": shape}, 7, trials)["H1"]
+        channels = _draw("H1", shape, 7, trials)
         whole = _gram_spectrum(channels)
         assert whole.shape == (min(shape), trials)
         for cuts in ((0, 1, 700, SLICE + 703, trials), (0, SLICE - 1, SLICE + 1, trials), (0, 5, trials)):
@@ -647,7 +655,7 @@ class TestSpectralKernels:
         def reference(x):
             return np.sum(x.real**2 + x.imag**2, axis=-2)
 
-        channels = _stack_draws({"H1": (3, 4)}, 7, SLICE + 9)["H1"]
+        channels = _draw("H1", (3, 4), 7, SLICE + 9)
         vectors = channels.swapaxes(0, 1)
         layouts = [channels, vectors, vectors[1], channels[0], channels[:, :2].swapaxes(0, 1)]
         layouts += [x[..., 3:SLICE + 5] for x in layouts] + [vectors[..., -1:]]
@@ -662,7 +670,7 @@ class TestSpectralKernels:
         # (SLICE,) float rows (1.5 R): about 6 R. The bound allows 8 R. The
         # whole-run kernel this replaced held (4, trials) temporaries, over
         # 27 R here.
-        channels = _stack_draws({"H1": (3, 4)}, 7, 10_000)["H1"]
+        channels = _draw("H1", (3, 4), 7, 10_000)
         _gram_spectrum(channels[..., :10])  # numpy sets up its ufunc and einsum loops once
         tracemalloc.start()
         try:
@@ -694,7 +702,7 @@ class TestZeroForcing:
     CONFIG = IcConfig(2, 1, 2, 3)
 
     def draws(self, seed, trials=1):
-        return _stack_draws(_network_dims(self.CONFIG), seed, trials)
+        return draw_all(_network_dims(self.CONFIG), seed, trials)
 
     def test_silenced_interferer_matches_plain_rate(self):
         stacked = self.draws(11)
@@ -736,7 +744,7 @@ class TestAlignmentScheme:
     CONFIG = IcConfig(1, 3, 1, 4)
 
     def draws(self, seed, trials=1):
-        return _stack_draws(_network_dims(self.CONFIG), seed, trials)
+        return draw_all(_network_dims(self.CONFIG), seed, trials)
 
     def test_shape_validation(self):
         with pytest.raises(SimulationError, match="M1 = N1 = 1"):
@@ -820,8 +828,8 @@ class TestTimeDivision:
         # The user whose share is 0 gets no evaluator, so its link is never
         # factored; the other user's is still prepared.
         config = BcConfig(2, 1, 2)
-        stacked = _stack_draws(_network_dims(config), 5, 10)
-        rates = _SCHEMES["time-division"](config, SchemeSpec("time-division", tau=tau), GRID)(stacked)
+        stacked = draw_all(_network_dims(config), 5, 10)
+        rates = _SCHEMES["time-division"](config, SchemeSpec("time-division", tau=tau), GRID)(stacked.__getitem__)
         assert rates[idle] is None
         assert rates[1 - idle] is not None
 
@@ -848,16 +856,16 @@ class TestCappedContrast:
 
     @pytest.mark.parametrize("config, grid", [(c, g) for c, g, _ in GOLDEN], ids=IDS)
     def test_capped_trace_draws_once(self, config, grid, monkeypatch):
-        # Both users come from one run, so the network is drawn once.
+        # Both users come from one run, so each user's link is drawn once.
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return _stack_draws(*args)
+        def counted(link, *args):
+            calls.append(link)
+            return _draw(link, *args)
 
-        monkeypatch.setattr(simulate, "_stack_draws", counted)
+        monkeypatch.setattr(simulate, "_draw", counted)
         load_battery_script().capped_tdm_trace(config, grid, 2 * BLOCK + 7, 7)
-        assert len(calls) == 1
+        assert calls == (["H1", "H2"] if isinstance(config, BcConfig) else ["H11", "H22"])
 
 
 class TestBatteryScript:
@@ -870,7 +878,7 @@ class TestBatteryScript:
         ids=["no-trials", "negative-seed"],
     )
     def test_bad_input_exits_three_before_any_draw(self, argv, message, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr(simulate, "_stack_draws", lambda *args: pytest.fail("trials drawn"))
+        monkeypatch.setattr(simulate, "_draw", lambda *args: pytest.fail("trials drawn"))
         out_dir = tmp_path / "battery_bad"
         assert load_battery_script().main([*argv, "--out-dir", str(out_dir)]) == 3
         captured = capsys.readouterr()
@@ -903,9 +911,24 @@ class TestBatteryScript:
     def test_unparsable_argument_exits_three(self, capsys, tmp_path):
         # argparse would exit 2, which the script reserves for failed verdicts.
         out_dir = tmp_path / "battery_bad"
-        assert load_battery_script().main(["--trials", "many", "--out-dir", str(out_dir)]) == 3
-        assert "invalid int value" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exited:
+            load_battery_script().main(["--trials", "many", "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert exited.value.code == 3 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "invalid int value" in captured.err
         assert not out_dir.exists()
+
+    def test_bad_flag_as_a_script_prints_one_line(self, tmp_path):
+        # Run as a program: exit 3, one line on stderr, no usage, no files.
+        env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+        script = _ROOT / "scripts" / "run_prelog_battery.py"
+        done = subprocess.run(
+            [sys.executable, str(script), "--trials", "x", "--out-dir", "battery_bad"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "run_prelog_battery.py: error: argument --trials: invalid int value: 'x'\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestIsotropicInput:
@@ -1016,7 +1039,7 @@ class TestDrivers:
         solo2 = solo(config, 2, GRID, 100, 13)
         assert solo1.rate2 == (0.0,) * len(GRID)
         assert solo2.rate1 == (0.0,) * len(GRID)
-        stacked = _stack_draws(_network_dims(config), 13, 100)
+        stacked = draw_all(_network_dims(config), 13, 100)
         powers = [_db_to_linear(snr) for snr in GRID]
         r1 = np.stack([kernel(P2P, stacked, config, p)[0] for p in powers])
         r2 = np.stack([kernel(SchemeSpec("point-to-point", user=2), stacked, config, p)[1] for p in powers])
@@ -1028,7 +1051,7 @@ class TestDrivers:
         # SNR points reduced together.
         config = IcConfig(2, 1, 2, 3)
         trace = simulate_scheme(ZF, config, GRID, 50, 7)
-        stacked = _stack_draws(_network_dims(config), 7, 50)
+        stacked = draw_all(_network_dims(config), 7, 50)
         pairs = [kernel(ZF, stacked, config, _db_to_linear(snr)) for snr in GRID]
         r1, r2 = (np.stack(rows) for rows in zip(*pairs))
         assert [list(trace.rate1), list(trace.stderr1)] == list(_mean_stderr(r1))
@@ -1077,7 +1100,7 @@ class TestDrivers:
     def test_every_refusal_comes_before_any_draw(self, spec, config, grid, message, monkeypatch):
         # Each kind's function checks the fit before it returns the prepare
         # step, and the driver calls it before drawing.
-        monkeypatch.setattr(simulate, "_stack_draws", lambda *args: pytest.fail("trials drawn"))
+        monkeypatch.setattr(simulate, "_draw", lambda *args: pytest.fail("trials drawn"))
         with pytest.raises(ValueError, match=message):
             simulate_scheme(spec, config, grid, 10, 7)
 

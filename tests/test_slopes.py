@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimodof import (
+    BcConfig,
     Halfspace,
+    IcConfig,
     RateTrace,
+    SchemeSpec,
     SlopeEstimate,
     fit_slope,
     region_from_halfspaces,
@@ -133,11 +136,13 @@ class TestVerdicts:
 
     def test_report_fields(self):
         region = region_from_halfspaces([Halfspace(1, 1, 2)], tag="demo-region")
-        report = verdict_report(
-            {"channel": "bc"}, {"kind": "time-division"}, self.estimate(1.0, 1.0), region
-        )
+        spec = SchemeSpec("time-division")
+        report = verdict_report(BcConfig(2, 1, 1), spec, self.estimate(1.0, 1.0), region)
         assert report["region_tag"] == "demo-region"
         assert report["verdict"] == "boundary"
         assert report["estimate"] == [1.0, 1.0]
         assert report["ci"] == [0.0, 0.0]
-        assert report["config"] == {"channel": "bc"}
+        assert report["config"] == {"channel": "bc", "antennas": [2, 1, 1]}
+        assert report["scheme"] == spec.to_dict()
+        ic = verdict_report(IcConfig(1, 2, 3, 4), spec, self.estimate(1.0, 1.0), region)
+        assert ic["config"] == {"channel": "ic", "antennas": [1, 2, 3, 4]}
