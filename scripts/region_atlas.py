@@ -16,21 +16,14 @@ Example:
 
 from __future__ import annotations
 
-import itertools
 import json
 import sys
 from collections import Counter
 from pathlib import Path
 
-from mimodof import IcConfig, case_partition_check, ic_classify
+from mimodof import case_partition_check
+from mimodof.catalog import _sweep
 from mimodof.cli import _Parser
-
-
-def classify_row(config: IcConfig) -> dict:
-    result = ic_classify(config)
-    doc = result.to_dict()
-    doc["antennas"] = [config.M1, config.M2, config.N1, config.N2]
-    return doc
 
 
 def census_key(label: dict) -> str:
@@ -61,9 +54,9 @@ def main(argv=None) -> int:
     known = 0
     csit_equal = 0
     rows = []
-    span = range(1, args.limit + 1)
-    for m1, m2, n1, n2 in itertools.product(span, span, span, span):
-        doc = classify_row(IcConfig(m1, m2, n1, n2))
+    for config, result in _sweep(args.limit):
+        doc = result.to_dict()
+        doc["antennas"] = [config.M1, config.M2, config.N1, config.N2]
         cases[census_key(doc["label"])] += 1
         known += doc["label"]["region_known"]
         csit_equal += doc["label"]["csit_equal"]

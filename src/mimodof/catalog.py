@@ -17,14 +17,16 @@ configurations split into cases after normalizing so that N1 <= N2:
 
 The classifier picks the case on the normalized ordering but writes each
 region's facets in the caller's user order, so every distinct region is
-reduced exactly once.
+reduced exactly once. A sweep over many configurations (the partition check,
+the region atlas) shares one memo of regions keyed by those rows and the
+tag, so it too reduces each distinct region once.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import product
-from typing import Optional
+from typing import Iterator, Optional
 
 from .regions import DofRegion, equals, is_subset, region_from_halfspaces, region_to_dict
 
@@ -159,15 +161,19 @@ def bc_csit_region(config: BcConfig) -> DofRegion:
     return region_from_halfspaces(rows, tag="bc-csit")
 
 
-def ic_csit_region(config: IcConfig) -> DofRegion:
-    """Full-CSIT interference region: per-link caps plus the usual sum cap.
+def _csit_rows(config: IcConfig) -> tuple[tuple[int, int, int], ...]:
+    """Full-CSIT interference rows: per-link caps plus the usual sum cap.
 
     The formula is symmetric in the two users, so it needs no normalizing.
     """
     m1, m2, n1, n2 = config.M1, config.M2, config.N1, config.N2
     sum_cap = min(m1 + m2, n1 + n2, max(m1, n2), max(m2, n1))
-    rows = [(1, 0, min(m1, n1)), (0, 1, min(m2, n2)), (1, 1, sum_cap)]
-    return region_from_halfspaces(rows, tag="ic-csit")
+    return ((1, 0, min(m1, n1)), (0, 1, min(m2, n2)), (1, 1, sum_cap))
+
+
+def ic_csit_region(config: IcConfig) -> DofRegion:
+    """Full-CSIT interference region: per-link caps plus the usual sum cap."""
+    return region_from_halfspaces(_csit_rows(config), tag="ic-csit")
 
 
 def ic_classify(config: IcConfig) -> ClassifiedRegions:
@@ -178,13 +184,27 @@ def ic_classify(config: IcConfig) -> ClassifiedRegions:
     reduced once. A known region is one object shared by ``no_csit``,
     ``outer`` and ``inner``.
     """
+    return _classify(config, {})
+
+
+def _memo_region(memo: dict, rows: tuple[tuple[int, int, int], ...], tag: str) -> DofRegion:
+    """The region of ``rows`` with ``tag``, reduced only if ``memo`` lacks it."""
+    region = memo.get((rows, tag))
+    if region is None:
+        region = memo[rows, tag] = region_from_halfspaces(rows, tag=tag)
+    return region
+
+
+def _classify(config: IcConfig, memo: dict) -> ClassifiedRegions:
+    """``ic_classify`` with every region looked up in ``memo``, keyed by its
+    caller-order rows and its tag."""
     swapped = config.N1 > config.N2
     n = config.swapped() if swapped else config
 
     def build(rows: list[tuple[int, int, int]], tag: str) -> DofRegion:
         if swapped:
             rows = [(a2, a1, b) for a1, a2, b in rows]
-        return region_from_halfspaces(rows, tag=tag)
+        return _memo_region(memo, tuple(rows), tag)
 
     q = min(n.M2, n.N2)
     no_csit: Optional[DofRegion]
@@ -207,7 +227,7 @@ def ic_classify(config: IcConfig) -> ClassifiedRegions:
         a, c = n.M1, n.N1 - n.M1
         outer = build([_triangle(n.N1, q), (1, 0, a), (0, 1, q)], "ic-outer")
         inner = build([(1, 0, a), (q - c, a, a * q)], "ic-inner")
-    csit = ic_csit_region(config)
+    csit = _memo_region(memo, _csit_rows(config), "ic-csit")
 
     label = CaseLabel(
         table=TABLE_UNEQUAL if n.N1 < n.N2 else TABLE_EQUAL,
@@ -234,6 +254,19 @@ def _normalized_conditions(n: IcConfig) -> list[bool]:
     ]
 
 
+def _sweep(limit: int) -> Iterator[tuple[IcConfig, ClassifiedRegions]]:
+    """Yield ``(config, ic_classify(config))`` for every config in
+    [1, limit]^4, in ``product`` order.
+
+    One memo serves the whole sweep, so each distinct region is reduced
+    once; it goes when the sweep does.
+    """
+    memo: dict = {}
+    for antennas in product(range(1, limit + 1), repeat=4):
+        config = IcConfig(*antennas)
+        yield config, _classify(config, memo)
+
+
 def case_partition_check(limit: int) -> bool:
     """Sweep all configs with antenna counts in [1, limit] and verify that
     the case conditions partition them and the advertised invariants hold.
@@ -243,9 +276,7 @@ def case_partition_check(limit: int) -> bool:
     """
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    for m1, m2, n1, n2 in product(range(1, limit + 1), repeat=4):
-        config = IcConfig(m1, m2, n1, n2)
-        cr = ic_classify(config)
+    for config, cr in _sweep(limit):
         swapped = config.N1 > config.N2
         norm = config.swapped() if swapped else config
 

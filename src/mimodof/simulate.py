@@ -235,6 +235,18 @@ def _validate_grid(snr_db: Sequence[float]) -> tuple[float, ...]:
     return grid
 
 
+def _check_counts(trials: int, seed: int) -> None:
+    """A run's trial count is an ``int`` of at least 1 and its seed an
+    ``int`` of at least 0; a bool is neither."""
+    for name, value in (("trials", trials), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+
+
 @dataclass(frozen=True)
 class RateTrace:
     """Average per-user rates over an ascending SNR grid."""
@@ -257,8 +269,7 @@ class RateTrace:
             if any(not math.isfinite(v) or v < 0 for v in col):
                 raise ValueError(f"{name} entries must be finite and nonnegative")
             columns[name] = col
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        _check_counts(self.trials, self.seed)
         object.__setattr__(self, "snr_db", grid)
         for name, col in columns.items():
             object.__setattr__(self, name, col)
@@ -523,13 +534,7 @@ def simulate_scheme(spec: SchemeSpec, config, snr_db: Sequence[float], trials: i
     drawn and prepared once, every SNR point reuses what was prepared, and
     each served user's (points, trials) rates are reduced in one batch.
     """
-    for name, value in (("trials", trials), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    _check_counts(trials, seed)
     grid = _validate_grid(snr_db)
     prepare = _SCHEMES[spec.kind](config, spec, grid)
     dims = _network_dims(config)

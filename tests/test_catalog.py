@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
@@ -39,6 +40,7 @@ from mimodof import (
     region_from_halfspaces,
     region_to_json,
 )
+from mimodof import catalog
 
 
 def verts(*points):
@@ -243,6 +245,46 @@ class TestPartitionCheck:
         err = CasePartitionError(IcConfig(1, 2, 3, 4), "demo")
         assert err.config == IcConfig(1, 2, 3, 4)
 
+    def test_sweep_reduces_each_distinct_region_once(self, monkeypatch):
+        # 101 distinct (rows, tag) pairs over [1,4]^4; one classification per
+        # config, with no memo, makes 524 reductions.
+        calls = []
+        reduce = catalog.region_from_halfspaces
+        monkeypatch.setattr(
+            catalog, "region_from_halfspaces", lambda rows, tag: calls.append(tag) or reduce(rows, tag=tag)
+        )
+        assert case_partition_check(4) is True
+        assert len(calls) == 101
+
+    def test_sweep_matches_one_classification_per_config(self):
+        swept = list(catalog._sweep(5))
+        assert [config for config, _ in swept] == [IcConfig(*c) for c in product(range(1, 6), repeat=4)]
+        for config, cr in swept:
+            fresh = ic_classify(config)
+            assert cr.label == fresh.label
+            for name in ("no_csit", "outer", "inner", "csit"):
+                assert getattr(cr, name) == getattr(fresh, name)
+
+    def test_a_broken_classifier_names_the_first_violating_config(self, monkeypatch):
+        # Claim every case II region equals the CSIT region; the check must
+        # stop at the first case II config in sweep order.
+        classify = catalog._classify
+
+        def broken(config, memo):
+            cr = classify(config, memo)
+            if cr.label.case_id == "II":
+                cr = replace(cr, label=replace(cr.label, csit_equal=True))
+            return cr
+
+        monkeypatch.setattr(catalog, "_classify", broken)
+        first = next(
+            IcConfig(*c) for c in product(range(1, 4), repeat=4) if ic_classify(IcConfig(*c)).label.case_id == "II"
+        )
+        with pytest.raises(CasePartitionError) as raised:
+            case_partition_check(3)
+        assert raised.value.config == first
+        assert raised.value.reason == "csit_equal disagrees with comparing the region to the CSIT region"
+
 
 def load_atlas_script():
     path = Path(__file__).resolve().parents[1] / "scripts" / "region_atlas.py"
@@ -265,7 +307,7 @@ class TestAtlasScript:
     )
     def test_bad_input_exits_three_before_the_sweep(self, argv, message, capsys, monkeypatch, tmp_path):
         atlas = load_atlas_script()
-        monkeypatch.setattr(atlas, "ic_classify", lambda config: pytest.fail("sweep started"))
+        monkeypatch.setattr(atlas, "_sweep", lambda limit: pytest.fail("sweep started"))
         # The paths above are relative: under a missing directory, or naming d.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "d").mkdir()

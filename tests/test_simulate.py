@@ -972,6 +972,23 @@ class TestTraces:
         with pytest.raises(ValueError, match="trials must be at least 1"):
             RateTrace((10.0,), (1,), (0,), (1,), (0,), 0, 0)
 
+    @pytest.mark.parametrize(
+        "trials, seed, message",
+        [
+            (2.5, 0, "trials must be an integer, got 2.5"),
+            (True, 0, "trials must be an integer, got True"),
+            (2, True, "seed must be an integer, got True"),
+            (2, -3, "seed must be nonnegative"),
+        ],
+    )
+    def test_counts_follow_the_simulation_rule(self, trials, seed, message):
+        # The rule simulate_scheme applies before any draw: a trace that
+        # trace_to_csv could write but trace_from_csv not read never builds.
+        with pytest.raises(ValueError, match=message):
+            RateTrace((1.0,), (1,), (0,), (1,), (0,), trials=trials, seed=seed)
+        with pytest.raises(ValueError, match=message):
+            simulate_scheme(P2P, BcConfig(2, 2, 2), GRID, trials, seed)
+
     def test_csv_round_trip(self):
         trace = simulate_scheme(P2P, BcConfig(2, 2, 2), GRID, 64, 3)
         text = trace_to_csv(trace)
