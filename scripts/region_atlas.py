@@ -21,8 +21,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from mimodof import case_partition_check
-from mimodof.catalog import _sweep
+from mimodof.catalog import _check_partition, _sweep
 from mimodof.cli import _Parser
 
 
@@ -46,21 +45,23 @@ def main(argv=None) -> int:
     except OSError as exc:
         parser.error(str(exc))
 
-    if args.check:
-        case_partition_check(args.limit)
-        print(f"partition check passed on [1, {args.limit}]^4")
-
     cases = Counter()
     known = 0
     csit_equal = 0
     rows = []
+    # One sweep serves the check and the table, so each distinct region is
+    # reduced once.
     for config, result in _sweep(args.limit):
+        if args.check:
+            _check_partition(config, result)
         doc = result.to_dict()
         doc["antennas"] = [config.M1, config.M2, config.N1, config.N2]
         cases[census_key(doc["label"])] += 1
         known += doc["label"]["region_known"]
         csit_equal += doc["label"]["csit_equal"]
         rows.append(doc)
+    if args.check:
+        print(f"partition check passed on [1, {args.limit}]^4")
 
     if out is not None:
         with out:

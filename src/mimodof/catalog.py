@@ -56,10 +56,13 @@ TABLE_UNEQUAL = "N1<N2"
 TABLE_EQUAL = "N1=N2"
 
 
-def _check_antennas(**counts: int) -> None:
-    for name, value in counts.items():
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+def _integer(name: str, value, low: int, high: Optional[int] = None) -> int:
+    """``value`` if it is an int (a bool is not) in [low, high], else a
+    ValueError naming the input and the value: the rule for every count."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,8 @@ class BcConfig:
     N2: int
 
     def __post_init__(self) -> None:
-        _check_antennas(M=self.M, N1=self.N1, N2=self.N2)
+        for name, value in (("M", self.M), ("N1", self.N1), ("N2", self.N2)):
+            _integer(name, value, 1)
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,8 @@ class IcConfig:
     N2: int
 
     def __post_init__(self) -> None:
-        _check_antennas(M1=self.M1, M2=self.M2, N1=self.N1, N2=self.N2)
+        for name, value in (("M1", self.M1), ("M2", self.M2), ("N1", self.N1), ("N2", self.N2)):
+            _integer(name, value, 1)
 
     def swapped(self) -> "IcConfig":
         return IcConfig(self.M2, self.M1, self.N2, self.N1)
@@ -267,6 +272,45 @@ def _sweep(limit: int) -> Iterator[tuple[IcConfig, ClassifiedRegions]]:
         yield config, _classify(config, memo)
 
 
+def _check_partition(config: IcConfig, cr: ClassifiedRegions) -> None:
+    """Raise CasePartitionError unless the case conditions pick exactly the
+    case ``cr`` reports for ``config`` and every advertised invariant holds."""
+    swapped = config.N1 > config.N2
+    norm = config.swapped() if swapped else config
+    if cr.label.swapped != swapped:
+        raise CasePartitionError(config, "swapped flag disagrees with the receiver counts")
+    conditions = _normalized_conditions(norm)
+    if sum(conditions) != 1:
+        raise CasePartitionError(config, "case conditions do not pick exactly one case")
+    if cr.label.case_id != ("I", "II", "III")[conditions.index(True)]:
+        raise CasePartitionError(config, "classifier picked a case other than the one its conditions give")
+    if cr.label.table != (TABLE_UNEQUAL if norm.N1 < norm.N2 else TABLE_EQUAL):
+        raise CasePartitionError(config, "table disagrees with the normalized receiver counts")
+    if not is_subset(cr.inner, cr.outer):
+        raise CasePartitionError(config, "inner bound not contained in outer bound")
+    if not is_subset(cr.outer, cr.csit):
+        raise CasePartitionError(config, "outer bound not contained in the CSIT region")
+    known = cr.label.region_known
+    if known != (cr.no_csit is not None):
+        raise CasePartitionError(config, "region_known flag disagrees with no_csit presence")
+    expect_unknown = cr.label.table == TABLE_UNEQUAL and cr.label.case_id == "III"
+    if known == expect_unknown:
+        raise CasePartitionError(config, "region_known wrong for this case")
+    if cr.label.csit_equal != (known and equals(cr.no_csit, cr.csit)):
+        raise CasePartitionError(config, "csit_equal disagrees with comparing the region to the CSIT region")
+    if known and not (equals(cr.inner, cr.no_csit) and equals(cr.outer, cr.no_csit)):
+        raise CasePartitionError(config, "known region must coincide with both bounds")
+    if norm.N1 == norm.N2:
+        if cr.label.case_id == "III":
+            raise CasePartitionError(config, "case III must not appear when N1 = N2")
+        if not equals(cr.inner, cr.outer):
+            raise CasePartitionError(config, "bounds must collapse when N1 = N2")
+    if cr.label.case_id == "I" and not cr.label.csit_equal:
+        raise CasePartitionError(config, "case I region must equal the CSIT region")
+    if cr.label.case_id == "II" and cr.label.csit_equal:
+        raise CasePartitionError(config, "case II region must shrink strictly from the CSIT region")
+
+
 def case_partition_check(limit: int) -> bool:
     """Sweep all configs with antenna counts in [1, limit] and verify that
     the case conditions partition them and the advertised invariants hold.
@@ -274,45 +318,7 @@ def case_partition_check(limit: int) -> bool:
     Returns True, or raises CasePartitionError naming the first violating
     configuration.
     """
-    if limit < 1:
-        raise ValueError("limit must be at least 1")
+    _integer("limit", limit, 1)
     for config, cr in _sweep(limit):
-        swapped = config.N1 > config.N2
-        norm = config.swapped() if swapped else config
-
-        def fail(reason: str) -> None:
-            raise CasePartitionError(config, reason)
-
-        if cr.label.swapped != swapped:
-            fail("swapped flag disagrees with the receiver counts")
-        conditions = _normalized_conditions(norm)
-        if sum(conditions) != 1:
-            fail("case conditions do not pick exactly one case")
-        if cr.label.case_id != ("I", "II", "III")[conditions.index(True)]:
-            fail("classifier picked a case other than the one its conditions give")
-        if cr.label.table != (TABLE_UNEQUAL if norm.N1 < norm.N2 else TABLE_EQUAL):
-            fail("table disagrees with the normalized receiver counts")
-        if not is_subset(cr.inner, cr.outer):
-            fail("inner bound not contained in outer bound")
-        if not is_subset(cr.outer, cr.csit):
-            fail("outer bound not contained in the CSIT region")
-        known = cr.label.region_known
-        if known != (cr.no_csit is not None):
-            fail("region_known flag disagrees with no_csit presence")
-        expect_unknown = cr.label.table == TABLE_UNEQUAL and cr.label.case_id == "III"
-        if known == expect_unknown:
-            fail("region_known wrong for this case")
-        if cr.label.csit_equal != (known and equals(cr.no_csit, cr.csit)):
-            fail("csit_equal disagrees with comparing the region to the CSIT region")
-        if known and not (equals(cr.inner, cr.no_csit) and equals(cr.outer, cr.no_csit)):
-            fail("known region must coincide with both bounds")
-        if norm.N1 == norm.N2:
-            if cr.label.case_id == "III":
-                fail("case III must not appear when N1 = N2")
-            if not equals(cr.inner, cr.outer):
-                fail("bounds must collapse when N1 = N2")
-        if cr.label.case_id == "I" and not cr.label.csit_equal:
-            fail("case I region must equal the CSIT region")
-        if cr.label.case_id == "II" and cr.label.csit_equal:
-            fail("case II region must shrink strictly from the CSIT region")
+        _check_partition(config, cr)
     return True

@@ -42,7 +42,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .catalog import BcConfig, IcConfig
+from .catalog import BcConfig, IcConfig, _integer
 
 __all__ = [
     "SCHEME_KINDS", "SimulationError",
@@ -236,15 +236,9 @@ def _validate_grid(snr_db: Sequence[float]) -> tuple[float, ...]:
 
 
 def _check_counts(trials: int, seed: int) -> None:
-    """A run's trial count is an ``int`` of at least 1 and its seed an
-    ``int`` of at least 0; a bool is neither."""
-    for name, value in (("trials", trials), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    """A run's trial count is an int >= 1 and its seed an int >= 0."""
+    _integer("trials", trials, 1)
+    _integer("seed", seed, 0)
 
 
 @dataclass(frozen=True)
@@ -414,8 +408,6 @@ def _zero_forcing(config, spec, grid) -> Callable:
     _require(config, IcConfig, "receiver zero-forcing runs on interference configs")
     s1, s2 = spec.streams
     for name, s, m in (("s1", s1, config.M1), ("s2", s2, config.M2)):
-        if not isinstance(s, int) or isinstance(s, bool) or s < 0:
-            raise SimulationError(f"{name} must be a nonnegative integer")
         if s > m:
             raise SimulationError(f"{name}={s} exceeds the transmitter's {m} antennas")
     total = s1 + s2
@@ -444,7 +436,7 @@ def _alignment(config, spec, grid) -> Callable:
             f"M2 <= N2 - 1, got {config}"
         )
     nb = config.M2 if spec.beams is None else spec.beams
-    if not isinstance(nb, int) or isinstance(nb, bool) or nb < 0 or nb > config.M2:
+    if nb > config.M2:
         raise SimulationError(f"beams must be in [0, {config.M2}], got {spec.beams!r}")
     # Interference at P**exponent only shrinks relative to P when P > 1.
     if any(_db_to_linear(snr) <= 1.0 for snr in grid):
@@ -493,12 +485,12 @@ SCHEME_KINDS = tuple(_SCHEMES)
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """A transmission scheme plus its parameters.
-
-    Unused parameters are ignored by the dispatcher: tau only matters for
-    time division, streams for zero-forcing, beams and power_exponent for
-    the alignment scheme, user for the single-user schemes.
-    """
+    """A transmission scheme plus its parameters. The spec validates every
+    field it holds when it is built, and a malformed one raises ValueError;
+    ``streams`` is stored as a tuple. Unused parameters are ignored by the
+    dispatcher: tau only matters for time division, streams for zero-forcing,
+    beams and power_exponent for the alignment scheme, user for the
+    single-user schemes."""
 
     kind: str
     tau: float = 0.5
@@ -517,10 +509,13 @@ class SchemeSpec:
             raise ValueError("tau must be in [0, 1]")
         if not math.isfinite(self.power_exponent):
             raise ValueError("power_exponent must be finite")
-        if not isinstance(self.user, int) or isinstance(self.user, bool) or self.user not in (1, 2):
-            raise ValueError("user must be 1 or 2")
-        if len(self.streams) != 2:
-            raise ValueError("streams must be a pair")
+        _integer("user", self.user, 1, 2)
+        pair = self.streams
+        if isinstance(pair, (str, bytes)) or not isinstance(pair, Sequence) or len(pair) != 2:
+            raise ValueError(f"streams must be a pair of integers, got {pair!r}")
+        object.__setattr__(self, "streams", (_integer("s1", pair[0], 0), _integer("s2", pair[1], 0)))
+        if self.beams is not None:
+            _integer("beams", self.beams, 0)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "streams": list(self.streams)}

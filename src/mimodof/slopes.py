@@ -13,7 +13,7 @@ import math
 from dataclasses import astuple, dataclass
 from typing import Sequence
 
-from .catalog import BcConfig
+from .catalog import BcConfig, _integer
 from .regions import DofRegion
 from .simulate import RateTrace, SchemeSpec
 
@@ -94,10 +94,8 @@ def fit_slope(trace: RateTrace, window: int = DEFAULT_WINDOW) -> SlopeEstimate:
 
 def check_window(window: int, points: int) -> int:
     """How many of ``points`` grid points a fit over ``window`` uses; raises
-    ValueError when that is fewer than three or ``window`` is not an int."""
-    if isinstance(window, bool) or not isinstance(window, int):
-        raise ValueError(f"window must be an integer, got {window!r}")
-    count = min(window, points)
+    ValueError when that is fewer than three or ``window`` is not an int >= 1."""
+    count = min(_integer("window", window, 1), points)
     if count < 3:
         raise ValueError(f"need at least 3 points to fit a slope, window holds {count}")
     return count

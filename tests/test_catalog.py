@@ -83,9 +83,9 @@ class TestBroadcast:
             assert slope == F(-min(m, n2), min(m, n1))
 
     def test_bad_antennas_rejected(self):
-        with pytest.raises(ValueError, match="M must be a positive integer, got 0"):
+        with pytest.raises(ValueError, match="M must be an integer >= 1, got 0"):
             BcConfig(0, 1, 1)
-        with pytest.raises(ValueError, match="N1 must be a positive integer, got -2"):
+        with pytest.raises(ValueError, match="N1 must be an integer >= 1, got -2"):
             BcConfig(1, -2, 1)
 
 
@@ -238,7 +238,7 @@ class TestPartitionCheck:
         assert case_partition_check(4) is True
 
     def test_bad_limit_rejected(self):
-        with pytest.raises(ValueError, match="limit must be at least 1"):
+        with pytest.raises(ValueError, match="limit must be an integer >= 1, got 0"):
             case_partition_check(0)
 
     def test_violations_carry_the_config(self):
@@ -329,6 +329,20 @@ class TestAtlasScript:
         assert (done.returncode, done.stdout) == (3, "")
         assert done.stderr == "region_atlas.py: error: argument --limit: invalid int value: 'x'\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_check_and_table_share_one_sweep(self, capsys, monkeypatch):
+        # The check runs on the rows the table classifies, so each of the 101
+        # distinct regions over [1,4]^4 is reduced once, not once per pass.
+        calls = []
+        reduce = catalog.region_from_halfspaces
+        monkeypatch.setattr(
+            catalog, "region_from_halfspaces", lambda rows, tag: calls.append(tag) or reduce(rows, tag=tag)
+        )
+        assert load_atlas_script().main(["--limit", "4", "--check"]) == 0
+        assert len(calls) == 101
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "partition check passed on [1, 4]^4", "swept 256 configs on [1, 4]^4",
+        ]
 
     def test_writes_one_row_per_config(self, tmp_path):
         out = tmp_path / "atlas.jsonl"

@@ -56,7 +56,7 @@ class TestRegionCommand:
         code, _, err = run(capsys, "region", "--channel", "bc", "--antennas", "1,2")
         assert code == 3
         code, _, err = run(capsys, "region", "--channel", "ic", "--antennas", "0,1,1,1")
-        assert (code, err) == (3, "mimodof: error: M1 must be a positive integer, got 0\n")
+        assert (code, err) == (3, "mimodof: error: M1 must be an integer >= 1, got 0\n")
 
     def test_unknown_flag_exit_three(self, capsys):
         code = cli.main(["region", "--nope"])
@@ -261,6 +261,16 @@ class TestVerifyCommand:
                 id="verify-three-streams",
             ),
             pytest.param(
+                ("verify", *SIM_FLAGS[:6], "--streams=-1,1", "--against", "outer"),
+                "s1 must be an integer >= 0, got -1",
+                id="verify-negative-streams",
+            ),
+            pytest.param(
+                ("simulate", *IA_IC, "--beams", "-1"),
+                "beams must be an integer >= 0, got -1",
+                id="simulate-negative-beams",
+            ),
+            pytest.param(
                 ("verify", *P2P_BC, "--against", "exact", "--out", "missing/x.json"),
                 "No such file or directory: 'missing/x.json'",
                 id="verify-out",
@@ -307,8 +317,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            pytest.param(("--trials", "0"), "trials must be at least 1", id="no-trials"),
-            pytest.param(("--seed", "-1"), "seed must be nonnegative", id="negative-seed"),
+            pytest.param(("--trials", "0"), "trials must be an integer >= 1, got 0", id="no-trials"),
+            pytest.param(("--seed", "-1"), "seed must be an integer >= 0, got -1", id="negative-seed"),
         ],
     )
     def test_bad_trials_or_seed_exits_three_before_any_draw(self, capsys, monkeypatch, tmp_path, argv, message):

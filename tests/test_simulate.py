@@ -303,12 +303,12 @@ class TestDraws:
         # or seed that is not an int (a bool is not one either) before any
         # draw.
         monkeypatch.setattr(simulate, "_draw", lambda *args: pytest.fail("trials drawn"))
-        with pytest.raises(ValueError, match="seed must be nonnegative"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
             simulate_scheme(P2P, BcConfig(2, 2, 2), GRID, 1, -1)
-        with pytest.raises(ValueError, match="trials must be at least 1"):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1, got 0"):
             simulate_scheme(P2P, BcConfig(2, 2, 2), GRID, 0, 0)
         for trials, seed, name in [(1, True, "seed"), (1, 1.5, "seed"), (True, 0, "trials"), (10.0, 0, "trials")]:
-            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= ., got"):
                 simulate_scheme(P2P, BcConfig(2, 2, 2), GRID, trials, seed)
 
     def test_entry_statistics(self):
@@ -723,12 +723,16 @@ class TestZeroForcing:
         for streams, rule in (
             ((2, 1), "receivers need"),  # N1 = 2 < 3 streams
             ((1, 2), "exceeds the transmitter"),  # s2 > M2
-            ((-1, 1), "nonnegative integer"),
         ):
             with pytest.raises(SimulationError, match=rule):
                 simulate_scheme(
                     SchemeSpec("receiver-zero-forcing", streams=streams), self.CONFIG, GRID, 10, 11
                 )
+        # A negative count is malformed whatever the configuration, so the
+        # spec refuses it as it is built, with a plain ValueError.
+        with pytest.raises(ValueError, match="s1 must be an integer >= 0, got -1") as raised:
+            SchemeSpec("receiver-zero-forcing", streams=(-1, 1))
+        assert type(raised.value) is ValueError
 
     def test_driver_slopes(self):
         # A user sending 0 streams needs no antennas at its receiver: on
@@ -872,8 +876,8 @@ class TestBatteryScript:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--trials", "0"], "trials must be at least 1"),
-            (["--seed", "-1"], "seed must be nonnegative"),
+            (["--trials", "0"], "trials must be an integer >= 1, got 0"),
+            (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
         ],
         ids=["no-trials", "negative-seed"],
     )
@@ -969,16 +973,16 @@ class TestTraces:
             RateTrace((10.0,), (1, 2), (0,), (1,), (0,), 10, 0)
         with pytest.raises(ValueError, match="rate1 entries must be finite and nonnegative"):
             RateTrace((10.0,), (-1,), (0,), (1,), (0,), 10, 0)
-        with pytest.raises(ValueError, match="trials must be at least 1"):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1, got 0"):
             RateTrace((10.0,), (1,), (0,), (1,), (0,), 0, 0)
 
     @pytest.mark.parametrize(
         "trials, seed, message",
         [
-            (2.5, 0, "trials must be an integer, got 2.5"),
-            (True, 0, "trials must be an integer, got True"),
-            (2, True, "seed must be an integer, got True"),
-            (2, -3, "seed must be nonnegative"),
+            (2.5, 0, "trials must be an integer >= 1, got 2.5"),
+            (True, 0, "trials must be an integer >= 1, got True"),
+            (2, True, "seed must be an integer >= 0, got True"),
+            (2, -3, "seed must be an integer >= 0, got -3"),
         ],
     )
     def test_counts_follow_the_simulation_rule(self, trials, seed, message):
@@ -1093,8 +1097,6 @@ class TestDrivers:
         "spec, config, grid, message",
         [
             (ZF, BcConfig(2, 2, 2), GRID, "runs on interference configs"),
-            (SchemeSpec("receiver-zero-forcing", streams=(-1, 1)), IcConfig(2, 1, 2, 3), GRID,
-             "s1 must be a nonnegative integer"),
             (SchemeSpec("receiver-zero-forcing", streams=(1, 3)), IcConfig(2, 2, 2, 3), GRID,
              "s2=3 exceeds the transmitter's 2 antennas"),
             (SchemeSpec("receiver-zero-forcing", streams=(1, 1)), IcConfig(2, 1, 2, 1), GRID,
@@ -1109,7 +1111,7 @@ class TestDrivers:
             (SchemeSpec("isotropic-bc", user=2), BcConfig(2, 1, 3), GRID, "at most M antennas"),
         ],
         ids=[
-            "zf-on-bc", "zf-negative-s1", "zf-s2-over-M2", "zf-short-receiver",
+            "zf-on-bc", "zf-s2-over-M2", "zf-short-receiver",
             "ia-on-bc", "ia-shape", "ia-beams", "ia-0dB", "ia-exponent-overflow",
             "iso-on-ic", "iso-tall-receiver",
         ],
@@ -1150,13 +1152,18 @@ class TestDrivers:
             SchemeSpec(kind="magic")
         with pytest.raises(ValueError, match="tau must be in"):
             SchemeSpec(kind="time-division", tau=2.0)
-        with pytest.raises(ValueError, match="user must be 1 or 2"):
+        with pytest.raises(ValueError, match=r"user must be an integer in \[1, 2\], got 3"):
             SchemeSpec(kind="point-to-point", user=3)
         # 2.0 == 2 and True == 1, but neither is a user index.
-        with pytest.raises(ValueError, match="user must be 1 or 2"):
+        with pytest.raises(ValueError, match=r"user must be an integer in \[1, 2\], got 2.0"):
             SchemeSpec(kind="point-to-point", user=2.0)
-        with pytest.raises(ValueError, match="user must be 1 or 2"):
+        with pytest.raises(ValueError, match=r"user must be an integer in \[1, 2\], got True"):
             SchemeSpec(kind="isotropic-bc", user=True)
+        # A negative stream count can no longer reach the scheme: the spec
+        # refuses it before any draw could happen.
+        with pytest.raises(ValueError, match="s1 must be an integer >= 0, got -1") as raised:
+            SchemeSpec("receiver-zero-forcing", streams=(-1, 1))
+        assert not isinstance(raised.value, SimulationError)
         # A numeric string or a bool is not a real parameter either.
         for value in ("0.5", True, None):
             with pytest.raises(ValueError, match="tau must be a real number"):
@@ -1164,6 +1171,20 @@ class TestDrivers:
             with pytest.raises(ValueError, match="power_exponent must be a real number"):
                 SchemeSpec(kind="ia-power-scaling", power_exponent=value)
         assert SchemeSpec(kind="time-division", tau=1).to_dict()["tau"] == 1
+
+    def test_streams_are_stored_as_a_tuple(self):
+        # Any sequence of two ints is kept as a tuple, so specs hash and a
+        # list equals the tuple it holds; the document still writes a list.
+        spec = SchemeSpec("receiver-zero-forcing", streams=[1, 2])
+        assert spec.streams == (1, 2) and type(spec.streams) is tuple
+        assert spec == SchemeSpec("receiver-zero-forcing", streams=(1, 2))
+        assert hash(spec) == hash(SchemeSpec("receiver-zero-forcing", streams=(1, 2)))
+        assert spec.to_dict()["streams"] == [1, 2]
+        for streams in (3, "12", b"12", (1,), (1, 1, 1), None):
+            with pytest.raises(ValueError, match="streams must be a pair of integers, got "):
+                SchemeSpec("receiver-zero-forcing", streams=streams)
+        with pytest.raises(ValueError, match="s2 must be an integer >= 0, got '1'"):
+            SchemeSpec("receiver-zero-forcing", streams=(1, "1"))
 
     def test_db_to_linear(self):
         assert _db_to_linear(0.0) == 1.0

@@ -83,7 +83,7 @@ class TestFit:
         # A float window used to be truncated (4.9 fitted 4 points), a string
         # parsed, and inf raised OverflowError.
         trace = synthetic_trace((30, 40, 50, 60, 70), 1.0, 0.0)
-        with pytest.raises(ValueError, match="window must be an integer"):
+        with pytest.raises(ValueError, match=r"window must be an integer >= 1, got "):
             fit_slope(trace, window)
 
     @given(

@@ -1,9 +1,15 @@
-"""The public surface of the package, pinned name by name."""
+"""The public surface of the package, pinned name by name, and the one rule
+for every count it takes."""
 
 import types
 
+import pytest
+
 import mimodof
 from mimodof import catalog, regions, simulate, slopes
+from mimodof.catalog import BcConfig, IcConfig, case_partition_check
+from mimodof.simulate import SchemeSpec, simulate_scheme
+from mimodof.slopes import check_window
 
 PUBLIC = {
     # regions
@@ -34,3 +40,44 @@ def test_public_names_are_pinned_and_every_all_entry_resolves():
     for module in (regions, catalog, simulate, slopes):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], module.__name__
+
+
+GRID = (10.0, 20.0, 30.0)
+
+
+def _run(spec, config=IcConfig(2, 1, 2, 3), trials=10, seed=7):
+    simulate_scheme(spec, config, GRID, trials, seed)
+
+
+# Each count: the call that takes it, and its lowest valid value. Every call
+# below builds, or runs, one thing with that count set to the value under test.
+COUNTS = {
+    "M": (lambda v: BcConfig(v, 1, 1), 1),
+    "N1": (lambda v: BcConfig(1, v, 1), 1),
+    "N2": (lambda v: BcConfig(1, 1, v), 1),
+    "M1": (lambda v: IcConfig(v, 1, 1, 1), 1),
+    "M2": (lambda v: IcConfig(1, v, 1, 1), 1),
+    "limit": (case_partition_check, 1),
+    "trials": (lambda v: _run(SchemeSpec("point-to-point"), BcConfig(2, 2, 2), trials=v), 1),
+    "seed": (lambda v: _run(SchemeSpec("point-to-point"), BcConfig(2, 2, 2), seed=v), 0),
+    "window": (lambda v: check_window(v, 5), 1),
+    "s1": (lambda v: _run(SchemeSpec("receiver-zero-forcing", streams=(v, 1))), 0),
+    "s2": (lambda v: _run(SchemeSpec("receiver-zero-forcing", streams=(1, v))), 0),
+    "beams": (lambda v: _run(SchemeSpec("ia-power-scaling", beams=v), IcConfig(1, 3, 1, 4)), 0),
+    "user": (lambda v: _run(SchemeSpec("point-to-point", user=v), BcConfig(2, 2, 2)), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS))
+@pytest.mark.parametrize("kind", ["bool", "float", "below", "string"])
+def test_every_count_refuses_a_non_int_or_out_of_range_value_before_any_draw(name, kind, monkeypatch):
+    call, low = COUNTS[name]
+    value = {"bool": True, "float": float(low + 1), "below": low - 1, "string": str(low)}[kind]
+    monkeypatch.setattr(simulate, "_draw", lambda *args: pytest.fail("trials drawn"))
+    with pytest.raises(ValueError) as raised:
+        call(value)
+    # A malformed count is a plain ValueError, not a scheme that does not fit.
+    assert type(raised.value) is ValueError
+    assert str(raised.value).startswith(f"{name} must be an integer ")
+    assert str(raised.value).endswith(f", got {value!r}")
+
