@@ -49,11 +49,12 @@ def main(argv=None) -> int:
     known = 0
     csit_equal = 0
     rows = []
+    relations: dict = {}
     # One sweep serves the check and the table, so each distinct region is
-    # reduced once.
+    # reduced once and each relation the check reads is decided once.
     for config, result in _sweep(args.limit):
         if args.check:
-            _check_partition(config, result)
+            _check_partition(config, result, relations)
         doc = result.to_dict()
         doc["antennas"] = [config.M1, config.M2, config.N1, config.N2]
         cases[census_key(doc["label"])] += 1

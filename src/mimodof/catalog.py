@@ -19,7 +19,10 @@ The classifier picks the case on the normalized ordering but writes each
 region's facets in the caller's user order, so every distinct region is
 reduced exactly once. A sweep over many configurations (the partition check,
 the region atlas) shares one memo of regions keyed by those rows and the
-tag, so it too reduces each distinct region once.
+tag, so it too reduces each distinct region once. The partition check keeps
+a second memo over its sweep, of each subset and equality answer by the pair
+of region objects, so it decides each relation once while its label rules
+still run for every configuration.
 """
 
 from __future__ import annotations
@@ -200,42 +203,48 @@ def _memo_region(memo: dict, rows: tuple[tuple[int, int, int], ...], tag: str) -
     return region
 
 
+def _normalized(config: IcConfig) -> tuple[bool, int, int, int, int]:
+    """Whether the users swap to make N1 <= N2, and then M1, M2, N1, N2."""
+    if config.N1 > config.N2:
+        return True, config.M2, config.M1, config.N2, config.N1
+    return False, config.M1, config.M2, config.N1, config.N2
+
+
 def _classify(config: IcConfig, memo: dict) -> ClassifiedRegions:
     """``ic_classify`` with every region looked up in ``memo``, keyed by its
     caller-order rows and its tag."""
-    swapped = config.N1 > config.N2
-    n = config.swapped() if swapped else config
+    swapped, m1, m2, n1, n2 = _normalized(config)
 
     def build(rows: list[tuple[int, int, int]], tag: str) -> DofRegion:
         if swapped:
             rows = [(a2, a1, b) for a1, a2, b in rows]
         return _memo_region(memo, tuple(rows), tag)
 
-    q = min(n.M2, n.N2)
+    q = min(m2, n2)
     no_csit: Optional[DofRegion]
-    if n.M2 <= n.N1 or (n.N1 == n.N2 and n.M1 <= n.N1):
+    if m2 <= n1 or (n1 == n2 and m1 <= n1):
         # Receiver zero-forcing: the caps plus the first receiver's
         # dimension as sum cap.
         case_id, scheme = "I", SCHEME_RX_ZF
         no_csit = outer = inner = build(
-            [(1, 0, min(n.M1, n.N1)), (0, 1, q), (1, 1, n.N1)], "ic-no-csit"
+            [(1, 0, min(m1, n1)), (0, 1, q), (1, 1, n1)], "ic-no-csit"
         )
-    elif n.N1 <= n.M1:
+    elif n1 <= m1:
         case_id, scheme = "II", SCHEME_TDM
-        no_csit = outer = inner = build([_triangle(n.N1, q)], "ic-no-csit")
+        no_csit = outer = inner = build([_triangle(n1, q)], "ic-no-csit")
     else:
         # Here M1 < N1 < M2. The inner bound is the hull of (0,0), (M1,0),
         # the zero-forcing corner (M1, N1-M1) and the time-division endpoint
         # (0, q), a proper quadrilateral.
         case_id, scheme = "III", SCHEME_UNKNOWN
         no_csit = None
-        a, c = n.M1, n.N1 - n.M1
-        outer = build([_triangle(n.N1, q), (1, 0, a), (0, 1, q)], "ic-outer")
+        a, c = m1, n1 - m1
+        outer = build([_triangle(n1, q), (1, 0, a), (0, 1, q)], "ic-outer")
         inner = build([(1, 0, a), (q - c, a, a * q)], "ic-inner")
     csit = _memo_region(memo, _csit_rows(config), "ic-csit")
 
     label = CaseLabel(
-        table=TABLE_UNEQUAL if n.N1 < n.N2 else TABLE_EQUAL,
+        table=TABLE_UNEQUAL if n1 < n2 else TABLE_EQUAL,
         case_id=case_id,
         swapped=swapped,
         region_known=no_csit is not None,
@@ -246,17 +255,11 @@ def _classify(config: IcConfig, memo: dict) -> ClassifiedRegions:
     return ClassifiedRegions(label=label, no_csit=no_csit, outer=outer, inner=inner, csit=csit)
 
 
-def _normalized_conditions(n: IcConfig) -> list[bool]:
-    if n.N1 < n.N2:
-        return [
-            n.M2 <= n.N1,
-            n.N1 < n.M2 and n.N1 <= n.M1,
-            n.N1 < n.M2 and n.M1 < n.N1,
-        ]
-    return [
-        n.M2 <= n.N1 or n.M1 <= n.N1,
-        n.N1 < n.M2 and n.N1 < n.M1,
-    ]
+def _normalized_conditions(m1: int, m2: int, n1: int, n2: int) -> list[bool]:
+    """The case conditions on normalized counts (n1 <= n2), in case order."""
+    if n1 < n2:
+        return [m2 <= n1, n1 < m2 and n1 <= m1, n1 < m2 and m1 < n1]
+    return [m2 <= n1 or m1 <= n1, n1 < m2 and n1 < m1]
 
 
 def _sweep(limit: int) -> Iterator[tuple[IcConfig, ClassifiedRegions]]:
@@ -272,23 +275,38 @@ def _sweep(limit: int) -> Iterator[tuple[IcConfig, ClassifiedRegions]]:
         yield config, _classify(config, memo)
 
 
-def _check_partition(config: IcConfig, cr: ClassifiedRegions) -> None:
+def _related(relations: dict, test, a: DofRegion, b: DofRegion) -> bool:
+    """``test(a, b)``, decided once per pair of region objects in ``relations``.
+
+    An entry holds both objects, so neither id is reused while it lives.
+    """
+    key = (test, id(a), id(b))
+    entry = relations.get(key)
+    if entry is None:
+        entry = relations[key] = (a, b, test(a, b))
+    return entry[2]
+
+
+def _check_partition(config: IcConfig, cr: ClassifiedRegions, relations: dict) -> None:
     """Raise CasePartitionError unless the case conditions pick exactly the
-    case ``cr`` reports for ``config`` and every advertised invariant holds."""
-    swapped = config.N1 > config.N2
-    norm = config.swapped() if swapped else config
+    case ``cr`` reports for ``config`` and every advertised invariant holds.
+
+    ``relations`` memoizes the region relations over one sweep (see
+    ``_related``); the label rules run for every config.
+    """
+    swapped, m1, m2, n1, n2 = _normalized(config)
     if cr.label.swapped != swapped:
         raise CasePartitionError(config, "swapped flag disagrees with the receiver counts")
-    conditions = _normalized_conditions(norm)
+    conditions = _normalized_conditions(m1, m2, n1, n2)
     if sum(conditions) != 1:
         raise CasePartitionError(config, "case conditions do not pick exactly one case")
     if cr.label.case_id != ("I", "II", "III")[conditions.index(True)]:
         raise CasePartitionError(config, "classifier picked a case other than the one its conditions give")
-    if cr.label.table != (TABLE_UNEQUAL if norm.N1 < norm.N2 else TABLE_EQUAL):
+    if cr.label.table != (TABLE_UNEQUAL if n1 < n2 else TABLE_EQUAL):
         raise CasePartitionError(config, "table disagrees with the normalized receiver counts")
-    if not is_subset(cr.inner, cr.outer):
+    if not _related(relations, is_subset, cr.inner, cr.outer):
         raise CasePartitionError(config, "inner bound not contained in outer bound")
-    if not is_subset(cr.outer, cr.csit):
+    if not _related(relations, is_subset, cr.outer, cr.csit):
         raise CasePartitionError(config, "outer bound not contained in the CSIT region")
     known = cr.label.region_known
     if known != (cr.no_csit is not None):
@@ -296,15 +314,14 @@ def _check_partition(config: IcConfig, cr: ClassifiedRegions) -> None:
     expect_unknown = cr.label.table == TABLE_UNEQUAL and cr.label.case_id == "III"
     if known == expect_unknown:
         raise CasePartitionError(config, "region_known wrong for this case")
-    if cr.label.csit_equal != (known and equals(cr.no_csit, cr.csit)):
+    if cr.label.csit_equal != (known and _related(relations, equals, cr.no_csit, cr.csit)):
         raise CasePartitionError(config, "csit_equal disagrees with comparing the region to the CSIT region")
-    if known and not (equals(cr.inner, cr.no_csit) and equals(cr.outer, cr.no_csit)):
+    if known and not (
+        _related(relations, equals, cr.inner, cr.no_csit) and _related(relations, equals, cr.outer, cr.no_csit)
+    ):
         raise CasePartitionError(config, "known region must coincide with both bounds")
-    if norm.N1 == norm.N2:
-        if cr.label.case_id == "III":
-            raise CasePartitionError(config, "case III must not appear when N1 = N2")
-        if not equals(cr.inner, cr.outer):
-            raise CasePartitionError(config, "bounds must collapse when N1 = N2")
+    # With N1 = N2 the rules above already refuse case III (the conditions
+    # give only I or II) and unequal bounds (the region must be known).
     if cr.label.case_id == "I" and not cr.label.csit_equal:
         raise CasePartitionError(config, "case I region must equal the CSIT region")
     if cr.label.case_id == "II" and cr.label.csit_equal:
@@ -319,6 +336,7 @@ def case_partition_check(limit: int) -> bool:
     configuration.
     """
     _integer("limit", limit, 1)
+    relations: dict = {}
     for config, cr in _sweep(limit):
-        _check_partition(config, cr)
+        _check_partition(config, cr, relations)
     return True

@@ -12,11 +12,16 @@ facet sets are bit-stable and safe to freeze as golden values.
 The quadrant constraints ``d1 >= 0`` and ``d2 >= 0`` are implicit: they are
 never stored in a region's halfspace list, but every feasibility test
 accounts for them.
+
+The JSON form writes every rational as a "p/q" string in lowest terms. The
+reader takes those strings straight to ints; any other spelling goes
+through ``Fraction``, which gives the same values and the same errors.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -226,8 +231,6 @@ def boundary_slope(region: DofRegion) -> Optional[Fraction]:
     if len(region.halfspaces) != 1:
         return None
     h = region.halfspaces[0]
-    if h.a2 == 0:
-        return None
     return Fraction(-h.a1, h.a2)
 
 
@@ -250,28 +253,58 @@ def region_to_json(region: DofRegion) -> str:
     return json.dumps(region_to_dict(region), indent=2, sort_keys=True)
 
 
+# The "p/q" form that _fraction_to_str writes, in ASCII digits.
+_CANONICAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational, in lowest terms. A
+    "p/q" string in lowest terms with q > 0 is read as those ints; any other
+    value goes through _as_fraction, with its errors."""
+    if type(value) is str:
+        m = _CANONICAL.fullmatch(value)
+        if m is not None:
+            p, q = int(m[1]), int(m[2])
+            if q > 0 and gcd(p, q) == 1:
+                return p, q
+    return _as_fraction(value).as_integer_ratio()
+
+
+def _coefficient(value) -> Rational:
+    """An integer coefficient as an int, so Halfspace takes its all-int path."""
+    p, q = _ratio(value)
+    return p if q == 1 else Fraction(p, q)
+
+
 def region_from_json(text: str) -> DofRegion:
     """Rebuild a region from its JSON form.
 
     Every coefficient and vertex coordinate must be an int or an exact
     string such as "3/2", and the tag a string; a float, a bool or a
-    malformed document raises ValueError.
+    malformed document raises ValueError. The "p/q" strings in lowest terms
+    that :func:`region_to_json` writes are read as ints; any other spelling
+    is read by ``Fraction``, which gives the same values and errors.
     Vertices, when present, are cross-checked against the reconstruction;
     a mismatch means the document was edited inconsistently and raises
     ValueError.
     """
     data = json.loads(text)
     try:
-        halfspaces = [Halfspace(h["a1"], h["a2"], h["b"]) for h in data["halfspaces"]]
+        # Every key is looked up before any value is read.
+        halfspaces = [Halfspace(*map(_coefficient, (h["a1"], h["a2"], h["b"]))) for h in data["halfspaces"]]
         tag = data.get("tag", "")
         if not isinstance(tag, str):
             raise TypeError(f"tag must be a string, got {tag!r}")
-        given = [(_as_fraction(d1), _as_fraction(d2)) for d1, d2 in data.get("vertices", ())]
+        given = [(_ratio(d1), _ratio(d2)) for d1, d2 in data.get("vertices", ())]
     except KeyError as exc:
         raise ValueError(f"malformed region document: no key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed region document: {exc}") from None
     region = region_from_halfspaces(halfspaces, tag=tag)
-    if "vertices" in data and tuple(sorted(given)) != region.vertices:
+    # Lowest-terms pairs stand for the Fractions one to one, so comparing the
+    # sorted pairs compares the document's vertices with the region's.
+    if "vertices" in data and sorted(given) != sorted(
+        (d1.as_integer_ratio(), d2.as_integer_ratio()) for d1, d2 in region.vertices
+    ):
         raise ValueError("vertex list does not match the stated halfspaces")
     return region

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
@@ -232,6 +233,10 @@ class TestGolden:
         )
 
 
+# d1 + d2 <= 1/2 lies inside every CSIT region and equals none of them.
+SMALL = region_from_halfspaces([(2, 2, 1)])
+
+
 class TestPartitionCheck:
     def test_small_sweeps_pass(self):
         assert case_partition_check(1) is True
@@ -284,6 +289,100 @@ class TestPartitionCheck:
             case_partition_check(3)
         assert raised.value.config == first
         assert raised.value.reason == "csit_equal disagrees with comparing the region to the CSIT region"
+
+    # Each fault spoils the classifier's output on the configs it names; the
+    # check must stop at the first of them, in sweep order, for the reason
+    # given. The last two are the faults of the rules "case III must not
+    # appear when N1 = N2" and "bounds must collapse when N1 = N2", which
+    # could never fire: the rules before them report both.
+    FAULTS = {
+        "inner-outside-outer": (
+            lambda config, cr: cr.label.case_id == "III",
+            lambda cr: replace(cr, inner=cr.outer, outer=cr.inner),
+            "inner bound not contained in outer bound",
+        ),
+        "outer-outside-csit": (
+            lambda config, cr: cr.label.case_id == "III",
+            lambda cr: replace(cr, csit=cr.inner),
+            "outer bound not contained in the CSIT region",
+        ),
+        "case-one-short-of-csit": (
+            lambda config, cr: cr.label.case_id == "I",
+            lambda cr: replace(
+                cr, no_csit=SMALL, outer=SMALL, inner=SMALL, label=replace(cr.label, csit_equal=False)
+            ),
+            "case I region must equal the CSIT region",
+        ),
+        "case-two-equal-to-csit": (
+            lambda config, cr: cr.label.case_id == "II",
+            lambda cr: replace(
+                cr, no_csit=cr.csit, outer=cr.csit, inner=cr.csit, label=replace(cr.label, csit_equal=True)
+            ),
+            "case II region must shrink strictly from the CSIT region",
+        ),
+        "equal-receivers-inner-shrinks": (
+            lambda config, cr: config.N1 == config.N2,
+            lambda cr: replace(cr, inner=SMALL),
+            "known region must coincide with both bounds",
+        ),
+        "equal-receivers-case-three": (
+            lambda config, cr: config.N1 == config.N2,
+            lambda cr: replace(cr, label=replace(cr.label, case_id="III")),
+            "classifier picked a case other than the one its conditions give",
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_each_relation_fault_is_reported_at_its_first_config(self, fault, monkeypatch):
+        applies, spoil, reason = self.FAULTS[fault]
+        classify = catalog._classify
+
+        def broken(config, memo):
+            cr = classify(config, memo)
+            return spoil(cr) if applies(config, cr) else cr
+
+        first = next(config for config, cr in catalog._sweep(4) if applies(config, cr))
+        monkeypatch.setattr(catalog, "_classify", broken)
+        with pytest.raises(CasePartitionError) as raised:
+            case_partition_check(4)
+        assert (raised.value.config, raised.value.reason) == (first, reason)
+
+    def test_the_relation_memo_never_answers_for_an_unseen_object(self, monkeypatch):
+        # Every config gets fresh copies of its bounds, which die with it, and
+        # one late case III config gets the CSIT region as its inner bound.
+        # CPython may give a new object the id of a dead one; here that always
+        # happens, as each object takes the lowest id no live object holds.
+        # A memo keyed on ids that let its objects die would then answer for
+        # the bad bound with a dead one's verdict.
+        swept = list(catalog._sweep(4))
+        target = [config for config, cr in swept if cr.label.case_id == "III" and not is_subset(cr.csit, cr.outer)][-1]
+        del swept
+        classify = catalog._classify
+
+        def broken(config, memo):
+            cr = classify(config, memo)
+            inner = cr.csit if config == target else cr.inner
+            # replace() with no changes copies a region: same value, new object.
+            return replace(cr, inner=replace(inner), outer=replace(cr.outer), csit=replace(cr.csit))
+
+        holders: list = []
+
+        def lowest_free_id(obj):
+            for number, ref in enumerate(holders):
+                if ref() is obj:
+                    return number
+            number = next((n for n, ref in enumerate(holders) if ref() is None), None)
+            if number is None:
+                number = len(holders)
+                holders.append(None)
+            holders[number] = weakref.ref(obj)
+            return number
+
+        monkeypatch.setattr(catalog, "_classify", broken)
+        monkeypatch.setattr(catalog, "id", lowest_free_id, raising=False)
+        with pytest.raises(CasePartitionError) as raised:
+            case_partition_check(4)
+        assert (raised.value.config, raised.value.reason) == (target, "inner bound not contained in outer bound")
 
 
 def load_atlas_script():

@@ -6,10 +6,11 @@ Halfspace coefficients are coprime ints and vertices are Fractions, so
 assertions are exact.
 """
 
+import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 
 import numpy as np
@@ -29,6 +30,7 @@ from mimodof import (
     region_to_dict,
     region_to_json,
 )
+from mimodof.catalog import BcConfig, _sweep, bc_csit_region, bc_region
 from mimodof.regions import _as_fraction
 
 
@@ -135,6 +137,11 @@ class TestPredicates:
         assert contains(r, (0, 0))
         assert not contains(r, (2, 1))
         assert not contains(r, (F(-1), F(0)))
+        # Both points satisfy the stored facet d1 + d2 <= 1; only the
+        # quadrant excludes them.
+        tri = region_from_halfspaces([Halfspace(1, 1, 1)])
+        assert not contains(tri, (0, -1))
+        assert not contains(tri, (-1, 0))
 
     def test_subset_and_equality(self):
         small = region_from_halfspaces([Halfspace(1, 1, 2)])
@@ -176,6 +183,58 @@ class TestSerialization:
         doc["vertices"][0] = ["1/2", "1/2"]
         with pytest.raises(ValueError, match="vertex list does not match"):
             region_from_json(__import__("json").dumps(doc))
+
+    def test_catalog_regions_round_trip_byte_for_byte(self):
+        # Every distinct region of the [1,6]^4 interference sweep and every
+        # broadcast region of [1,8]^3: the canonical reader must rebuild each
+        # one and write it back unchanged.
+        regions = {id(r): r for _, cr in _sweep(6) for r in (cr.no_csit, cr.outer, cr.inner, cr.csit) if r}
+        for antennas in product(range(1, 9), repeat=3):
+            for r in (bc_region(BcConfig(*antennas)), bc_csit_region(BcConfig(*antennas))):
+                regions[id(r)] = r
+        for r in regions.values():
+            text = region_to_json(r)
+            again = region_from_json(text)
+            assert again == r
+            assert region_to_json(again) == text
+
+    @pytest.mark.parametrize(
+        "value",
+        ["2/4", "01/1", "-0/1", "+1/1", " 1/1", "1_0/1", "\u0661/1", "1.5", "3/2", 2],
+        ids=["unreduced", "leading-zero", "minus-zero", "plus", "space", "underscore", "arabic-indic",
+             "decimal", "non-integer", "json-int"],
+    )
+    def test_other_spellings_read_as_their_fraction(self, value):
+        # Only the exact "p/q" form the writer emits is read as ints; any
+        # other spelling must give what its Fraction value gives, or the
+        # error reading that value raises.
+        def outcome(build):
+            try:
+                return build()
+            except ValueError as exc:
+                return str(exc)
+
+        def parsed(doc):
+            return outcome(lambda: region_from_json(json.dumps(doc)))
+
+        try:
+            q = _as_fraction(value)
+        except (TypeError, ValueError) as exc:
+            q, refused = None, f"malformed region document: {exc}"
+        # As a coefficient, beside a cap that keeps the region bounded.
+        doc = {"halfspaces": [{"a1": value, "a2": "1/1", "b": "4/1"}, {"a1": "1/1", "a2": "1/1", "b": "6/1"}]}
+        want = refused if q is None else outcome(lambda: region_from_halfspaces([(q, 1, 4), (1, 1, 6)]))
+        assert parsed(doc) == want
+        # As the cap of d1 <= value, d2 <= 1 and as the vertex coordinates
+        # that cap gives, which must match unless the cap is 0.
+        doc = {
+            "halfspaces": [{"a1": "1/1", "a2": "0/1", "b": value}, {"a1": "0/1", "a2": "1/1", "b": "1/1"}],
+            "vertices": [[value, "0/1"], [value, "1/1"], ["0/1", "0/1"], ["0/1", "1/1"]],
+        }
+        want = refused if q is None else outcome(lambda: region_from_halfspaces([(1, 0, q), (0, 1, 1)]))
+        if not isinstance(want, str) and want.vertices != verts((q, 0), (q, 1), (0, 0), (0, 1)):
+            want = "vertex list does not match the stated halfspaces"
+        assert parsed(doc) == want
 
     @pytest.mark.parametrize(
         "text, rule",

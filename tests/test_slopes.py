@@ -123,6 +123,10 @@ class TestVerdicts:
         est = self.estimate(1.2, 1.0)
         assert verify_point(est, self.REGION, tol=0.1) == "outside"
         assert verify_point(est, self.REGION, tol=0.3) == "boundary"
+        # Every number here is exact in binary, so the slack of d1 + d2 <= 2
+        # is exactly +0.5 and -0.5: "within tol" includes both edges.
+        assert verify_point(self.estimate(1.25, 1.25), self.REGION, tol=0.5) == "boundary"
+        assert verify_point(self.estimate(0.75, 0.75), self.REGION, tol=0.5) == "boundary"
 
     def test_bad_tol_rejected(self):
         for tol in (0.0, -1.0, float("nan"), float("inf")):
