@@ -21,7 +21,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from mimodof.catalog import _check_partition, _sweep
+from mimodof.catalog import _check_partition, _integer, _sweep
 from mimodof.cli import _Parser
 
 
@@ -38,11 +38,10 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="also run the exhaustive partition/sandwich check")
     args = parser.parse_args(argv)
-    if args.limit < 1:
-        parser.error("--limit must be >= 1")
-    try:  # opened before the sweep, so a bad path costs no sweep
+    try:  # checked and opened before the sweep, so bad input costs no sweep
+        _integer("limit", args.limit, 1)
         out = None if args.out is None else args.out.open("w")
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
 
     cases = Counter()

@@ -21,7 +21,9 @@ scheme before any draw, and prepares once; a link is drawn when the prepare
 step reads it, and only then, so every scheme that reads a link sees the
 same draws of it. Each served user's rates at every SNR point then form one
 (points, trials) array, and all its rows are reduced at once by error-free
-extraction (``_exact_row_sums``).
+extraction (``_exact_row_sums``). numpy is imported at a run's first draw,
+so geometry, the CLI's ``region``, ``classify`` and ``compare`` commands and
+the region atlas never load it.
 
 Rates are log-det mutual informations in bits. Only the power changes
 between SNR points, so each trial's Gram eigenvalues λ are taken once per
@@ -40,9 +42,23 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .catalog import BcConfig, IcConfig, _integer
+
+
+class _LazyNumpy:
+    """Stands in for numpy until the first attribute read on ``np``, which
+    imports numpy and rebinds this module's ``np`` to it, so later reads
+    cost what a module-level import costs."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy()
 
 __all__ = [
     "SCHEME_KINDS", "SimulationError",

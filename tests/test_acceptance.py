@@ -38,6 +38,8 @@ from mimodof import (
     trace_to_csv,
     verify_point,
 )
+from mimodof.simulate import _SCHEMES, _draw, _network_dims
+from mimodof.slopes import DEFAULT_WINDOW, LOG2_PER_DB
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_prelog_battery.py"
 _spec = importlib.util.spec_from_file_location("run_prelog_battery", _SCRIPT)
@@ -72,6 +74,7 @@ def battery():
         start = time.perf_counter()
         trace = simulate_scheme(spec, config, GRID, TRIALS, SEED)
         runs[name] = {
+            "config": config,
             "spec": spec,
             "trace": trace,
             "estimate": fit_slope(trace),
@@ -287,8 +290,13 @@ EXACT_LAWS = {
 EXACT_SLOPES = {
     ("p2p-2x2", 1): (1.999544, 2.0, 0.1),
     ("zf-2123", 1): (0.999870, 1.0, 0.1),
+    ("zf-2123", 2): (0.999987, 1.0, 0.1),
+    ("tdm-423", 1): (0.999973, 1.0, 0.1),
+    ("tdm-423", 2): (1.499920, 1.5, 0.1),
     ("ia-1314", 1): (0.485213, 0.5, 0.15),
     ("ia-1314", 2): (1.496086, 1.5, 0.15),
+    ("isobc-4x1", 1): (0.999982, 1.0, 0.1),
+    ("isobc-4x2", 2): (1.999946, 2.0, 0.1),
 }
 
 
@@ -317,16 +325,58 @@ def test_battery_means_match_exact_rates(battery, exact_means, key):
             assert abs(z) < 4.0, (key, snr, z)
 
 
-def test_exact_window_slopes(exact_means):
+def exact_window_slope(exact_means, key, user):
+    """The fitted slope of a user's exact means over the default window."""
     zeros = (0.0,) * len(GRID)
+    r1, r2 = (means or zeros for means in exact_means[key])
+    est = fit_slope(RateTrace(GRID, r1, zeros, r2, zeros, TRIALS, SEED))
+    assert est.snr_window == (40.0, 70.0)
+    return (est.d1_hat, est.d2_hat)[user - 1]
+
+
+def test_exact_window_slopes(exact_means):
+    served = {(key, user) for key, laws in EXACT_LAWS.items() for user, law in enumerate(laws, 1) if law}
+    assert set(EXACT_SLOPES) == served
     for (key, user), (pinned, dof, tol) in EXACT_SLOPES.items():
-        r1, r2 = (means or zeros for means in exact_means[key])
-        est = fit_slope(RateTrace(GRID, r1, zeros, r2, zeros, TRIALS, SEED))
-        slope = (est.d1_hat, est.d2_hat)[user - 1]
-        print(f"[acceptance] exact slope: {key} user {user} {est.snr_window} dB: {slope:.6f}")
-        assert est.snr_window == (40.0, 70.0)
+        slope = exact_window_slope(exact_means, key, user)
+        print(f"[acceptance] exact slope: {key} user {user} 40-70 dB: {slope:.6f}")
         assert slope == pytest.approx(pinned, abs=1e-5), (key, user, slope)
         assert abs(pinned - dof) <= tol, (key, user)
+
+
+def per_trial_slopes(config, spec):
+    """Each user's per-trial OLS slope over the default window, w·r_t, on
+    the battery's draws (None: unserved). The weights w depend only on the
+    grid, and the rows r_t come from the scheme's prepare step on the same
+    draws as ``simulate_scheme``, so their mean is the fitted prelog."""
+    window = GRID[-DEFAULT_WINDOW:]
+    x = [s * LOG2_PER_DB for s in window]
+    xbar = math.fsum(x) / len(x)
+    sxx = math.fsum((xi - xbar) ** 2 for xi in x)
+    dims = _network_dims(config)
+    rates = _SCHEMES[spec.kind](config, spec, GRID)(lambda link: _draw(link, dims[link], SEED, TRIALS))
+    return tuple(
+        None if rate is None
+        else sum((xi - xbar) / sxx * rate(10.0 ** (s / 10.0)) for xi, s in zip(x, window))
+        for rate in rates
+    )
+
+
+@pytest.mark.parametrize("key", sorted(EXACT_LAWS))
+def test_monte_carlo_slope_within_paired_error_of_exact_slope(battery, exact_means, key):
+    # The paired σ of d̂ is the stderr over trials of w·r_t. It holds only
+    # the Monte Carlo error, since the exact window slope carries the same
+    # finite-SNR bias; it is 100-1000x tighter than criterion 4.
+    run = battery[key]
+    for user, slopes in enumerate(per_trial_slopes(run["config"], run["spec"]), 1):
+        if slopes is None:
+            continue
+        d_hat = (run["estimate"].d1_hat, run["estimate"].d2_hat)[user - 1]
+        assert float(np.mean(slopes)) == pytest.approx(d_hat, abs=1e-12), (key, user)
+        sigma = float(np.std(slopes, ddof=1)) / math.sqrt(TRIALS)
+        z = (d_hat - exact_window_slope(exact_means, key, user)) / sigma
+        print(f"[acceptance] paired slope: {key} user {user} sigma={sigma:.2e} z={z:+.2f}")
+        assert abs(z) <= 4.0, (key, user, z)
 
 
 def test_stderr_coverage():

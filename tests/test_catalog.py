@@ -397,7 +397,7 @@ class TestAtlasScript:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--limit", "0"], "--limit must be >= 1"),
+            (["--limit", "0"], "limit must be an integer >= 1, got 0"),
             (["--limit", "many"], "invalid int value: 'many'"),
             (["--out", "missing/atlas.jsonl"], "No such file or directory: 'missing/atlas.jsonl'"),
             (["--out", "d"], "Is a directory: 'd'"),

@@ -1,7 +1,11 @@
-"""The public surface of the package, pinned name by name, and the one rule
-for every count it takes."""
+"""The public surface of the package, pinned name by name, the one rule for
+every count it takes, and which entry points load numpy."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -81,3 +85,62 @@ def test_every_count_refuses_a_non_int_or_out_of_range_value_before_any_draw(nam
     assert str(raised.value).startswith(f"{name} must be an integer ")
     assert str(raised.value).endswith(f", got {value!r}")
 
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Each snippet runs in a fresh interpreter and must leave numpy unloaded:
+# numpy is imported at a run's first draw, and none of these draws.
+NUMPY_FREE = {
+    "import": "import mimodof",
+    "geometry": """
+from mimodof import BcConfig, IcConfig, bc_region, case_partition_check, ic_classify
+from mimodof import region_from_json, region_to_json
+ic_classify(IcConfig(1, 3, 2, 4))
+region = bc_region(BcConfig(4, 2, 3))
+assert region_from_json(region_to_json(region)) == region
+assert case_partition_check(3)
+""",
+    "cli-geometry": """
+from mimodof import cli
+assert cli.main(["region", "--channel", "ic", "--antennas", "1,3,2,4"]) == 0
+assert cli.main(["classify", "--antennas", "1,3,2,4"]) == 0
+assert cli.main(["compare", "--antennas", "1,3,2,4"]) == 0
+""",
+    "verify-refused": """
+from mimodof import cli
+argv = ["verify", "--channel", "ic", "--antennas", "2,1,2,3", "--scheme", "zf", "--streams", "2,1",
+        "--against", "exact"]
+assert cli.main(argv) == 3
+""",
+    "atlas": """
+import importlib.util
+spec = importlib.util.spec_from_file_location("region_atlas", "scripts/region_atlas.py")
+atlas = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(atlas)
+assert atlas.main(["--limit", "2", "--check"]) == 0
+""",
+}
+
+
+def _fresh(code: str) -> str:
+    """The last stdout line of ``code`` run by a fresh interpreter at the repo root."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_FREE))
+def test_geometry_entry_points_never_load_numpy(name):
+    assert _fresh(NUMPY_FREE[name] + "\nimport sys\nprint('numpy' in sys.modules)") == "False"
+
+
+def test_first_draw_binds_numpy():
+    code = """
+import sys
+from mimodof import BcConfig, SchemeSpec, simulate, simulate_scheme
+assert "numpy" not in sys.modules
+simulate_scheme(SchemeSpec("point-to-point"), BcConfig(2, 2, 2), (10.0, 20.0), 4, 7)
+print(simulate.np is sys.modules["numpy"])
+"""
+    assert _fresh(code) == "True"
