@@ -31,33 +31,25 @@ from mimodof import (
     IcConfig,
     RateTrace,
     SchemeSpec,
-    bc_region,
     fit_slope,
-    ic_classify,
     simulate_scheme,
     trace_to_csv,
     verdict_report,
 )
-from mimodof.cli import EXIT_USAGE, _Parser
+from mimodof.cli import EXIT_USAGE, _Parser, _region_for_verify
 
 GRID = (30.0, 40.0, 50.0, 60.0, 70.0)  # SNR in dB
 
 
 def battery_entries():
-    """(name, config, scheme, region-picker) for every battery run."""
+    """(name, config, scheme, ``--against`` region name) for every battery run."""
     return [
-        ("p2p-2x2", BcConfig(2, 2, 2), SchemeSpec("point-to-point", user=1),
-         lambda c: bc_region(c)),
-        ("zf-2123", IcConfig(2, 1, 2, 3), SchemeSpec("receiver-zero-forcing", streams=(1, 1)),
-         lambda c: ic_classify(c).outer),
-        ("tdm-423", BcConfig(4, 2, 3), SchemeSpec("time-division", tau=0.5),
-         lambda c: bc_region(c)),
-        ("ia-1314", IcConfig(1, 3, 1, 4), SchemeSpec("ia-power-scaling"),
-         lambda c: ic_classify(c).outer),
-        ("isobc-4x1", BcConfig(4, 1, 1), SchemeSpec("isotropic-bc", user=1),
-         lambda c: bc_region(c)),
-        ("isobc-4x2", BcConfig(4, 2, 2), SchemeSpec("isotropic-bc", user=2),
-         lambda c: bc_region(c)),
+        ("p2p-2x2", BcConfig(2, 2, 2), SchemeSpec("point-to-point", user=1), "exact"),
+        ("zf-2123", IcConfig(2, 1, 2, 3), SchemeSpec("receiver-zero-forcing", streams=(1, 1)), "outer"),
+        ("tdm-423", BcConfig(4, 2, 3), SchemeSpec("time-division", tau=0.5), "exact"),
+        ("ia-1314", IcConfig(1, 3, 1, 4), SchemeSpec("ia-power-scaling"), "outer"),
+        ("isobc-4x1", BcConfig(4, 1, 1), SchemeSpec("isotropic-bc", user=1), "exact"),
+        ("isobc-4x2", BcConfig(4, 2, 2), SchemeSpec("isotropic-bc", user=2), "exact"),
     ]
 
 
@@ -98,8 +90,9 @@ def run_entry(config, spec, region, trials, seed):
 def run_battery(trials, seed):
     """All runs, in memory: texts by file name, summary lines, count of outside verdicts."""
     outputs, lines, failures = {}, [], 0
-    for name, config, spec, pick_region in battery_entries():
-        trace, estimate, report, elapsed = run_entry(config, spec, pick_region(config), trials, seed)
+    for name, config, spec, against in battery_entries():
+        region = _region_for_verify(config, against)
+        trace, estimate, report, elapsed = run_entry(config, spec, region, trials, seed)
         outputs[f"{name}.csv"] = trace_to_csv(trace)
         outputs[f"{name}.json"] = json.dumps(report, indent=2, sort_keys=True) + "\n"
         verdict = report["verdict"]

@@ -60,39 +60,41 @@ TABLE_EQUAL = "N1=N2"
 
 
 def _integer(name: str, value, low: int, high: Optional[int] = None) -> int:
-    """``value`` if it is an int (a bool is not) in [low, high], else a
-    ValueError naming the input and the value: the rule for every count."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low or (high is not None and value > high):
-        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
-    return value
+    """``value`` as an int if it is an integer in [low, high], else a
+    ValueError naming the input and the value: the rule for every count. Any
+    value with ``__index__`` but a bool is an integer, numpy's included."""
+    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
+        count = type(value).__index__(value)
+        if low <= count and (high is None or count <= high):
+            return count
+    bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+class _AntennaCounts:
+    # Every field of a configuration is an antenna count >= 1, held as an int.
+    def __post_init__(self) -> None:
+        for name in self.__dataclass_fields__:
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
 
 
 @dataclass(frozen=True)
-class BcConfig:
+class BcConfig(_AntennaCounts):
     """Broadcast channel: M transmit antennas, receivers with N1 and N2."""
 
     M: int
     N1: int
     N2: int
 
-    def __post_init__(self) -> None:
-        for name, value in (("M", self.M), ("N1", self.N1), ("N2", self.N2)):
-            _integer(name, value, 1)
-
 
 @dataclass(frozen=True)
-class IcConfig:
+class IcConfig(_AntennaCounts):
     """Interference channel: transmitter i has Mi antennas, receiver i has Ni."""
 
     M1: int
     M2: int
     N1: int
     N2: int
-
-    def __post_init__(self) -> None:
-        for name, value in (("M1", self.M1), ("M2", self.M2), ("N1", self.N1), ("N2", self.N2)):
-            _integer(name, value, 1)
 
     def swapped(self) -> "IcConfig":
         return IcConfig(self.M2, self.M1, self.N2, self.N1)

@@ -179,8 +179,8 @@ def _scheme_from_args(args) -> SchemeSpec:
     )
 
 
-def _region_for_verify(channel: str, config, against: str) -> DofRegion:
-    if channel == "bc":
+def _region_for_verify(config, against: str) -> DofRegion:
+    if isinstance(config, BcConfig):
         if against == "csit":
             return bc_csit_region(config)
         # The broadcast region is exact for every configuration, so the
@@ -207,7 +207,7 @@ def _run_simulation(
     grid = _parse_grid(args.snr_db)
     region = None
     if against:
-        region = _region_for_verify(args.channel, config, against)
+        region = _region_for_verify(config, against)
         check_tol(args.tol)
     check_window(args.window, len(grid))
     for path in filter(None, (args.out, getattr(args, "trace_out", None))):

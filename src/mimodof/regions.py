@@ -280,10 +280,10 @@ def region_from_json(text: str) -> DofRegion:
     """Rebuild a region from its JSON form.
 
     Every coefficient and vertex coordinate must be an int or an exact
-    string such as "3/2", and the tag a string; a float, a bool or a
-    malformed document raises ValueError. The "p/q" strings in lowest terms
-    that :func:`region_to_json` writes are read as ints; any other spelling
-    is read by ``Fraction``, which gives the same values and errors.
+    string such as "3/2", and the tag a string; a float, a bool, a zero
+    denominator or a malformed document raises ValueError. The "p/q"
+    strings in lowest terms that :func:`region_to_json` writes are read as
+    ints; any other spelling is read by ``Fraction``, with the same values.
     Vertices, when present, are cross-checked against the reconstruction;
     a mismatch means the document was edited inconsistently and raises
     ValueError.
@@ -298,7 +298,7 @@ def region_from_json(text: str) -> DofRegion:
         given = [(_ratio(d1), _ratio(d2)) for d1, d2 in data.get("vertices", ())]
     except KeyError as exc:
         raise ValueError(f"malformed region document: no key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") raises the last
         raise ValueError(f"malformed region document: {exc}") from None
     region = region_from_halfspaces(halfspaces, tag=tag)
     # Lowest-terms pairs stand for the Fractions one to one, so comparing the

@@ -12,18 +12,18 @@ complex kernels may round the last bit differently at another. Stacks are
 trials-last: each link is a (rows, cols, trials) array, so every kernel
 reduces over leading axes and adds contiguous rows of trials.
 
-Each scheme is one function in a table keyed by ``SchemeSpec.kind``: it
-raises if the scheme does not fit the configuration, spec and grid, and
-returns prepare(draw), which reads each link it needs by calling draw(link)
-and returns one per-point rate evaluator per user. ``simulate_scheme`` is
-the single driver. It checks the trial count, the seed, the grid and the
-scheme before any draw, and prepares once; a link is drawn when the prepare
-step reads it, and only then, so every scheme that reads a link sees the
-same draws of it. Each served user's rates at every SNR point then form one
-(points, trials) array, and all its rows are reduced at once by error-free
-extraction (``_exact_row_sums``). numpy is imported at a run's first draw,
-so geometry, the CLI's ``region``, ``classify`` and ``compare`` commands and
-the region atlas never load it.
+Each scheme is one call in a table keyed by ``SchemeSpec.kind``,
+scheme(config, spec, grid, draw): it raises if the scheme does not fit the
+configuration, spec and grid before it first calls draw(link), then reads
+each link it needs and returns one per-point rate evaluator per user.
+``simulate_scheme`` is the single driver. It checks the trial count, the
+seed and the grid before any draw and calls the scheme once; a link is
+drawn when the scheme reads it, and only then, so every scheme that reads a
+link sees the same draws of it. Each served user's rates at every SNR point
+then form one (points, trials) array, and all its rows are reduced at once
+by error-free extraction (``_exact_row_sums``). numpy is imported at a run's
+first draw, so geometry, the CLI's ``region``, ``classify`` and ``compare``
+commands and the region atlas never load it.
 
 Rates are log-det mutual informations in bits. Only the power changes
 between SNR points, so each trial's Gram eigenvalues λ are taken once per
@@ -251,10 +251,9 @@ def _validate_grid(snr_db: Sequence[float]) -> tuple[float, ...]:
     return grid
 
 
-def _check_counts(trials: int, seed: int) -> None:
-    """A run's trial count is an int >= 1 and its seed an int >= 0."""
-    _integer("trials", trials, 1)
-    _integer("seed", seed, 0)
+def _check_counts(trials: int, seed: int) -> tuple[int, int]:
+    """A run's trial count as an int >= 1 and its seed as an int >= 0."""
+    return _integer("trials", trials, 1), _integer("seed", seed, 0)
 
 
 @dataclass(frozen=True)
@@ -279,10 +278,10 @@ class RateTrace:
             if any(not math.isfinite(v) or v < 0 for v in col):
                 raise ValueError(f"{name} entries must be finite and nonnegative")
             columns[name] = col
-        _check_counts(self.trials, self.seed)
+        columns["trials"], columns["seed"] = _check_counts(self.trials, self.seed)
         object.__setattr__(self, "snr_db", grid)
-        for name, col in columns.items():
-            object.__setattr__(self, name, col)
+        for name, value in columns.items():
+            object.__setattr__(self, name, value)
 
 
 def trace_to_csv(trace: RateTrace) -> str:
@@ -346,12 +345,11 @@ def _draw(link: str, shape: tuple[int, int], seed: int, trials: int) -> np.ndarr
 
 
 # --- scheme table ----------------------------------------------------------
-# An entry is scheme(config, spec, grid) -> prepare. It raises before any
-# draw if the scheme does not fit. prepare(draw), run once per run, calls
-# draw(link) for each link it reads, which draws that link then and there, and
-# returns one evaluator per user, which maps a linear power to that user's
-# per-trial rates (None if unserved). Point-to-point is time division at a
-# share of 1, and isotropic input is point-to-point.
+# An entry is scheme(config, spec, grid, draw) -> (rate1, rate2), called once
+# per run. It raises before its first draw(link) call if the scheme does not
+# fit; draw(link) draws that link then and there. Each evaluator maps a linear
+# power to that user's per-trial rates (None if unserved). Point-to-point is
+# time division at a share of 1, and isotropic input is point-to-point.
 
 
 def _network_dims(config) -> dict[str, tuple[int, int]]:
@@ -367,26 +365,27 @@ def _network_dims(config) -> dict[str, tuple[int, int]]:
     raise TypeError(f"expected BcConfig or IcConfig, got {type(config).__name__}")
 
 
-def _solo_links(config, shares: tuple[float, float]) -> Callable:
+def _solo_links(config, shares: tuple[float, float], draw) -> tuple:
     """User u holds its direct link a fraction shares[u - 1] of the time at
     full power P, P/m over its m transmit antennas, so the link's per-trial
     rates scale by the share. A user whose share is 0 is not served, and its
     link is neither drawn nor factored."""
     links = ("H1", "H2") if isinstance(config, BcConfig) else ("H11", "H22")
-    dims = _network_dims(config)
-    return lambda draw: tuple(
-        _log_det_rate(draw(link), 1.0 / dims[link][1], share) if share > 0 else None
-        for link, share in zip(links, shares)
-    )
+    return tuple(_solo_rate(draw(link), share) if share > 0 else None for link, share in zip(links, shares))
 
 
-def _time_division(config, spec, grid) -> Callable:
-    return _solo_links(config, (float(spec.tau), 1.0 - float(spec.tau)))
+def _solo_rate(channels: np.ndarray, share: float) -> Callable:
+    # P/m on each of the stack's m columns; a call of its own, so no name keeps the draws once factored.
+    return _log_det_rate(channels, 1.0 / channels.shape[1], share)
 
 
-def _point_to_point(config, spec, grid) -> Callable:
+def _time_division(config, spec, grid, draw) -> tuple:
+    return _solo_links(config, (float(spec.tau), 1.0 - float(spec.tau)), draw)
+
+
+def _point_to_point(config, spec, grid, draw) -> tuple:
     # Time division at a share of 1: multiplying by 1.0 is exact.
-    return _solo_links(config, (1.0, 0.0) if spec.user == 1 else (0.0, 1.0))
+    return _solo_links(config, (1.0, 0.0) if spec.user == 1 else (0.0, 1.0), draw)
 
 
 def _require(config, kind: type, message: str) -> None:
@@ -417,7 +416,7 @@ def _zf_user_rate(own: np.ndarray, cross: np.ndarray, s_own: int, s_int: int) ->
     return _log_det_rate(beams, 1.0 / s_own)
 
 
-def _zero_forcing(config, spec, grid) -> Callable:
+def _zero_forcing(config, spec, grid, draw) -> tuple:
     """Transmitter i sends si streams on its first si antennas at power
     P/si each; receiver i projects out the other user's streams and decodes
     its own. With s_int = 0 the projection is the identity."""
@@ -434,13 +433,13 @@ def _zero_forcing(config, spec, grid) -> Callable:
             f"{s1}+{s2} streams, have N1={config.N1}, N2={config.N2}"
         )
     # A silent user is not served, and its links are not read.
-    return lambda draw: (
+    return (
         _zf_user_rate(draw("H11"), draw("H12"), s1, s2) if s1 > 0 else None,
         _zf_user_rate(draw("H22"), draw("H21"), s2, s1) if s2 > 0 else None,
     )
 
 
-def _alignment(config, spec, grid) -> Callable:
+def _alignment(config, spec, grid, draw) -> tuple:
     """User 1 sends a single stream at full power P; user 2 sends ``beams``
     streams at P**power_exponent each. Receiver 1 treats the scaled
     interference as noise; receiver 2 has enough antennas to decode
@@ -464,20 +463,17 @@ def _alignment(config, spec, grid) -> Callable:
             f"SNR grid point {grid[-1]} dB raised to the power exponent "
             f"{spec.power_exponent} overflows a float power with 2**64 headroom"
         )
+    gain = np.abs(draw("H11")[0, 0]) ** 2
+    cross_gain = np.sum(np.abs(draw("H12")[0, :nb]) ** 2, axis=0)
+    joint = _log_det_rate(draw("H22")[:, :nb])
 
-    def prepare(draw):
-        gain = np.abs(draw("H11")[0, 0]) ** 2
-        cross_gain = np.sum(np.abs(draw("H12")[0, :nb]) ** 2, axis=0)
-        joint = _log_det_rate(draw("H22")[:, :nb])
+    def rate1(power):
+        return np.log2(1.0 + power * gain / (1.0 + power ** exponent * cross_gain))
 
-        def rate1(power):
-            return np.log2(1.0 + power * gain / (1.0 + power ** exponent * cross_gain))
-
-        return rate1, lambda power: joint(power ** exponent)
-    return prepare
+    return rate1, lambda power: joint(power ** exponent)
 
 
-def _isotropic(config, spec, grid) -> Callable:
+def _isotropic(config, spec, grid, draw) -> tuple:
     """A white input at P/M per antenna over the served user's own i.i.d.
     Gaussian n x M link, n <= M. That is point-to-point on the same draws;
     the fixed channel [I 0] times a fresh Gaussian M x M mixing matrix has
@@ -485,7 +481,7 @@ def _isotropic(config, spec, grid) -> Callable:
     _require(config, BcConfig, "the isotropic input scheme runs on broadcast configs")
     if (config.N1 if spec.user == 1 else config.N2) > config.M:
         raise SimulationError("isotropic input needs the served receiver to have at most M antennas")
-    return _point_to_point(config, spec, grid)
+    return _point_to_point(config, spec, grid, draw)
 
 
 _SCHEMES = {
@@ -525,13 +521,13 @@ class SchemeSpec:
             raise ValueError("tau must be in [0, 1]")
         if not math.isfinite(self.power_exponent):
             raise ValueError("power_exponent must be finite")
-        _integer("user", self.user, 1, 2)
+        object.__setattr__(self, "user", _integer("user", self.user, 1, 2))
         pair = self.streams
         if isinstance(pair, (str, bytes)) or not isinstance(pair, Sequence) or len(pair) != 2:
             raise ValueError(f"streams must be a pair of integers, got {pair!r}")
         object.__setattr__(self, "streams", (_integer("s1", pair[0], 0), _integer("s2", pair[1], 0)))
         if self.beams is not None:
-            _integer("beams", self.beams, 0)
+            object.__setattr__(self, "beams", _integer("beams", self.beams, 0))
 
     def to_dict(self) -> dict:
         return {**asdict(self), "streams": list(self.streams)}
@@ -540,17 +536,18 @@ class SchemeSpec:
 def simulate_scheme(spec: SchemeSpec, config, snr_db: Sequence[float], trials: int, seed: int) -> RateTrace:
     """Run one scheme on one network configuration.
 
-    The trial count, the seed, the grid and the scheme's fit to the
-    configuration are checked before any draw. Each link the scheme reads is
-    drawn and prepared once, every SNR point reuses what was prepared, and
-    each served user's (points, trials) rates are reduced in one batch.
+    The trial count, the seed and the grid are checked before any draw, and
+    the scheme is called once: it checks its fit to the configuration before
+    it draws, then draws each link it reads once and returns its evaluators.
+    Every SNR point reuses what they hold, and each served user's
+    (points, trials) rates are reduced in one batch.
     """
-    _check_counts(trials, seed)
+    trials, seed = _check_counts(trials, seed)
     grid = _validate_grid(snr_db)
-    prepare = _SCHEMES[spec.kind](config, spec, grid)
-    dims = _network_dims(config)
-    # The evaluators keep what they need, so the draws go once prepared.
-    rates = prepare(lambda link: _draw(link, dims[link], seed, trials))
+    # A link's shape is looked up as it is drawn, so a scheme that refuses the
+    # config does so first. The evaluators keep what they need, so the draws
+    # go once the scheme returns.
+    rates = _SCHEMES[spec.kind](config, spec, grid, lambda link: _draw(link, _network_dims(config)[link], seed, trials))
     powers = [_db_to_linear(snr) for snr in grid]
     columns = []  # rate1, stderr1, rate2, stderr2
     for rate in rates:

@@ -38,6 +38,7 @@ from mimodof import (
     trace_to_csv,
     verify_point,
 )
+from mimodof.cli import _region_for_verify
 from mimodof.simulate import _SCHEMES, _draw, _network_dims
 from mimodof.slopes import DEFAULT_WINDOW, LOG2_PER_DB
 
@@ -193,10 +194,11 @@ def test_criterion_6_isotropic_input_prelog(battery):
 def test_criterion_7_outer_bound_consistency(battery):
     with criterion(7, "no estimate beyond its outer bound"):
         # The script grades broadcast entries against the broadcast region
-        # and interference entries against the outer bound.
-        for key, config, _, pick_region in prelog_battery.battery_entries():
+        # and interference entries against the outer bound, each by the name
+        # `mimodof verify --against` takes.
+        for key, config, _, against in prelog_battery.battery_entries():
             est = battery[key]["estimate"]
-            outer = pick_region(config)
+            outer = _region_for_verify(config, against)
             assert verify_point(est, outer, tol=TOL) != "outside", key
             inner = ic_classify(config).inner if isinstance(config, IcConfig) else outer
             assert verify_point(est, inner, tol=TOL) in ("inside", "boundary"), key
@@ -347,14 +349,14 @@ def test_exact_window_slopes(exact_means):
 def per_trial_slopes(config, spec):
     """Each user's per-trial OLS slope over the default window, w·r_t, on
     the battery's draws (None: unserved). The weights w depend only on the
-    grid, and the rows r_t come from the scheme's prepare step on the same
+    grid, and the rows r_t come from the scheme's evaluators on the same
     draws as ``simulate_scheme``, so their mean is the fitted prelog."""
     window = GRID[-DEFAULT_WINDOW:]
     x = [s * LOG2_PER_DB for s in window]
     xbar = math.fsum(x) / len(x)
     sxx = math.fsum((xi - xbar) ** 2 for xi in x)
     dims = _network_dims(config)
-    rates = _SCHEMES[spec.kind](config, spec, GRID)(lambda link: _draw(link, dims[link], SEED, TRIALS))
+    rates = _SCHEMES[spec.kind](config, spec, GRID, lambda link: _draw(link, dims[link], SEED, TRIALS))
     return tuple(
         None if rate is None
         else sum((xi - xbar) / sxx * rate(10.0 ** (s / 10.0)) for xi, s in zip(x, window))

@@ -248,8 +248,11 @@ class TestSerialization:
             ('{"halfspaces": [{"a1": 1, "a2": 1, "b": 1}], "vertices": [[0]]}', "unpack"),
             # A list tag would make the frozen region unhashable.
             ('{"halfspaces": [{"a1": 1, "a2": 1, "b": 1}], "tag": [1]}', "tag must be a string"),
+            ('{"halfspaces": [{"a1": "1/0", "a2": 1, "b": 1}]}', "Fraction(1, 0)"),
+            ('{"halfspaces": [{"a1": 1, "a2": 1, "b": 1}], "vertices": [["0/0", "0/1"]]}', "Fraction(0, 0)"),
         ],
-        ids=["empty", "list", "missing-key", "null", "bool", "float", "short-vertex", "tag"],
+        ids=["empty", "list", "missing-key", "null", "bool", "float", "short-vertex", "tag",
+             "zero-denominator", "zero-over-zero-vertex"],
     )
     def test_malformed_document_rejected(self, text, rule):
         # A float would enter the kernel as its binary expansion, and a

@@ -70,11 +70,11 @@ def draw_all(dims, seed, trials):
 
 
 def kernel(spec, stacked, config, power):
-    """Per-trial rate pair of one scheme's prepared table kernel at one
-    power on stacked (rows, cols, trials) draws, read by link name; an
-    unserved user's column reads as zeros."""
+    """Per-trial rate pair of one scheme's table kernel at one power on
+    stacked (rows, cols, trials) draws, read by link name; an unserved
+    user's column reads as zeros."""
     trials = next(iter(stacked.values())).shape[-1]
-    rates = _SCHEMES[spec.kind](config, spec, GRID)(stacked.__getitem__)
+    rates = _SCHEMES[spec.kind](config, spec, GRID, stacked.__getitem__)
     return tuple(np.zeros(trials) if rate is None else rate(power) for rate in rates)
 
 
@@ -259,17 +259,16 @@ class TestDraws:
             assert np.array_equal(_draw(link, dims[link], 7, trials), whole[link])
 
     def test_draws_are_lazy_and_refuse_an_unknown_link(self, monkeypatch):
-        # Nothing is drawn when a scheme returns its prepare step, only when
-        # that step reads a link, and then only that link. A link name
-        # outside the fixed order is refused before any draw.
+        # A scheme draws a link only when it reads it, and then only that
+        # link. A link name outside the fixed order is refused before any
+        # draw.
         config = BcConfig(4, 2, 3)
         dims = _network_dims(config)
         seeds, read = [], []
         sfc64 = np.random.SFC64
         monkeypatch.setattr(np.random, "SFC64", lambda seed: seeds.append(seed) or sfc64(seed))
-        prepare = _SCHEMES["point-to-point"](config, SchemeSpec("point-to-point", user=2), GRID)
-        assert seeds == []
-        prepare(lambda link: read.append(link) or _draw(link, dims[link], 7, 10))
+        spec = SchemeSpec("point-to-point", user=2)
+        _SCHEMES[spec.kind](config, spec, GRID, lambda link: read.append(link) or _draw(link, dims[link], 7, 10))
         assert read == ["H2"] and seeds == [[7, 1, 0]]
         with pytest.raises(ValueError):
             _draw("H3", (1, 1), 7, 10)
@@ -830,10 +829,10 @@ class TestTimeDivision:
     @pytest.mark.parametrize("tau, idle", [(1.0, 1), (0.0, 0)])
     def test_zero_share_serves_nobody(self, tau, idle):
         # The user whose share is 0 gets no evaluator, so its link is never
-        # factored; the other user's is still prepared.
+        # factored; the other user's still is.
         config = BcConfig(2, 1, 2)
         stacked = draw_all(_network_dims(config), 5, 10)
-        rates = _SCHEMES["time-division"](config, SchemeSpec("time-division", tau=tau), GRID)(stacked.__getitem__)
+        rates = _SCHEMES["time-division"](config, SchemeSpec("time-division", tau=tau), GRID, stacked.__getitem__)
         assert rates[idle] is None
         assert rates[1 - idle] is not None
 
@@ -1117,8 +1116,8 @@ class TestDrivers:
         ],
     )
     def test_every_refusal_comes_before_any_draw(self, spec, config, grid, message, monkeypatch):
-        # Each kind's function checks the fit before it returns the prepare
-        # step, and the driver calls it before drawing.
+        # Each kind's function checks the fit before its first draw(link)
+        # call: this test is what holds every scheme to check-before-draw.
         monkeypatch.setattr(simulate, "_draw", lambda *args: pytest.fail("trials drawn"))
         with pytest.raises(ValueError, match=message):
             simulate_scheme(spec, config, grid, 10, 7)

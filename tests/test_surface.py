@@ -1,18 +1,21 @@
 """The public surface of the package, pinned name by name, the one rule for
 every count it takes, and which entry points load numpy."""
 
+import dataclasses
+import json
 import os
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mimodof
 from mimodof import catalog, regions, simulate, slopes
 from mimodof.catalog import BcConfig, IcConfig, case_partition_check
-from mimodof.simulate import SchemeSpec, simulate_scheme
+from mimodof.simulate import RateTrace, SchemeSpec, simulate_scheme
 from mimodof.slopes import check_window
 
 PUBLIC = {
@@ -84,6 +87,30 @@ def test_every_count_refuses_a_non_int_or_out_of_range_value_before_any_draw(nam
     assert type(raised.value) is ValueError
     assert str(raised.value).startswith(f"{name} must be an integer ")
     assert str(raised.value).endswith(f", got {value!r}")
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_every_count_takes_a_numpy_integer(name):
+    # Any non-bool value with __index__ is an integer, so the geometry and
+    # the counts agree on numpy's integers.
+    call, low = COUNTS[name]
+    call(np.int64(3 if name == "window" else low + 1))  # a fit needs 3 points
+
+
+def test_every_holder_stores_an_int():
+    # A numpy integer is held as the int it stands for, so configs compare
+    # equal to their int twins and every document serializes.
+    n = np.int64
+    config = IcConfig(n(2), n(1), n(2), n(3))
+    assert config == IcConfig(2, 1, 2, 3)
+    spec = SchemeSpec("ia-power-scaling", streams=(n(1), n(0)), beams=n(2), user=n(2))
+    trace = RateTrace((10.0,), (1.0,), (0.0,), (1.0,), (0.0,), trials=n(10), seed=n(7))
+    held = [
+        *dataclasses.astuple(config), *dataclasses.astuple(BcConfig(n(4), n(2), n(3))),
+        spec.user, spec.beams, *spec.streams, trace.trials, trace.seed,
+    ]
+    assert all(type(value) is int for value in held)
+    json.dumps([dataclasses.asdict(config), spec.to_dict(), dataclasses.asdict(trace)])
 
 
 ROOT = Path(__file__).resolve().parents[1]
