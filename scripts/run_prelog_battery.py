@@ -19,14 +19,12 @@ Example:
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from pathlib import Path
 
 from mimodof import (
     DEFAULT_TOL,
-    DEFAULT_WINDOW,
     BcConfig,
     IcConfig,
     RateTrace,
@@ -34,9 +32,8 @@ from mimodof import (
     fit_slope,
     simulate_scheme,
     trace_to_csv,
-    verdict_report,
 )
-from mimodof.cli import EXIT_USAGE, _Parser, _region_for_verify
+from mimodof.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT, _dump, _Parser, _region_for_verify, _verdict
 
 GRID = (30.0, 40.0, 50.0, 60.0, 70.0)  # SNR in dB
 
@@ -79,36 +76,30 @@ def capped_tdm_trace(config, grid, trials, seed):
     )
 
 
-def run_entry(config, spec, region, trials, seed):
-    t0 = time.perf_counter()
-    trace = simulate_scheme(spec, config, GRID, trials, seed)
-    elapsed = time.perf_counter() - t0
-    estimate = fit_slope(trace, DEFAULT_WINDOW)
-    return trace, estimate, verdict_report(config, spec, estimate, region, DEFAULT_TOL), elapsed
-
-
 def run_battery(trials, seed):
     """All runs, in memory: texts by file name, summary lines, count of outside verdicts."""
     outputs, lines, failures = {}, [], 0
     for name, config, spec, against in battery_entries():
         region = _region_for_verify(config, against)
-        trace, estimate, report, elapsed = run_entry(config, spec, region, trials, seed)
+        t0 = time.perf_counter()
+        trace = simulate_scheme(spec, config, GRID, trials, seed)
+        elapsed = time.perf_counter() - t0
+        estimate = fit_slope(trace)
+        report, code = _verdict(config, spec, estimate, region, DEFAULT_TOL)
         outputs[f"{name}.csv"] = trace_to_csv(trace)
-        outputs[f"{name}.json"] = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        verdict = report["verdict"]
-        if verdict == "outside":
-            failures += 1
+        outputs[f"{name}.json"] = _dump(report) + "\n"
+        failures += code == EXIT_VERDICT
         lines.append(
             f"{name:>14}  d=({estimate.d1_hat:6.3f}, {estimate.d2_hat:6.3f})"
             f"  ci=({estimate.ci[0]:.3f}, {estimate.ci[1]:.3f})"
-            f"  {verdict:>8}  {elapsed:6.1f}s  [{report['region_tag']}]")
+            f"  {report['verdict']:>8}  {elapsed:6.1f}s  [{report['region_tag']}]")
 
     # Contrast run: time sharing with user 2 capped at sqrt(P) transmit
     # power loses half of that user's slope (0.75 vs 1.5 at tau = 1/2 on a
     # 4x(2,3) broadcast network), while the alignment scheme above keeps a
     # full extra degree of freedom from the same square-root scaling.
     trace = capped_tdm_trace(BcConfig(4, 2, 3), GRID, trials, seed)
-    estimate = fit_slope(trace, DEFAULT_WINDOW)
+    estimate = fit_slope(trace)
     outputs["tdm-capped-423.csv"] = trace_to_csv(trace)
     lines.append(
         f"{'tdm-capped-423':>14}  d=({estimate.d1_hat:6.3f}, {estimate.d2_hat:6.3f})"
@@ -135,7 +126,7 @@ def main(argv=None) -> int:
     for line in lines:
         print(line)
     print(f"outputs in {args.out_dir}/ ({'no ' if failures == 0 else ''}verdict failures)")
-    return 2 if failures else 0
+    return EXIT_VERDICT if failures else EXIT_OK
 
 
 if __name__ == "__main__":

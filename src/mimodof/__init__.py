@@ -52,7 +52,6 @@ from .slopes import (
     DEFAULT_WINDOW,
     SlopeEstimate,
     fit_slope,
-    verdict_report,
     verify_point,
 )
 

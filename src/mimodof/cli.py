@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -54,7 +55,7 @@ from .slopes import (
     check_tol,
     check_window,
     fit_slope,
-    verdict_report,
+    verify_point,
 )
 
 EXIT_OK = 0
@@ -69,11 +70,21 @@ _SCHEME_ALIASES = {
     "isobc": "isotropic-bc",
 }
 
+# The regions a fitted pair can be graded against.
+_REGIONS = ("exact", "inner", "outer", "csit")
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse prints its usage and exits 2 on a bad flag, which collides with
     # the verdict exit code, so route it to the one-line exit 3 of all other
     # bad input. The scripts build their parsers from this class too.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Read "-1,1" or "-10:30:10" as a value, not an option, so a negative
+        # count or grid reaches the program's own checks. This replaces a
+        # private argparse attribute.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message: str):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
@@ -165,18 +176,16 @@ def cmd_classify(args) -> int:
 
 
 def _scheme_from_args(args) -> SchemeSpec:
-    kind = _SCHEME_ALIASES[args.scheme]
-    streams = (1, 1)
-    if args.streams is not None:
-        streams = _parse_ints(args.streams, "--streams")
-    return SchemeSpec(
-        kind=kind,
-        tau=args.tau,
-        streams=streams,
-        beams=args.beams,
-        power_exponent=args.exponent,
-        user=args.user,
-    )
+    """The spec the scheme flags name. A flag that was not given keeps
+    ``SchemeSpec``'s default, and the spec checks every value."""
+    given = {
+        "tau": args.tau,
+        "streams": None if args.streams is None else _parse_ints(args.streams, "--streams"),
+        "beams": args.beams,
+        "power_exponent": args.exponent,
+        "user": args.user,
+    }
+    return SchemeSpec(_SCHEME_ALIASES[args.scheme], **{k: v for k, v in given.items() if v is not None})
 
 
 def _region_for_verify(config, against: str) -> DofRegion:
@@ -187,7 +196,7 @@ def _region_for_verify(config, against: str) -> DofRegion:
         # exact region, the inner bound and the outer bound all coincide.
         return bc_region(config)
     cr = ic_classify(config)
-    region = {"exact": cr.no_csit, "inner": cr.inner, "outer": cr.outer, "csit": cr.csit}[against]
+    region = dict(zip(_REGIONS, (cr.no_csit, cr.inner, cr.outer, cr.csit)))[against]
     if region is None:
         raise ValueError(
             "the exact region for this configuration is not known; "
@@ -220,17 +229,28 @@ def _run_simulation(
     return config, spec, region, trace, fit_slope(trace, args.window)
 
 
-def _grade(args, config, spec: SchemeSpec, estimate: SlopeEstimate, region: DofRegion) -> tuple[dict, int]:
-    """Verdict report against ``region``, plus its exit code."""
-    report = verdict_report(config, spec, estimate, region, args.tol)
-    return report, EXIT_VERDICT if report["verdict"] == "outside" else EXIT_OK
+def _verdict(config, spec: SchemeSpec, estimate: SlopeEstimate, region: DofRegion, tol: float) -> tuple[dict, int]:
+    """The document ``mimodof verify`` writes for one fitted run of ``spec``
+    on a ``BcConfig`` or ``IcConfig``, graded against ``region`` at ``tol``,
+    and its exit code: ``EXIT_VERDICT`` when the pair lands outside."""
+    channel = "bc" if isinstance(config, BcConfig) else "ic"
+    verdict = verify_point(estimate, region, tol)
+    report = {
+        "config": {"channel": channel, "antennas": list(dataclasses.astuple(config))},
+        "scheme": spec.to_dict(),
+        "estimate": [estimate.d1_hat, estimate.d2_hat],
+        "ci": list(estimate.ci),
+        "region_tag": region.tag,
+        "verdict": verdict,
+    }
+    return report, EXIT_VERDICT if verdict == "outside" else EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     config, spec, region, trace, estimate = _run_simulation(args, args.verify_against)
     report, code = None, EXIT_OK
     if region is not None:
-        report, code = _grade(args, config, spec, estimate, region)
+        report, code = _verdict(config, spec, estimate, region, args.tol)
     if args.trace_out:
         with open(args.trace_out, "w") as fh:
             fh.write(trace_to_csv(trace))
@@ -262,7 +282,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     config, spec, region, _, estimate = _run_simulation(args, args.against)
-    report, code = _grade(args, config, spec, estimate, region)
+    report, code = _verdict(config, spec, estimate, region, args.tol)
     _emit(args, _dump(report))
     return code
 
@@ -289,11 +309,12 @@ def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--channel", required=True, choices=("bc", "ic"))
     parser.add_argument("--antennas", required=True, help="comma list, e.g. 4,2,3")
     parser.add_argument("--scheme", required=True, choices=sorted(_SCHEME_ALIASES))
-    parser.add_argument("--user", type=int, default=1, choices=(1, 2))
-    parser.add_argument("--tau", type=float, default=0.5)
-    parser.add_argument("--streams", default=None, help="zf stream split, e.g. 1,1")
-    parser.add_argument("--beams", type=int, default=None)
-    parser.add_argument("--exponent", type=float, default=0.5)
+    # A scheme flag left out keeps SchemeSpec's default.
+    parser.add_argument("--user", type=int)
+    parser.add_argument("--tau", type=float)
+    parser.add_argument("--streams", help="zf stream split, e.g. 1,1")
+    parser.add_argument("--beams", type=int)
+    parser.add_argument("--exponent", type=float)
     parser.add_argument("--snr-db", default="30:70:10", help="start:stop:step in dB")
     parser.add_argument("--trials", type=int, default=10000)
     parser.add_argument("--seed", type=int, default=7)
@@ -324,17 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sim_flags(p_sim)
     p_sim.add_argument("--format", default="json", choices=("json", "csv"))
     p_sim.add_argument("--trace-out", default=None, help="also write the trace CSV here")
-    p_sim.add_argument(
-        "--verify-against",
-        default=None,
-        choices=("exact", "inner", "outer", "csit"),
-        help="grade the estimate against this region; outside exits 2",
-    )
+    p_sim.add_argument("--verify-against", choices=_REGIONS, help="grade the estimate against this region; outside exits 2")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_verify = sub.add_parser("verify", help="simulate and grade against a region")
     _add_sim_flags(p_verify)
-    p_verify.add_argument("--against", required=True, choices=("exact", "inner", "outer", "csit"))
+    p_verify.add_argument("--against", required=True, choices=_REGIONS)
     p_verify.set_defaults(func=cmd_verify)
 
     p_compare = sub.add_parser("compare", help="CSIT region vs no-CSIT region")

@@ -1,21 +1,24 @@
-"""Prelog estimation from rate traces and region verdicts.
+"""Prelog estimation from rate traces, and the region test of a fitted pair.
 
 The degrees of freedom of a scheme is the slope of its rate against
 log2(P). We fit that slope by ordinary least squares over the top few SNR
 points of a trace, where the curvature of finite-SNR rate curves has died
 off, and attach a 95 percent confidence half-width that combines the
 regression residual with the Monte Carlo standard errors of the points.
+``verify_point`` grades a fitted pair inside, on the boundary of or outside
+a region; the verdict document and its exit code belong to the command line
+(``mimodof verify``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
-from .catalog import BcConfig, _integer
+from .catalog import _integer
 from .regions import DofRegion
-from .simulate import RateTrace, SchemeSpec
+from .simulate import RateTrace
 
 __all__ = [
     "LOG2_PER_DB",
@@ -26,7 +29,6 @@ __all__ = [
     "check_window",
     "check_tol",
     "verify_point",
-    "verdict_report",
 ]
 
 # log2(P) advances by this much per dB of SNR.
@@ -128,23 +130,3 @@ def verify_point(estimate: SlopeEstimate, region: DofRegion, tol: float = DEFAUL
     if any(abs(s) <= tol for s in slacks):
         return "boundary"
     return "inside"
-
-
-def verdict_report(
-    config,
-    spec: SchemeSpec,
-    estimate: SlopeEstimate,
-    region: DofRegion,
-    tol: float = DEFAULT_TOL,
-) -> dict:
-    """Assemble the standard verdict document for one run of ``spec`` on a
-    ``BcConfig`` or ``IcConfig``."""
-    channel = "bc" if isinstance(config, BcConfig) else "ic"
-    return {
-        "config": {"channel": channel, "antennas": list(astuple(config))},
-        "scheme": spec.to_dict(),
-        "estimate": [estimate.d1_hat, estimate.d2_hat],
-        "ci": list(estimate.ci),
-        "region_tag": region.tag,
-        "verdict": verify_point(estimate, region, tol),
-    }

@@ -9,7 +9,17 @@ from hypothesis import strategies as st
 
 import mimodof.cli as cli
 import mimodof.simulate as simulate
-from mimodof import RateTrace, trace_to_csv
+from mimodof import (
+    DEFAULT_TOL,
+    BcConfig,
+    Halfspace,
+    IcConfig,
+    RateTrace,
+    SchemeSpec,
+    SlopeEstimate,
+    region_from_halfspaces,
+    trace_to_csv,
+)
 
 
 def run(capsys, *argv):
@@ -191,6 +201,39 @@ class TestSimulateCommand:
         assert "not known" in err
 
 
+class TestVerdict:
+    @staticmethod
+    def estimate(d1, d2):
+        return SlopeEstimate(d1_hat=d1, d2_hat=d2, ci=(0.0, 0.0), snr_window=(40.0, 70.0))
+
+    def test_report_fields(self):
+        region = region_from_halfspaces([Halfspace(1, 1, 2)], tag="demo-region")
+        spec = SchemeSpec("time-division")
+        report, code = cli._verdict(BcConfig(2, 1, 1), spec, self.estimate(1.0, 1.0), region, DEFAULT_TOL)
+        assert code == cli.EXIT_OK
+        assert report["region_tag"] == "demo-region"
+        assert report["verdict"] == "boundary"
+        assert report["estimate"] == [1.0, 1.0]
+        assert report["ci"] == [0.0, 0.0]
+        assert report["config"] == {"channel": "bc", "antennas": [2, 1, 1]}
+        assert report["scheme"] == spec.to_dict()
+        ic, code = cli._verdict(IcConfig(1, 2, 3, 4), spec, self.estimate(1.5, 1.0), region, DEFAULT_TOL)
+        assert ic["config"] == {"channel": "ic", "antennas": [1, 2, 3, 4]}
+        assert (ic["verdict"], code) == ("outside", cli.EXIT_VERDICT)
+
+    def test_scheme_flags_left_out_keep_the_spec_defaults(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["verify", *P2P_BC, "--against", "exact"])
+        assert (args.user, args.tau, args.streams, args.beams, args.exponent) == (None,) * 5
+        assert cli._scheme_from_args(args) == SchemeSpec("point-to-point")
+        # Zeros are given values, not left-out flags.
+        zeros = ("--tau", "0", "--streams", "0,0", "--beams", "0", "--exponent", "0", "--user", "2")
+        args = parser.parse_args(["simulate", *IA_IC, *zeros])
+        assert cli._scheme_from_args(args) == SchemeSpec(
+            "ia-power-scaling", tau=0.0, streams=(0, 0), beams=0, power_exponent=0.0, user=2
+        )
+
+
 class TestVerifyCommand:
     def test_verdict_report(self, capsys):
         code, out, _ = run(
@@ -264,6 +307,22 @@ class TestVerifyCommand:
                 ("verify", *SIM_FLAGS[:6], "--streams=-1,1", "--against", "outer"),
                 "s1 must be an integer >= 0, got -1",
                 id="verify-negative-streams",
+            ),
+            # A negative value after a space is a value, not an unknown flag.
+            pytest.param(
+                ("verify", *SIM_FLAGS[:6], "--streams", "-1,1", "--against", "outer"),
+                "s1 must be an integer >= 0, got -1",
+                id="verify-negative-streams-space",
+            ),
+            pytest.param(
+                ("verify", "--channel", "bc", "--antennas", "-1,2,2", "--scheme", "p2p", "--against", "exact"),
+                "M must be an integer >= 1, got -1",
+                id="verify-negative-antennas-space",
+            ),
+            pytest.param(
+                ("verify", *P2P_BC, "--user", "3", "--against", "exact"),
+                "user must be an integer in [1, 2], got 3",
+                id="verify-user-3",
             ),
             pytest.param(
                 ("simulate", *IA_IC, "--beams", "-1"),
@@ -422,6 +481,12 @@ class TestSnrGridCommand:
         assert out == ""
         assert message in err
         assert "Warning" not in err
+
+    def test_negative_start_after_a_space(self, capsys):
+        code, out, err = run(capsys, "simulate", *P2P_BC, "--snr-db", "-10:30:10", "--trials", "10")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["snr_db"] == [-10.0, 0.0, 10.0, 20.0, 30.0]
+        assert run(capsys, "simulate", *P2P_BC, "--snr-db=-10:30:10", "--trials", "10")[1] == out
 
     def test_non_finite_range_exits_three(self, capsys):
         code, _, err = run(

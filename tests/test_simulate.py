@@ -872,6 +872,21 @@ class TestCappedContrast:
 
 
 class TestBatteryScript:
+    def test_verdict_files_are_verify_documents(self, capsys, tmp_path):
+        # Each verdict file holds the bytes `mimodof verify` writes for the
+        # same flags; CI diffs the same two entries at 2000 trials.
+        assert load_battery_script().main(["--trials", "200", "--seed", "7", "--out-dir", str(tmp_path / "b")]) == 0
+        verify = ["verify", "--trials", "200", "--seed", "7"]
+        for name, flags in [
+            ("p2p-2x2", ["--channel", "bc", "--antennas", "2,2,2", "--scheme", "p2p", "--against", "exact"]),
+            ("zf-2123", ["--channel", "ic", "--antennas", "2,1,2,3", "--scheme", "zf", "--streams", "1,1",
+                         "--against", "outer"]),
+        ]:
+            out = tmp_path / f"{name}.json"
+            assert cli.main([*verify, *flags, "--out", str(out)]) == 0
+            assert out.read_bytes() == (tmp_path / "b" / f"{name}.json").read_bytes()
+        capsys.readouterr()
+
     @pytest.mark.parametrize(
         "argv, message",
         [

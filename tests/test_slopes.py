@@ -7,15 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimodof import (
-    BcConfig,
     Halfspace,
-    IcConfig,
     RateTrace,
-    SchemeSpec,
     SlopeEstimate,
     fit_slope,
     region_from_halfspaces,
-    verdict_report,
     verify_point,
 )
 
@@ -64,6 +60,20 @@ class TestFit:
         est = fit_slope(trace, window=3)
         assert est.d1_hat == pytest.approx(1.0, abs=1e-12)
         assert est.snr_window == (50.0, 70.0)
+
+    def test_ci_combines_residual_and_point_errors(self):
+        # Four points at 40-70 dB sit at c*(-15, -5, 5, 15) about their mean,
+        # c = LOG2_PER_DB, so sxx = 500 c^2. The residuals (0.2, -0.2, -0.2,
+        # 0.2) are orthogonal to both 1 and x, so the fitted slope is 2.
+        # Residual term: ssr = 0.16 over 2 degrees of freedom, 0.08 / sxx.
+        # Point term: sum ((x - xbar) / sxx)^2 * 0.1^2 = 0.01 / sxx.
+        # So ci = 1.96 * sqrt(0.09 / sxx) = 1.96 * 0.3 / (c * sqrt(500)).
+        snr = (40.0, 50.0, 60.0, 70.0)
+        rate = tuple(2.0 * s * LOG2_PER_DB + e for s, e in zip(snr, (0.2, -0.2, -0.2, 0.2)))
+        est = fit_slope(RateTrace(snr, rate, (0.1,) * 4, (0.0,) * 4, (0.0,) * 4, 100, 0))
+        assert est.d1_hat == pytest.approx(2.0, rel=1e-12)
+        assert est.ci[0] == pytest.approx(1.96 * 0.3 / (LOG2_PER_DB * math.sqrt(500)), rel=1e-12)
+        assert est.ci[0] == pytest.approx(0.0791593, rel=1e-6)
 
     def test_per_point_noise_inflates_ci(self):
         quiet = synthetic_trace((30, 40, 50, 60, 70), 1.0, 0.0, stderr=0.0)
@@ -137,16 +147,3 @@ class TestVerdicts:
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 verify_point(self.estimate(0, 0), self.REGION, tol=tol)
         assert verify_point(self.estimate(0.0, 0.0), self.REGION, tol=1) == "inside"
-
-    def test_report_fields(self):
-        region = region_from_halfspaces([Halfspace(1, 1, 2)], tag="demo-region")
-        spec = SchemeSpec("time-division")
-        report = verdict_report(BcConfig(2, 1, 1), spec, self.estimate(1.0, 1.0), region)
-        assert report["region_tag"] == "demo-region"
-        assert report["verdict"] == "boundary"
-        assert report["estimate"] == [1.0, 1.0]
-        assert report["ci"] == [0.0, 0.0]
-        assert report["config"] == {"channel": "bc", "antennas": [2, 1, 1]}
-        assert report["scheme"] == spec.to_dict()
-        ic = verdict_report(IcConfig(1, 2, 3, 4), spec, self.estimate(1.0, 1.0), region)
-        assert ic["config"] == {"channel": "ic", "antennas": [1, 2, 3, 4]}
