@@ -27,7 +27,7 @@ still run for every configuration.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional
 
@@ -132,12 +132,29 @@ class ClassifiedRegions:
     csit: DofRegion
 
     def to_dict(self) -> dict:
+        """Plain-dict form. A region object held under several keys is
+        formatted once; every key still gets its own lists and dicts, so
+        only strings are shared."""
+        formatted: dict[int, dict] = {}
+
+        def region_doc(region: DofRegion) -> dict:
+            doc = formatted.get(id(region))
+            if doc is None:
+                doc = formatted[id(region)] = region_to_dict(region)
+                return doc
+            return {
+                "halfspaces": [dict(h) for h in doc["halfspaces"]],
+                "vertices": [list(v) for v in doc["vertices"]],
+                "tag": doc["tag"],
+            }
+
         return {
-            "label": asdict(self.label),
-            "no_csit": region_to_dict(self.no_csit) if self.no_csit is not None else None,
-            "outer": region_to_dict(self.outer),
-            "inner": region_to_dict(self.inner),
-            "csit": region_to_dict(self.csit),
+            # The label's fields are flat values: this is its asdict.
+            "label": dict(vars(self.label)),
+            "no_csit": region_doc(self.no_csit) if self.no_csit is not None else None,
+            "outer": region_doc(self.outer),
+            "inner": region_doc(self.inner),
+            "csit": region_doc(self.csit),
         }
 
 

@@ -7,7 +7,10 @@ enumerates a region's pair-intersection points and recession-ray
 candidates once, each with a bitmask of the rows it violates, and reads
 boundedness, redundancy and the vertex list off those masks. Every
 predicate is an integer cross-multiplication, so vertex lists and minimal
-facet sets are bit-stable and safe to freeze as golden values.
+facet sets are bit-stable and safe to freeze as golden values. Vertices are
+ordered lexicographically by (d1, d2): they are sorted as int pairs over
+their common denominator, never by a float key, and their Fractions are
+built after the sort.
 
 The quadrant constraints ``d1 >= 0`` and ``d2 >= 0`` are implicit: they are
 never stored in a region's halfspace list, but every feasibility test
@@ -136,6 +139,8 @@ def _reduce(halfspaces: tuple[Halfspace, ...]) -> tuple[tuple[Halfspace, ...], t
     a row holds there iff a1*n1 + a2*n2 <= b*den. One pass finds every
     candidate, each with the mask of the rows it violates: the meeting
     point of each pair of rows and each row's nonnegative perpendiculars.
+    The vertices come out in lexicographic (d1, d2) order, sorted on the
+    int pairs (n1*L/den, n2*L/den) with L the lcm of their denominators.
     """
     rows = [(h.a1, h.a2, h.b) for h in halfspaces] + list(_AXES)
     bits = [1 << r for r in range(len(rows))]
@@ -177,8 +182,10 @@ def _reduce(halfspaces: tuple[Halfspace, ...]) -> tuple[tuple[Halfspace, ...], t
         if not mask:
             g = gcd(n1, n2, den)
             found.add((n1 // g, n2 // g, den // g))
-    vertices = sorted((Fraction(n1, den), Fraction(n2, den)) for n1, n2, den in found)
-    return tuple(h for h, bit in zip(halfspaces, bits) if kept & bit), tuple(vertices)
+    common = lcm(*(den for _, _, den in found))
+    order = sorted((n1 * (common // den), n2 * (common // den), n1, n2, den) for n1, n2, den in found)
+    vertices = tuple((Fraction(n1, den), Fraction(n2, den)) for _, _, n1, n2, den in order)
+    return tuple(h for h, bit in zip(halfspaces, bits) if kept & bit), vertices
 
 
 def region_from_halfspaces(halfspaces: Iterable, tag: str = "") -> DofRegion:

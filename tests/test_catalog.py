@@ -12,7 +12,7 @@ import os
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
@@ -39,6 +39,7 @@ from mimodof import (
     ic_csit_region,
     is_subset,
     region_from_halfspaces,
+    region_to_dict,
     region_to_json,
 )
 from mimodof import catalog
@@ -231,6 +232,46 @@ class TestGolden:
         assert h.hexdigest() == (
             "c802e7cb0c24d5112cf8d745fcc7da815472fbb5393bbe3522abf5b2ab5a74dc"
         )
+
+
+def _containers(obj):
+    """Every list and dict inside a JSON-like document, the document too."""
+    if isinstance(obj, (list, dict)):
+        yield obj
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            yield from _containers(item)
+
+
+class TestToDict:
+    def test_matches_asdict_and_region_to_dict(self):
+        for antennas in product(range(1, 5), repeat=4):
+            cr = ic_classify(IcConfig(*antennas))
+            reference = {
+                "label": asdict(cr.label),
+                "no_csit": None if cr.no_csit is None else region_to_dict(cr.no_csit),
+                "outer": region_to_dict(cr.outer),
+                "inner": region_to_dict(cr.inner),
+                "csit": region_to_dict(cr.csit),
+            }
+            got = json.dumps(cr.to_dict(), sort_keys=True)
+            assert got == json.dumps(reference, sort_keys=True), antennas
+
+    def test_keys_share_no_list_or_dict(self):
+        for antennas in product(range(1, 5), repeat=4):
+            doc = ic_classify(IcConfig(*antennas)).to_dict()
+            parts = list(_containers(doc))
+            assert len({id(part) for part in parts}) == len(parts), antennas
+
+    def test_editing_one_key_leaves_the_others(self):
+        # Case I: one region object is no_csit, outer and inner.
+        cr = ic_classify(IcConfig(1, 2, 3, 4))
+        assert cr.no_csit is cr.outer is cr.inner
+        doc = cr.to_dict()
+        before = json.dumps([doc["outer"], doc["no_csit"]])
+        doc["inner"]["vertices"][0][0] = "7/1"
+        doc["inner"]["vertices"].append(["9/1", "9/1"])
+        doc["inner"]["halfspaces"][0]["b"] = "7/1"
+        assert json.dumps([doc["outer"], doc["no_csit"]]) == before
 
 
 # d1 + d2 <= 1/2 lies inside every CSIT region and equals none of them.

@@ -319,6 +319,17 @@ class TestVerifyCommand:
                 "M must be an integer >= 1, got -1",
                 id="verify-negative-antennas-space",
             ),
+            # So is a minus sign before "inf": the grid and the spec refuse it.
+            pytest.param(
+                ("verify", *P2P_BC, "--snr-db", "-inf:70:10", "--against", "exact"),
+                "--snr-db needs finite SNR grid values, got '-inf:70:10'",
+                id="verify-negative-inf-grid-space",
+            ),
+            pytest.param(
+                ("verify", *IA_IC, "--exponent", "-inf", "--against", "inner"),
+                "power_exponent must be finite",
+                id="verify-negative-inf-exponent-space",
+            ),
             pytest.param(
                 ("verify", *P2P_BC, "--user", "3", "--against", "exact"),
                 "user must be an integer in [1, 2], got 3",
@@ -368,7 +379,7 @@ class TestVerifyCommand:
         code, out, err = run(capsys, *argv, "--trials", "10")
         assert code == 3
         assert out == ""
-        assert message in err
+        assert message in err and err.count("\n") == 1
         # Nothing was written: no t.csv, and d is still empty.
         assert list(tmp_path.iterdir()) == [tmp_path / "d"]
         assert list((tmp_path / "d").iterdir()) == []

@@ -514,6 +514,32 @@ class TestAgainstFractionReference:
         assert _outcome(_integer_region, triples) == expected
         assert expected == (tuple(kept), verts(*vertices))
 
+    # Vertex orders that the small strategies above never reach and a float
+    # sort key gets wrong: coordinates that round to the same float, and
+    # coefficients of 2**60 and more. Vertices are listed in exact order.
+    @pytest.mark.parametrize(
+        "triples, vertices",
+        [
+            (
+                [(0, 1, 1), (2**53, 1, 2**53 + 1)],
+                [(0, 0), (0, 1), (1, 1), (F(2**53 + 1, 2**53), 0)],
+            ),
+            (
+                [(0, 1, 1), (2**62 + 1, 1, 2**62 + 3)],
+                [(0, 0), (0, 1), (F(2**62 + 2, 2**62 + 1), 1), (F(2**62 + 3, 2**62 + 1), 0)],
+            ),
+            (
+                [(1, -1, 0), (1, 0, 1), (2**61 - 1, 2**61, 2**62)],
+                [(0, 0), (0, 2), (1, 1), (1, F(2**61 + 1, 2**61))],
+            ),
+        ],
+        ids=["d1-within-one-ulp", "coefficients-above-2**60", "d2-within-one-ulp"],
+    )
+    def test_vertex_order_is_exact(self, triples, vertices):
+        expected = _outcome(_ref_region, triples)
+        assert _outcome(_integer_region, triples) == expected
+        assert expected[1] == tuple((F(d1), F(d2)) for d1, d2 in vertices)
+
     @given(bounded_halfspace_lists(), bounded_halfspace_lists())
     @settings(max_examples=100, deadline=None)
     def test_subset_and_contains_match_fraction_arithmetic(self, hs_a, hs_b):
