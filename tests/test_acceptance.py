@@ -10,9 +10,11 @@ corner of every inner bound with up to four antennas per node, and time
 division to three points on every such broadcast edge.
 """
 
+import functools
 import hashlib
 import importlib.util
 import math
+import statistics
 import time
 from contextlib import contextmanager
 from fractions import Fraction as F
@@ -217,6 +219,7 @@ def _wishart_density(lam, small, alpha):
     return total * lam**alpha * np.exp(-lam)
 
 
+@functools.cache
 def wishart_rule(rows, cols):
     """Nodes λ and weights w with Σ w f(λ) ≈ ∫ f(λ) times the eigenvalue
     density of an i.i.d. CN(0, 1) rows x cols matrix: 30-node
@@ -238,6 +241,7 @@ def expect_over_wishart(rows, cols, f):
     return float(np.sum(w * f(lam)))
 
 
+@functools.cache
 def exact_log2det(rows, cols, x):
     """E log2 det(I + x HH*) for an i.i.d. CN(0, 1) rows x cols matrix H."""
     return expect_over_wishart(rows, cols, lambda lam: np.log2(1.0 + x * lam))
@@ -260,16 +264,22 @@ def log_det_law(rows, cols, power_share, time_share=1.0):
     return lambda p: time_share * exact_log2det(rows, cols, power_share * p)
 
 
-def alignment_rate1(p):
-    """E log2(1 + P g/(1 + P**0.5 X)): receiver 1's own gain g ~ Exp(1)
-    against the summed gain X ~ Gamma(3) of three beams at P**0.5 each.
-    The rule over g nests inside the rule over X, a block of X nodes at a
-    time."""
-    g, wg = wishart_rule(1, 1)
-    x, wx = wishart_rule(1, 3)
-    a = p / (1.0 + p**0.5 * x)
-    inner = [np.log2(1.0 + np.outer(block, g)) @ wg for block in np.array_split(a, 16)]
-    return float(np.concatenate(inner) @ wx)
+@functools.cache
+def alignment_rate1(beams, exponent):
+    """The law of E log2(1 + P g/(1 + P**exponent X)): receiver 1's own gain
+    g ~ Exp(1) against the summed gain X ~ Gamma(beams) of ``beams`` beams
+    at P**exponent each; with no beams, X = 0. The rule over g nests inside
+    the rule over X, a block of X nodes at a time."""
+    @functools.cache
+    def law(p):
+        if beams == 0:
+            return exact_log2det(1, 1, p)
+        g, wg = wishart_rule(1, 1)
+        x, wx = wishart_rule(1, beams)
+        a = p / (1.0 + p**exponent * x)
+        inner = [np.log2(1.0 + np.outer(block, g)) @ wg for block in np.array_split(a, 16)]
+        return float(np.concatenate(inner) @ wx)
+    return law
 
 
 # Each battery user's exact mean rate as a function of P (None: unserved).
@@ -281,7 +291,7 @@ EXACT_LAWS = {
     "p2p-2x2": (log_det_law(2, 2, 1 / 2), None),
     "zf-2123": (log_det_law(1, 1, 1.0), log_det_law(2, 1, 1.0)),
     "tdm-423": (log_det_law(2, 4, 1 / 4, 0.5), log_det_law(3, 4, 1 / 4, 0.5)),
-    "ia-1314": (alignment_rate1, lambda p: exact_log2det(4, 3, p**0.5)),
+    "ia-1314": (alignment_rate1(3, 0.5), lambda p: exact_log2det(4, 3, p**0.5)),
     "isobc-4x1": (log_det_law(1, 4, 1 / 4), None),
     "isobc-4x2": (None, log_det_law(2, 4, 1 / 4)),
 }
@@ -397,6 +407,88 @@ def test_stderr_coverage():
     share, sigma = covered / runs, math.sqrt(0.95 * 0.05 / runs)
     print(f"[acceptance] stderr coverage: {share:.4f} of {runs} runs")
     assert abs(share - 0.95) <= 3 * sigma, share
+
+
+# Every scheme on small boxes: each config of IC [1,4]^4 and BC [1,4]^3.
+# Grids reach below 0 dB, where a kernel that is right only at high SNR
+# shows; alignment needs P > 1 at every point.
+BOX_GRID = (-10.0, 0.0, 15.0)
+BOX_ALIGNMENT_GRID = (1.0, 10.0, 25.0)
+BOX_TAUS = (0.25, 0.3, 0.75)
+BOX_EXPONENTS = (0.5, 1.0)
+BOX_TRIALS = 400
+
+
+def box_runs():
+    """(spec, config, grid, (law1, law2)) for every scheme that fits each
+    config of the box, each user's law written from the scheme's definition
+    (None: unserved). Point-to-point, time division and isotropic input read
+    the user's own N x M link at P/M, times the user's time share.
+    Zero-forcing's projected own beams are an (N - s_int) x s_own link at
+    P/s_own, for every stream split that fits. Alignment's user 2 decodes
+    its beams at P**exponent each."""
+    def solo(config, user, time=1.0):
+        if isinstance(config, BcConfig):
+            rows, cols = (config.N1 if user == 1 else config.N2), config.M
+        else:
+            rows, cols = (config.N1, config.M1) if user == 1 else (config.N2, config.M2)
+        return log_det_law(rows, cols, 1.0 / cols, time)
+
+    runs = []
+    configs = [BcConfig(*a) for a in product(range(1, 5), repeat=3)]
+    configs += [IcConfig(*a) for a in product(range(1, 5), repeat=4)]
+    for config in configs:
+        for user in (1, 2):
+            served = (solo(config, 1), None) if user == 1 else (None, solo(config, 2))
+            kinds = ["point-to-point"]
+            if isinstance(config, BcConfig) and (config.N1, config.N2)[user - 1] <= config.M:
+                kinds.append("isotropic-bc")
+            runs += [(SchemeSpec(kind, user=user), config, BOX_GRID, served) for kind in kinds]
+        for tau in BOX_TAUS:
+            laws = (solo(config, 1, tau), solo(config, 2, 1.0 - tau))
+            runs.append((SchemeSpec("time-division", tau=tau), config, BOX_GRID, laws))
+        if isinstance(config, BcConfig):
+            continue
+        n1, n2 = config.N1, config.N2
+        for s1, s2 in product(range(config.M1 + 1), range(config.M2 + 1)):
+            if (s1 or s2) and (not s1 or s1 + s2 <= n1) and (not s2 or s1 + s2 <= n2):
+                laws = (
+                    log_det_law(n1 - s2, s1, 1.0 / s1) if s1 else None,
+                    log_det_law(n2 - s1, s2, 1.0 / s2) if s2 else None,
+                )
+                runs.append((SchemeSpec("receiver-zero-forcing", streams=(s1, s2)), config, BOX_GRID, laws))
+        if config.M1 == n1 == 1 and config.M2 <= n2 - 1:
+            for beams, exponent in product(range(config.M2 + 1), BOX_EXPONENTS):
+                spec = SchemeSpec("ia-power-scaling", beams=beams, power_exponent=exponent)
+                user2 = (lambda p, n=n2, b=beams, e=exponent: exact_log2det(n, b, p**e)) if beams else None
+                runs.append((spec, config, BOX_ALIGNMENT_GRID, (alignment_rate1(beams, exponent), user2)))
+    return runs
+
+
+def test_every_scheme_matches_its_exact_means_on_small_boxes():
+    # Every served user's mean at every grid point is z-tested against its
+    # exact mean. The |z| bound holds the family-wise false alarm at 1e-3 by
+    # Bonferroni over all comparisons (|z| near 5.2 for about 4000).
+    runs = box_runs()
+    comparisons = sum(len(grid) * sum(law is not None for law in laws) for _, _, grid, laws in runs)
+    bound = statistics.NormalDist().inv_cdf(1.0 - 0.5e-3 / comparisons)
+    kinds = {spec.kind for spec, *_ in runs}
+    assert kinds == set(_SCHEMES)
+    largest, failures = 0.0, []
+    for spec, config, grid, laws in runs:
+        trace = simulate_scheme(spec, config, grid, BOX_TRIALS, SEED)
+        for law, rates, stderrs in zip(laws, (trace.rate1, trace.rate2), (trace.stderr1, trace.stderr2)):
+            if law is None:
+                assert rates == (0.0,) * len(grid), (spec, config)
+                continue
+            for snr, rate, stderr in zip(grid, rates, stderrs):
+                z = (rate - law(10.0 ** (snr / 10.0))) / stderr
+                largest = max(largest, abs(z))
+                if abs(z) > bound:
+                    failures.append((spec, config, snr, z))
+    print(f"[acceptance] small boxes: {len(runs)} runs, {comparisons} comparisons, "
+          f"largest |z| {largest:.2f}, bound {bound:.2f}")
+    assert failures == []
 
 
 def test_criterion_8_achievability_atlas():
