@@ -1,38 +1,40 @@
 """Monte Carlo rate simulation for two-user MIMO fading networks.
 
 Channels are i.i.d. circularly symmetric complex Gaussian with unit entry
-variance, redrawn per trial. Reproducibility contract: each link has its own
-substreams; trials are grouped in fixed blocks of ``BLOCK``, block b of link
-ℓ owns ``SFC64([seed, ℓ, b])`` and fills its trials row by row, and per-SNR
-averages are exactly rounded sums, which do not depend on the order of
-accumulation. A trial's draws do not depend on the trial count, and a link's
-draws do not depend on which other links are drawn. A trace is bit-identical
-only within one numpy build and SIMD dispatch level: numpy's ``log2`` and
-complex kernels may round the last bit differently at another. Stacks are
-trials-last: each link is a (rows, cols, trials) array, so every kernel
-reduces over leading axes and adds contiguous rows of trials.
+variance, redrawn per trial, and every rate a scheme credits is a log-det
+over small, independent Wishart matrices. So no channel is drawn and no
+eigenvalue is taken: each rate reads the independent Gamma variates of the
+bidiagonal model of its Wishart matrix (Dumitriu and Edelman, "Matrix
+models for beta ensembles", J. Math. Phys. 43(11), 2002), and the traces
+come from a model that is exact in law, not from channel draws.
+
+Reproducibility contract: each link has its own substreams; trials are
+grouped in fixed blocks of ``BLOCK``, block b of link ℓ owns
+``SFC64([seed, ℓ, b])`` and fills its trials one after another, and
+per-SNR averages are exactly rounded sums, which do not depend on the order
+of accumulation. A trial's draws do not depend on the trial count, and a
+link's draws do not depend on which other links are drawn. Draws are
+trials-last: each link is a (variates, trials) array, so every kernel works
+on contiguous rows of trials.
 
 Each scheme is one call in a table keyed by ``SchemeSpec.kind``,
 scheme(config, spec, grid, draw): it raises if the scheme does not fit the
-configuration, spec and grid before it first calls draw(link), then reads
-each link it needs and returns one per-point rate evaluator per user.
-``simulate_scheme`` is the single driver. It checks the trial count, the
-seed and the grid before any draw and calls the scheme once; a link is
-drawn when the scheme reads it, and only then, so every scheme that reads a
-link sees the same draws of it. Each served user's rates at every SNR point
-then form one (points, trials) array, and all its rows are reduced at once
-by error-free extraction (``_exact_row_sums``). numpy is imported at a run's
-first draw, so geometry, the CLI's ``region``, ``classify`` and ``compare``
-commands and the region atlas never load it.
+configuration, spec and grid before it first calls draw(link, shapes), then
+reads the Gamma variates of each link it needs and returns one per-point
+rate evaluator per user. ``simulate_scheme`` is the single driver. It
+checks the trial count, the seed and the grid before any draw and calls the
+scheme once; a link is drawn when the scheme reads it, and only then, so
+every scheme that reads a link with the same shapes sees the same draws.
+Each served user's rates at every SNR point then form one (points, trials)
+array, and all its rows are reduced at once by error-free extraction
+(``_exact_row_sums``). numpy is imported at a run's first draw, so
+geometry, the CLI's ``region``, ``classify`` and ``compare`` commands and
+the region atlas never load it.
 
-Rates are log-det mutual informations in bits. Only the power changes
-between SNR points, so each trial's Gram eigenvalues λ are taken once per
-run, over fixed slices of ``SLICE`` trials that bound the working memory; a
-trial's λ does not depend on the slices. For Gram sides up to 3 they come in
-closed form from Gram-Schmidt residuals, with no Gram matrix and no LAPACK
-call, and for larger sides as squared singular values. Zero-forcing projects
-by Gram-Schmidt as well. Each point costs τ·Σ log2(1 + c·p·λ) for the link's
-power share c and time share τ.
+Rates are log-det mutual informations in bits, τ·log2 det(I + c·P·HH*) for
+the link's power share c and time share τ. ``_log_det_rate`` evaluates one
+from its Gamma variates by bottom-up pivots, all of them positive, at each
+point.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ __all__ = [
 # Trials per random substream. Fixed, so that a trial's draws depend only on
 # the seed and the trial's index.
 BLOCK = 1024
-SLICE = 2 * BLOCK  # trials per slice of a Gram spectrum: it bounds memory, not values
 
 CSV_HEADER = "snr_db,rate1,stderr1,rate2,stderr2,trials"
 
@@ -81,94 +82,33 @@ def _db_to_linear(snr_db: float) -> float:
     return 10.0 ** (float(snr_db) / 10.0)
 
 
-# Stacked vectors are (..., N, trials): entries on the second-to-last axis,
-# trials last and contiguous, so every reduction below runs over a leading
-# axis and adds whole rows of trials.
-def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # ⟨x, y⟩ per trial. einsum rounds each product as it always has, while
-    # np.sum(x.conj() * y) moves about half the inner products by an ulp.
-    return np.einsum("...it,...it->...t", x.conj(), y)
+def _wishart(rows: int, cols: int) -> list[int]:
+    """Gamma shapes of the bidiagonal model of HH* for an i.i.d. CN(0, 1)
+    rows x cols H, with n = min(rows, cols) and m = max(rows, cols): the
+    squared diagonal d², Gamma(m), ..., Gamma(m - n + 1), then the squared
+    off-diagonal e², Gamma(n - 1), ..., Gamma(1)."""
+    n, m = sorted((rows, cols))
+    return [*range(m, m - n, -1), *range(n - 1, 0, -1)]
 
 
-def _sq_norm(x: np.ndarray) -> np.ndarray:
-    squares = x.view(float) ** 2  # (re², im²) pairs: trials must be contiguous
-    return np.add(squares[..., ::2], squares[..., 1::2]).sum(axis=-2)
-
-
-def _reject(x: np.ndarray, u: np.ndarray, uu) -> np.ndarray:  # x less its part along u; uu = ‖u‖²
-    part = (_inner(u, x) / np.where(uu > 0, uu, 1.0))[..., None, :] * u
-    return np.subtract(x, part, out=part)
-
-
-def _largest_root(e1: np.ndarray, e2: np.ndarray, e3: np.ndarray) -> np.ndarray:
-    """Largest root of λ³ - e1 λ² + e2 λ - e3, whose roots are real and >= 0, in
-    the trigonometric form (O. K. Smith, Comm. ACM 4(4), 1961)."""
-    m = e1 / 3.0
-    p = np.sqrt(np.maximum(m * m - e2 / 3.0, 0.0))
-    r = (e3 - m * (e2 - 2.0 * m * m)) / np.where(p > 0, 2.0 * p**3, 1.0)
-    return m + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0)
-
-
-def _gram_spectrum(channels: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues λ, shape (n, trials), of the smaller Gram side
-    of stacked (rows, cols, trials) channels, n = min(rows, cols). For n <= 3,
-    from the short-side vectors u, v, w and Gram-Schmidt residuals
-    (v⊥ = v - (⟨u, v⟩/a)u, a = ‖u‖², c = ‖v‖²), with no Gram matrix and no
-    LAPACK call. n = 1: λ = a. n = 2: λmax = (a+c)/2 + hypot((a-c)/2, |⟨u, v⟩|),
-    λmin = a‖v⊥‖²/λmax. n = 3: λmax is the largest root of the characteristic
-    polynomial, e1 = Σ‖·‖², e2 = the sum of the pair determinants,
-    e3 = a‖v⊥‖²‖w⊥⊥‖²; λmid·λmin = e3/λmax and λmid + λmin = (e2 - e3/λmax)/λmax.
-    All are sums and products of squares, so λ >= 0 and keep cond(H), not its
-    square; near a repeated λ, only the symmetric functions of λ that make up
-    a rate keep every digit. n >= 4: squared singular values."""
-    rows, cols, trials = channels.shape
-    if channels.strides[-1] != channels.itemsize:
-        channels = np.ascontiguousarray(channels)  # _sq_norm reads trials as contiguous pairs
-    lam = np.empty((min(rows, cols), trials))
-    for start in range(0, trials, SLICE):
-        lam[:, start:start + SLICE] = _slice_spectrum(channels[..., start:start + SLICE])
-    return lam
-
-
-def _slice_spectrum(channels: np.ndarray) -> np.ndarray:
-    # _gram_spectrum of a (rows, cols, trials) slice.
-    rows, cols = channels.shape[:2]
-    side = min(rows, cols)
-    if side > 3:
-        return np.linalg.svd(np.moveaxis(channels, -1, 0), compute_uv=False).T[::-1] ** 2
-    vectors = channels if rows <= cols else channels.swapaxes(0, 1)  # (n, N, trials)
-    if side < 2:
-        return _sq_norm(vectors)
-    # One vector at a time: each (N, trials) operand stays in cache.
-    u, v = vectors[0], vectors[1]
-    a, c, uv = _sq_norm(u), _sq_norm(v), _inner(u, v)
-    v_u = (uv / np.where(a > 0, a, 1.0)) * u  # _reject(v, u, a), reusing ⟨u, v⟩
-    vv_u = _sq_norm(np.subtract(v, v_u, out=v_u))
-    if side == 2:
-        top = 0.5 * (a + c) + np.hypot(0.5 * (a - c), np.abs(uv))
-        return np.stack([a * vv_u / np.where(top > 0, top, 1.0), top])
-    w = vectors[2]
-    ww_v = _sq_norm(_reject(w, v, c))  # before w_u, so one fewer residual is alive at once
-    w_u = _reject(w, u, a)
-    e2 = a * (vv_u + _sq_norm(w_u)) + c * ww_v
-    e3 = a * vv_u * _sq_norm(_reject(w_u, v_u, vv_u))
-    top = _largest_root(a + c + _sq_norm(w), e2, e3)
-    top_or_1 = np.where(top > 0, top, 1.0)  # top = 0, on either side, only for H = 0
-    product = e3 / top_or_1
-    half = 0.5 * (e2 - product) / top_or_1
-    mid = half + np.sqrt(np.maximum(half * half - product, 0.0))
-    return np.stack([product / np.where(mid > 0, mid, 1.0), mid, top])
-
-
-def _log_det_rate(channels: np.ndarray, share: float = 1.0, time: float = 1.0) -> Callable:
-    """Per-point evaluator of time * log2 det(I + share * p * H H*) for stacked
-    (rows, cols, trials) channels H: time * Σ log2(1 + share * p * λ) over the
-    λ of ``_gram_spectrum``, in place on one fresh (n, trials) array."""
-    lam = _gram_spectrum(channels)
+def _log_det_rate(gammas: np.ndarray, share: float = 1.0, time: float = 1.0) -> Callable:
+    """Per-point evaluator of time * log2 det(I + share * p * HH*) from the
+    (2n - 1, trials) variates of ``_wishart``. With B lower bidiagonal,
+    B_ii = d_i and B_{i+1,i} = e_i, HH* has the spectrum of BᵀB, and
+    det(I + x BᵀB) is the product of the bottom-up pivots q_n = x d_n² + 1
+    and q_i = x d_i² + s_i, s_i = 1 + x e_i² s_{i+1}/q_{i+1}. Every term is
+    positive, so nothing cancels at any SNR. n = 0 gives a rate of 0."""
+    n = (len(gammas) + 1) // 2
+    d2, e2 = gammas[:n], gammas[n:]
 
     def rate(power):
-        terms = np.multiply(lam, share * power)
-        rates = np.log2(np.add(terms, 1.0, out=terms), out=terms).sum(axis=0)
+        x = share * power
+        q, s = np.multiply(d2, x), 1.0
+        for i in range(n - 1, -1, -1):
+            q[i] += s
+            if i:
+                s = 1.0 + x * e2[i - 1] * (s / q[i])
+        rates = np.log2(q, out=q).sum(axis=0)
         return np.multiply(rates, time, out=rates)  # exact at time = 1
     return rate
 
@@ -238,7 +178,7 @@ def _within_headroom(snr_db: float, exponent: float = 1.0) -> bool:
 def _validate_grid(snr_db: Sequence[float]) -> tuple[float, ...]:
     """The grid as an ascending tuple of finite floats. Every point's linear
     power must stay 2**64 below float overflow (at most about 2890 dB), so
-    that power times any channel gain or eigenvalue is still finite."""
+    that power times any Gamma variate is still finite."""
     grid = tuple(float(s) for s in snr_db)
     if not grid:
         raise ValueError("SNR grid must be nonempty")
@@ -323,60 +263,46 @@ def trace_from_csv(text: str, seed: int = 0) -> RateTrace:
 _LINKS = ("H1", "H2", "H11", "H12", "H21", "H22")
 
 
-def _draw(link: str, shape: tuple[int, int], seed: int, trials: int) -> np.ndarray:
-    """Stacked (rows, cols, trials) CN(0, 1) draws of one link, in a buffer
-    of their own. Block b of link ℓ is one ``standard_normal`` call of shape
-    (n_b, rows·cols, 2) on ``Generator(SFC64([seed, ℓ, b]))``, ℓ the link's
-    index in ``_LINKS``, read as (real, imaginary) pairs and filled
-    row-major, one trial after another; it is transposed into the buffer
-    and scaled by 1/√2. An unknown link raises ``ValueError``.
+def _draw(link: str, shapes: Sequence[int], seed: int, trials: int) -> np.ndarray:
+    """Independent standard Gamma variates of one link, one row per shape,
+    in a (len(shapes), trials) buffer of their own. Block b of link ℓ is one
+    ``standard_gamma(shapes, size=(n_b, len(shapes)))`` call on
+    ``Generator(SFC64([seed, ℓ, b]))``, ℓ the link's index in ``_LINKS``,
+    one trial after another; it is transposed into the buffer. An unknown
+    link raises ``ValueError``.
     """
-    index, (rows, cols) = _LINKS.index(link), shape
-    buf = np.empty((rows * cols, trials), dtype=complex)
-    scratch = np.empty((min(BLOCK, trials), rows * cols), dtype=complex)
+    index = _LINKS.index(link)
+    buf = np.empty((len(shapes), trials))
     for block in range(-(-trials // BLOCK)):
         part = buf[:, block * BLOCK:(block + 1) * BLOCK]
-        drawn = scratch[:part.shape[1]]
         rng = np.random.Generator(np.random.SFC64([seed, index, block]))
-        rng.standard_normal(out=drawn.view(float).reshape(len(drawn), rows * cols, 2))
-        # Multiplying by fl(1/√2) is what numpy's complex division by √2 does.
-        np.multiply(drawn.T, 1.0 / math.sqrt(2.0), out=part)
-    return buf.reshape(rows, cols, trials)
+        part[...] = rng.standard_gamma(shapes, size=part.shape[::-1]).T
+    return buf
 
 
 # --- scheme table ----------------------------------------------------------
 # An entry is scheme(config, spec, grid, draw) -> (rate1, rate2), called once
-# per run. It raises before its first draw(link) call if the scheme does not
-# fit; draw(link) draws that link then and there. Each evaluator maps a linear
-# power to that user's per-trial rates (None if unserved). Point-to-point is
-# time division at a share of 1, and isotropic input is point-to-point.
-
-
-def _network_dims(config) -> dict[str, tuple[int, int]]:
-    """The shape of every link of the network. Hji is the interference
-    link from transmitter i to receiver j, of shape Nj x Mi."""
-    if isinstance(config, BcConfig):
-        return {"H1": (config.N1, config.M), "H2": (config.N2, config.M)}
-    if isinstance(config, IcConfig):
-        return {
-            "H11": (config.N1, config.M1), "H12": (config.N1, config.M2),
-            "H21": (config.N2, config.M1), "H22": (config.N2, config.M2),
-        }
-    raise TypeError(f"expected BcConfig or IcConfig, got {type(config).__name__}")
+# per run. It raises before its first draw(link, shapes) call if the scheme
+# does not fit; draw(link, shapes) draws Gamma variates of those shapes on
+# that link then and there. Each evaluator maps a linear power to that
+# user's per-trial rates (None if unserved). Point-to-point is time division
+# at a share of 1, and isotropic input is point-to-point. Hji is the link
+# from transmitter i to receiver j, of shape Nj x Mi.
 
 
 def _solo_links(config, shares: tuple[float, float], draw) -> tuple:
-    """User u holds its direct link a fraction shares[u - 1] of the time at
-    full power P, P/m over its m transmit antennas, so the link's per-trial
-    rates scale by the share. A user whose share is 0 is not served, and its
-    link is neither drawn nor factored."""
-    links = ("H1", "H2") if isinstance(config, BcConfig) else ("H11", "H22")
-    return tuple(_solo_rate(draw(link), share) if share > 0 else None for link, share in zip(links, shares))
-
-
-def _solo_rate(channels: np.ndarray, share: float) -> Callable:
-    # P/m on each of the stack's m columns; a call of its own, so no name keeps the draws once factored.
-    return _log_det_rate(channels, 1.0 / channels.shape[1], share)
+    """User u holds its own N x M link a fraction shares[u - 1] of the time
+    at full power P, P/M over its M transmit antennas, so the link's
+    per-trial rates scale by the share. A user whose share is 0 is not
+    served, and its link is not drawn."""
+    if isinstance(config, BcConfig):
+        links = (("H1", config.N1, config.M), ("H2", config.N2, config.M))
+    else:
+        links = (("H11", config.N1, config.M1), ("H22", config.N2, config.M2))
+    return tuple(
+        _log_det_rate(draw(link, _wishart(rows, cols)), 1.0 / cols, share) if share > 0 else None
+        for (link, rows, cols), share in zip(links, shares)
+    )
 
 
 def _time_division(config, spec, grid, draw) -> tuple:
@@ -393,33 +319,13 @@ def _require(config, kind: type, message: str) -> None:
         raise SimulationError(message)
 
 
-def _orthonormal_rows(rows: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal (N, trials) rows spanning stacked rows (k, N, trials):
-    modified Gram-Schmidt with each row orthogonalised twice, which stays
-    orthonormal to a few eps on nearly dependent rows ("twice is enough":
-    Giraud, Langou, Rozložník and van den Eshof, Numer. Math. 101, 2005)."""
-    basis = []
-    for x in rows:
-        for q in basis + basis:
-            x = _reject(x, q, 1.0)
-        basis.append(x / np.sqrt(_sq_norm(x)))
-    return basis
-
-
-def _zf_user_rate(own: np.ndarray, cross: np.ndarray, s_own: int, s_int: int) -> Callable:
-    # own (N, M_own, trials), cross (N, M_int, trials). Own beams projected off the
-    # first s_int interfering ones in C^N have the Gram of their orthocomplement
-    # coordinates.
-    beams = own[:, :s_own].swapaxes(0, 1)
-    for q in _orthonormal_rows(cross[:, :s_int].swapaxes(0, 1)):
-        beams = _reject(beams, q, 1.0)
-    return _log_det_rate(beams, 1.0 / s_own)
-
-
 def _zero_forcing(config, spec, grid, draw) -> tuple:
     """Transmitter i sends si streams on its first si antennas at power
-    P/si each; receiver i projects out the other user's streams and decodes
-    its own. With s_int = 0 the projection is the identity."""
+    P/si each; receiver i projects out the other user's s_int streams and
+    decodes its own. The projected own beams are an i.i.d. (Ni - s_int) x si
+    Gaussian, by rotational invariance (Telatar, Eur. Trans. Telecomm. 10(6),
+    1999), so user i reads that Wishart matrix on its link Hii, and no cross
+    link is drawn."""
     _require(config, IcConfig, "receiver zero-forcing runs on interference configs")
     s1, s2 = spec.streams
     for name, s, m in (("s1", s1, config.M1), ("s2", s2, config.M2)):
@@ -432,10 +338,10 @@ def _zero_forcing(config, spec, grid, draw) -> tuple:
             f"receivers need at least {total} antennas to zero-force "
             f"{s1}+{s2} streams, have N1={config.N1}, N2={config.N2}"
         )
-    # A silent user is not served, and its links are not read.
+    # A silent user is not served, and its link is not read.
     return (
-        _zf_user_rate(draw("H11"), draw("H12"), s1, s2) if s1 > 0 else None,
-        _zf_user_rate(draw("H22"), draw("H21"), s2, s1) if s2 > 0 else None,
+        _log_det_rate(draw("H11", _wishart(config.N1 - s2, s1)), 1.0 / s1) if s1 > 0 else None,
+        _log_det_rate(draw("H22", _wishart(config.N2 - s1, s2)), 1.0 / s2) if s2 > 0 else None,
     )
 
 
@@ -443,7 +349,10 @@ def _alignment(config, spec, grid, draw) -> tuple:
     """User 1 sends a single stream at full power P; user 2 sends ``beams``
     streams at P**power_exponent each. Receiver 1 treats the scaled
     interference as noise; receiver 2 has enough antennas to decode
-    everything and is credited the joint log-det rate of its own streams."""
+    everything and is credited the joint log-det rate of its own streams.
+    User 1 reads its own gain g ~ Gamma(1) on H11 and the summed gain
+    X ~ Gamma(beams) of the beams on H12; user 2 reads the N2 x beams Wishart
+    matrix on H22."""
     _require(config, IcConfig, "the alignment scheme runs on interference configs")
     if not (config.M1 == 1 and config.N1 == 1 and config.M2 <= config.N2 - 1):
         raise SimulationError(
@@ -463,9 +372,9 @@ def _alignment(config, spec, grid, draw) -> tuple:
             f"SNR grid point {grid[-1]} dB raised to the power exponent "
             f"{spec.power_exponent} overflows a float power with 2**64 headroom"
         )
-    gain = np.abs(draw("H11")[0, 0]) ** 2
-    cross_gain = np.sum(np.abs(draw("H12")[0, :nb]) ** 2, axis=0)
-    joint = _log_det_rate(draw("H22")[:, :nb])
+    gain = draw("H11", [1])[0]
+    cross_gain = draw("H12", [nb])[0]
+    joint = _log_det_rate(draw("H22", _wishart(config.N2, nb)))
 
     def rate1(power):
         return np.log2(1.0 + power * gain / (1.0 + power ** exponent * cross_gain))
@@ -475,7 +384,7 @@ def _alignment(config, spec, grid, draw) -> tuple:
 
 def _isotropic(config, spec, grid, draw) -> tuple:
     """A white input at P/M per antenna over the served user's own i.i.d.
-    Gaussian n x M link, n <= M. That is point-to-point on the same draws;
+    Gaussian n x M link, n <= M. That is point-to-point on the same link;
     the fixed channel [I 0] times a fresh Gaussian M x M mixing matrix has
     the same law (Telatar, Eur. Trans. Telecomm. 10(6), 1999)."""
     _require(config, BcConfig, "the isotropic input scheme runs on broadcast configs")
@@ -539,15 +448,12 @@ def simulate_scheme(spec: SchemeSpec, config, snr_db: Sequence[float], trials: i
     The trial count, the seed and the grid are checked before any draw, and
     the scheme is called once: it checks its fit to the configuration before
     it draws, then draws each link it reads once and returns its evaluators.
-    Every SNR point reuses what they hold, and each served user's
-    (points, trials) rates are reduced in one batch.
+    Every SNR point reuses the Gamma variates they hold, and each served
+    user's (points, trials) rates are reduced in one batch.
     """
     trials, seed = _check_counts(trials, seed)
     grid = _validate_grid(snr_db)
-    # A link's shape is looked up as it is drawn, so a scheme that refuses the
-    # config does so first. The evaluators keep what they need, so the draws
-    # go once the scheme returns.
-    rates = _SCHEMES[spec.kind](config, spec, grid, lambda link: _draw(link, _network_dims(config)[link], seed, trials))
+    rates = _SCHEMES[spec.kind](config, spec, grid, lambda link, shapes: _draw(link, shapes, seed, trials))
     powers = [_db_to_linear(snr) for snr in grid]
     columns = []  # rate1, stderr1, rate2, stderr2
     for rate in rates:
