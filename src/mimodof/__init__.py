@@ -13,7 +13,6 @@ from .regions import (
     DofRegion,
     Halfspace,
     RegionError,
-    boundary_slope,
     contains,
     equals,
     is_subset,

@@ -80,10 +80,10 @@ class _Parser(argparse.ArgumentParser):
     # bad input. The scripts build their parsers from this class too.
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # Read "-1,1", "-10:30:10" or "-inf" as a value, not an option, so a
-        # negative count, grid or exponent reaches the program's own checks.
-        # This replaces a private argparse attribute.
-        self._negative_number_matcher = re.compile(r"-(\.?\d|inf)", re.IGNORECASE)
+        # Read "-1,1", "-10:30:10", "-inf" or "-nan" as a value, not an
+        # option, so a negative count, grid or exponent reaches the program's
+        # own checks. This replaces a private argparse attribute.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message: str):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")

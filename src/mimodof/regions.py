@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 __all__ = [
     "Rational",
@@ -40,7 +40,6 @@ __all__ = [
     "contains",
     "is_subset",
     "equals",
-    "boundary_slope",
     "region_to_dict",
     "region_to_json",
     "region_from_json",
@@ -225,20 +224,6 @@ def equals(a: DofRegion, b: DofRegion) -> bool:
     A bounded region is the hull of its vertices, which are stored exactly
     and sorted, so equal regions have equal vertex tuples."""
     return a.vertices == b.vertices
-
-
-def boundary_slope(region: DofRegion) -> Optional[Fraction]:
-    """Slope of the unique slanted facet, or None.
-
-    Returns the exact slope -a1/a2 when the reduced region has exactly one
-    stored (non-axis) facet, and None when there are several. A single
-    stored facet always has a1 > 0 and a2 > 0, otherwise the region would
-    have been rejected as unbounded.
-    """
-    if len(region.halfspaces) != 1:
-        return None
-    h = region.halfspaces[0]
-    return Fraction(-h.a1, h.a2)
 
 
 def _fraction_to_str(q: Fraction) -> str:

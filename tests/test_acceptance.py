@@ -30,7 +30,6 @@ from mimodof import (
     RateTrace,
     SchemeSpec,
     bc_region,
-    boundary_slope,
     case_partition_check,
     contains,
     equals,
@@ -132,9 +131,9 @@ def test_criterion_3_broadcast_slope_law():
     with criterion(3, "broadcast boundary slope law"):
         start = time.perf_counter()
         for m, n1, n2 in product(range(1, 7), repeat=3):
-            region = bc_region(BcConfig(m, n1, n2))
-            assert len(region.halfspaces) == 1
-            assert boundary_slope(region) == F(-min(m, n2), min(m, n1))
+            # The region's one facet, a1 d1 + a2 d2 <= b, has slope -a1/a2.
+            (facet,) = bc_region(BcConfig(m, n1, n2)).halfspaces
+            assert F(-facet.a1, facet.a2) == F(-min(m, n2), min(m, n1))
         assert time.perf_counter() - start < 1.0
 
 

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from mimodof import (
     BcConfig,
     CasePartitionError,
+    Halfspace,
     IcConfig,
     SCHEME_RX_ZF,
     SCHEME_TDM,
@@ -32,7 +33,6 @@ from mimodof import (
     TABLE_UNEQUAL,
     bc_csit_region,
     bc_region,
-    boundary_slope,
     case_partition_check,
     equals,
     ic_classify,
@@ -56,9 +56,7 @@ class TestBroadcast:
         assert bc_region(BcConfig(2, 2, 2)).vertices == verts((0, 0), (2, 0), (0, 2))
 
     def test_region_is_single_facet(self):
-        r = bc_region(BcConfig(4, 2, 3))
-        assert len(r.halfspaces) == 1
-        assert boundary_slope(r) == F(-3, 2)
+        assert bc_region(BcConfig(4, 2, 3)).halfspaces == (Halfspace(3, 2, 6),)
 
     def test_csit_goldens(self):
         assert bc_csit_region(BcConfig(2, 1, 1)).vertices == verts(
@@ -81,8 +79,8 @@ class TestBroadcast:
 
     def test_slope_law(self):
         for m, n1, n2 in product(range(1, 7), repeat=3):
-            slope = boundary_slope(bc_region(BcConfig(m, n1, n2)))
-            assert slope == F(-min(m, n2), min(m, n1))
+            (facet,) = bc_region(BcConfig(m, n1, n2)).halfspaces
+            assert F(-facet.a1, facet.a2) == F(-min(m, n2), min(m, n1))
 
     def test_bad_antennas_rejected(self):
         with pytest.raises(ValueError, match="M must be an integer >= 1, got 0"):

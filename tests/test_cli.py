@@ -330,6 +330,17 @@ class TestVerifyCommand:
                 "power_exponent must be finite",
                 id="verify-negative-inf-exponent-space",
             ),
+            # And before "nan".
+            pytest.param(
+                ("verify", *IA_IC, "--exponent", "-nan", "--against", "inner"),
+                "power_exponent must be finite",
+                id="verify-negative-nan-exponent-space",
+            ),
+            pytest.param(
+                ("verify", *P2P_BC, "--snr-db", "-nan:70:10", "--against", "exact"),
+                "--snr-db needs finite SNR grid values, got '-nan:70:10'",
+                id="verify-negative-nan-grid-space",
+            ),
             pytest.param(
                 ("verify", *P2P_BC, "--user", "3", "--against", "exact"),
                 "user must be an integer in [1, 2], got 3",
@@ -466,6 +477,7 @@ class TestSnrGridCommand:
             pytest.param((*P2P_BC, "--snr-db=30:nan:10"), "SNR grid", id="nan"),
             pytest.param((*IA_IC, "--exponent=inf"), "power_exponent", id="exponent-inf"),
             pytest.param((*IA_IC, "--exponent=nan"), "power_exponent", id="exponent-nan"),
+            pytest.param((*IA_IC, "--exponent", "-nan"), "power_exponent must be finite", id="exponent-negative-nan"),
             # 10**(dB/10) overflows a float above about 3082 dB.
             pytest.param((*P2P_BC, "--snr-db", "3000:3100:10"), "overflows", id="p2p-snr-overflow"),
             pytest.param((*IA_IC, "--snr-db", "3000:3100:10"), "overflows", id="ia-snr-overflow"),

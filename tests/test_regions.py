@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from mimodof import (
     Halfspace,
     RegionError,
-    boundary_slope,
     contains,
     equals,
     is_subset,
@@ -156,15 +155,17 @@ class TestPredicates:
         tri = region_from_halfspaces([Halfspace(1, 1, 1)])
         assert is_subset(seg, tri)
 
-    def test_boundary_slope(self):
-        slope = boundary_slope(region_from_halfspaces([Halfspace(F(1, 2), F(1, 3), 1)]))
-        assert isinstance(slope, F)
-        assert slope == F(-3, 2)
-        assert boundary_slope(region_from_halfspaces([Halfspace(1, 1, 1)])) == -1
+    def test_slanted_facets_are_stored_as_coprime_rows(self):
+        # A region keeps each facet that bounds it as its canonical coprime
+        # integer row and drops the redundant ones: d1 <= 2 here.
+        single = region_from_halfspaces([Halfspace(F(1, 2), F(1, 3), 1)])
+        assert single.halfspaces == (Halfspace(3, 2, 6),)
+        assert all(type(v) is int for v in (single.halfspaces[0].a1, single.halfspaces[0].a2))
+        assert region_from_halfspaces([Halfspace(1, 1, 1)]).halfspaces == (Halfspace(1, 1, 1),)
         two_facets = region_from_halfspaces(
             [Halfspace(1, 0, 2), Halfspace(0, 1, 1), Halfspace(1, 1, 2)]
         )
-        assert boundary_slope(two_facets) is None
+        assert two_facets.halfspaces == (Halfspace(0, 1, 1), Halfspace(1, 1, 2))
 
 
 class TestSerialization:
