@@ -460,6 +460,19 @@ class TestSpectralKernels:
         assert est.d1_hat == pytest.approx(expected[0], abs=1e-9)
         assert est.d2_hat == pytest.approx(expected[1], abs=1e-9)
 
+    @pytest.mark.parametrize("spec, config", ONE_OF_EACH, ids=[s.kind for s, _ in ONE_OF_EACH])
+    def test_largest_admitted_point_keeps_rates_finite(self, spec, config):
+        # 2889 dB is about 2**959.9, just under the grid's 2**960 cap, and
+        # 2890 dB is just over it. At the last admitted point every pivot,
+        # mean and standard error is still finite, and no served user's
+        # rate falls from 2880 dB.
+        with pytest.raises(ValueError, match="overflows"):
+            simulate_scheme(spec, config, (2890.0,), 10, 7)
+        trace = simulate_scheme(spec, config, (2880.0, 2889.0), 200, 7)
+        assert all(math.isfinite(v) for v in trace.rate1 + trace.rate2 + trace.stderr1 + trace.stderr2)
+        for rates in (trace.rate1, trace.rate2):
+            assert rates[1] >= rates[0]
+
 
 class TestChannelReference:
     """The one check that the model is exact in law that does not go through
