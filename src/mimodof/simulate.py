@@ -14,9 +14,10 @@ grouped in fixed blocks of ``BLOCK``, block b of link ℓ owns
 per-SNR averages are exactly rounded sums, which do not depend on the order
 of accumulation. A trial's draws do not depend on the trial count, and a
 link's draws do not depend on which other links are drawn. A trace is
-bit-identical within one numpy build, and, as measured with numpy 2.4 on
-x86-64, at every SIMD dispatch level: each golden trace is the same with
-numpy held to its X86_V2 baseline as with its AVX-512 targets. Draws are
+bit-identical within one numpy build. As measured with numpy 2.4 on
+x86-64, the draws are also the same with numpy held to its X86_V2 baseline
+as with its AVX-512 targets, but a trial's rate can move by an ulp there,
+since ``np.log2`` has its own kernel at each level. Draws are
 trials-last: each link is a (variates, trials) array, so every kernel works
 on contiguous rows of trials.
 

@@ -181,6 +181,16 @@ class TestDraws:
                 blocks.append(rng.standard_gamma(shapes, size=(min(BLOCK, trials - b * BLOCK), len(shapes))))
             assert np.array_equal(stacked[link], np.concatenate(blocks).T)
 
+    def test_draws_golden(self):
+        # sha256 of every link's raw draws at 2*BLOCK + 7 trials, seed 7: the
+        # random stream itself, before any rate is taken. It is the same with
+        # numpy held to its baseline SIMD dispatch.
+        stacked = draw_all(LINK_SHAPES, 7, 2 * BLOCK + 7)
+        h = hashlib.sha256()
+        for link in LINK_SHAPES:
+            h.update(stacked[link].tobytes())
+        assert h.hexdigest() == "a72cda96346c68dcbc05ce478ff411b4df10dd67cbb58c74522c3a7899bae500"
+
     @pytest.mark.parametrize("links", [("H1", "H2"), ("H11", "H12", "H22")], ids=["bc", "ic"])
     def test_link_draws_do_not_depend_on_other_links(self, links):
         # A link's draws depend only on (seed, link, block): drawn after the
@@ -254,16 +264,16 @@ class TestDraws:
 
     def test_entry_statistics(self):
         # 1e5 draws of Gamma(1) and Gamma(3): each mean and variance equals
-        # the shape, within 4 sigma of its estimator, and the two rows are
-        # uncorrelated within 4 sigma.
+        # the shape, within 3 sigma of its estimator, and the two rows are
+        # uncorrelated within 3 sigma.
         n = 100_000
         gammas = _draw("H1", [1, 3], 123, n)
         for row, shape in zip(gammas, (1, 3)):
-            assert abs(row.mean() - shape) < 4.0 * math.sqrt(shape / n)
+            assert abs(row.mean() - shape) < 3.0 * math.sqrt(shape / n)
             # Var of the sample variance of Gamma(k) is about (2k² + 6k)/n.
-            assert abs(row.var() - shape) < 4.0 * math.sqrt((2 * shape**2 + 6 * shape) / n)
+            assert abs(row.var() - shape) < 3.0 * math.sqrt((2 * shape**2 + 6 * shape) / n)
         corr = np.corrcoef(gammas)[0, 1]
-        assert abs(corr) < 4.0 / math.sqrt(n)
+        assert abs(corr) < 3.0 / math.sqrt(n)
 
 
 def fsum_rows(values):
@@ -630,7 +640,7 @@ class TestAlignmentScheme:
         spec = SchemeSpec("ia-power-scaling", beams=0)
         r1, r2 = kernel(spec, self.CONFIG, 100.0, seeded(3, 1))
         gain = _draw("H11", [1], 3, 1)[0, 0]
-        assert r1[0] == math.log2(1 + 100.0 * gain)
+        assert r1[0] == np.log2(1.0 + 100.0 * gain)
         assert r2[0] == 0.0
 
     def test_reads_gains_and_the_joint_wishart(self):
