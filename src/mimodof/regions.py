@@ -183,7 +183,11 @@ def _reduce(halfspaces: tuple[Halfspace, ...]) -> tuple[tuple[Halfspace, ...], t
             found.add((n1 // g, n2 // g, den // g))
     common = lcm(*(den for _, _, den in found))
     order = sorted((n1 * (common // den), n2 * (common // den), n1, n2, den) for n1, n2, den in found)
-    vertices = tuple((Fraction(n1, den), Fraction(n2, den)) for _, _, n1, n2, den in order)
+    # Most vertices are integer points, and Fraction(n) skips the gcd.
+    vertices = tuple(
+        (Fraction(n1), Fraction(n2)) if den == 1 else (Fraction(n1, den), Fraction(n2, den))
+        for _, _, n1, n2, den in order
+    )
     return tuple(h for h, bit in zip(halfspaces, bits) if kept & bit), vertices
 
 

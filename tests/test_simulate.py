@@ -306,6 +306,25 @@ def float_rows(draw):
     return np.array(rows)
 
 
+@st.composite
+def wide_rows(draw):
+    """1-3 seeded rows of up to 5000 floats whose exponents spread over
+    2**120 from a base anywhere from the subnormals up: the second half of
+    each row cancels a shuffle of the first, half of those entries one ulp
+    short, so each sum sits far below its entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.integers(1, 5000))
+    low = draw(st.integers(-1100, 880))
+    values = rng.standard_normal((draw(st.integers(1, 3)), width))
+    values = np.ldexp(values, low + rng.integers(0, 121, size=values.shape))
+    half = width // 2
+    cancel = -values[:, rng.permutation(half)]
+    short = rng.random(cancel.shape) < 0.5
+    cancel[short] = np.nextafter(cancel[short], 0.0)
+    values[:, width - half:] = cancel
+    return values
+
+
 class TestMeanStderr:
     @staticmethod
     def reference(values):
@@ -351,6 +370,38 @@ class TestExactRowSums:
     )
     def test_edge_rows(self, row):
         values = np.array([row])
+        assert same_bits(_exact_row_sums(values), fsum_rows(values))
+
+    @given(wide_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fsum_on_wide_rows(self, values):
+        assert same_bits(_exact_row_sums(values), fsum_rows(values))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    @pytest.mark.parametrize(
+        "head",
+        [[1.0, 2.0**-53], [1.0 + 2.0**-52, 2.0**-53], [1.0, 2.0**-53, 2.0**-107]],
+        ids=["midpoint-to-even-below", "midpoint-to-even-above", "past-the-midpoint"],
+    )
+    def test_first_pass_cannot_decide_a_midpoint(self, head, sign):
+        # 1024 entries, so σ = 2**12: the first pass keeps the head's first
+        # entry and leaves the rest, whose float sum is 2**-53. The partial
+        # plus that tail is a midpoint, which a slack of 2**-70 either way
+        # straddles, so the passes go on: exact midpoints down to a zero
+        # rest, and 2**-107 past one, which the tail rounded away, until
+        # that last bit is in the partials.
+        values = sign * np.array([head + [0.0] * (1024 - len(head))])
+        assert simulate._decided([sign * head[0]], sign * 2.0**-53, 2.0**-70) is None
+        assert same_bits(_exact_row_sums(values), fsum_rows(values))
+
+    def test_subnormal_slack_decides_nothing(self):
+        # Near 2**-970 the slack of 1500 entries falls below 2**-1022, so no
+        # pass is certified and every row runs down to a zero rest, through
+        # the subnormals; one row sums past a midpoint at that scale.
+        rng = np.random.default_rng(970)
+        values = np.ldexp(rng.standard_normal((3, 1500)), -975 - rng.integers(0, 100, size=(3, 1500)))
+        values[2] = 0.0
+        values[2, :3] = [2.0**-970, 2.0**-1023, 2.0**-1074]
         assert same_bits(_exact_row_sums(values), fsum_rows(values))
 
     def test_rates_and_squared_deviations(self):
@@ -944,6 +995,20 @@ class TestDrivers:
         assert simulate_scheme(P2P, BcConfig(2, 2, 2), GRID, 200, 7) == unset
         with pytest.raises(TypeError):
             simulate_scheme(P2P, BcConfig(2, 2, 2), GRID, 200, 7, threads=1)
+
+    @pytest.mark.parametrize("tau", [2.0**-60, 1.0 - 2.0**-53], ids=["user-one-tiny", "user-two-tiny"])
+    def test_shared_rate_buffer_leaks_nothing(self, tau):
+        # One run puts both users' rates in one buffer in turn, 2**53 or
+        # more apart in either order, and back-to-back runs of different
+        # lengths follow. Each trace equals the reduction of the same rates
+        # in fresh arrays.
+        spec, config = SchemeSpec("time-division", tau=tau), IcConfig(2, 3, 2, 3)
+        for trials in (2 * BLOCK + 7, 100):
+            trace = simulate_scheme(spec, config, GRID, trials, 7)
+            rates = _SCHEMES[spec.kind](config, spec, GRID, lambda link, shapes: _draw(link, shapes, 7, trials))
+            for rate, columns in zip(rates, ((trace.rate1, trace.stderr1), (trace.rate2, trace.stderr2))):
+                values = np.stack([rate(_db_to_linear(snr)) for snr in GRID])
+                assert same_bits(_mean_stderr(values), columns)
 
     def test_solo_users_share_draws(self):
         # Both solos see the same trial matrices, only different links.
