@@ -17,7 +17,6 @@ variable.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import functools
 import json
@@ -163,7 +162,7 @@ def cmd_region(args) -> int:
         _emit(args, _dump(region_to_dict(ic_csit_region(config))))
         return EXIT_OK
     cr = ic_classify(config)
-    doc = {"label": dataclasses.asdict(cr.label), "csit": region_to_dict(cr.csit)}
+    doc = {"label": dict(vars(cr.label)), "csit": region_to_dict(cr.csit)}
     doc.update(_known_or_bounds(cr))
     _emit(args, _dump(doc))
     return EXIT_OK
@@ -236,7 +235,7 @@ def _verdict(config, spec: SchemeSpec, estimate: SlopeEstimate, region: DofRegio
     channel = "bc" if isinstance(config, BcConfig) else "ic"
     verdict = verify_point(estimate, region, tol)
     report = {
-        "config": {"channel": channel, "antennas": list(dataclasses.astuple(config))},
+        "config": {"channel": channel, "antennas": list(vars(config).values())},
         "scheme": spec.to_dict(),
         "estimate": [estimate.d1_hat, estimate.d2_hat],
         "ci": list(estimate.ci),
@@ -260,13 +259,13 @@ def cmd_simulate(args) -> int:
     doc = {
         "command": "simulate",
         "channel": args.channel,
-        "antennas": list(dataclasses.astuple(config)),
+        "antennas": list(vars(config).values()),
         "scheme": spec.to_dict(),
         "snr_db": list(trace.snr_db),
         "trials": trace.trials,
         "seed": trace.seed,
         "window": args.window,
-        "trace": dataclasses.asdict(trace),
+        "trace": dict(vars(trace)),
         "estimate": estimate.to_dict(),
     }
     if report is not None:

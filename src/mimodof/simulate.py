@@ -8,16 +8,16 @@ bidiagonal model of its Wishart matrix (Dumitriu and Edelman, "Matrix
 models for beta ensembles", J. Math. Phys. 43(11), 2002), and the traces
 come from a model that is exact in law, not from channel draws.
 
-Reproducibility contract: each link has its own substreams; trials are
-grouped in fixed blocks of ``BLOCK``, block b of link ℓ owns
-``SFC64([seed, ℓ, b])`` and fills its trials one after another, and
-per-SNR averages are exactly rounded sums, which do not depend on the order
-of accumulation. A trial's draws do not depend on the trial count, and a
-link's draws do not depend on which other links are drawn. A trace is
-bit-identical within one numpy build. As measured with numpy 2.4 on
-x86-64, the draws are also the same with numpy held to its X86_V2 baseline
-as with its AVX-512 targets, but a trial's rate can move by an ulp there,
-since ``np.log2`` has its own kernel at each level. Draws are
+Reproducibility contract: each row of a link's Gamma variates has its own
+substream. Row r of link ℓ owns ``SFC64([seed, ℓ, r])`` and fills its
+trials one after another, and per-SNR averages are exactly rounded sums,
+which do not depend on the order of accumulation. A trial's draws do not
+depend on the trial count, a link's draws do not depend on which other
+links are drawn, and a row's draws depend only on (seed, link, row,
+shape). A trace is bit-identical within one numpy build. As measured with
+numpy 2.4 on x86-64, the draws are also the same with numpy held to its
+X86_V2 baseline as with its AVX-512 targets, but a trial's rate can move by
+an ulp there, since ``np.log2`` has its own kernel at each level. Draws are
 trials-last: each link is a (variates, trials) array, so every kernel works
 on contiguous rows of trials.
 
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .catalog import BcConfig, IcConfig, _integer
@@ -74,10 +74,6 @@ __all__ = [
     "SCHEME_KINDS", "SimulationError",
     "SchemeSpec", "RateTrace", "trace_to_csv", "trace_from_csv", "simulate_scheme",
 ]
-
-# Trials per random substream. Fixed, so that a trial's draws depend only on
-# the seed and the trial's index.
-BLOCK = 1024
 
 CSV_HEADER = "snr_db,rate1,stderr1,rate2,stderr2,trials"
 
@@ -303,18 +299,16 @@ _LINKS = ("H1", "H2", "H11", "H12", "H21", "H22")
 
 def _draw(link: str, shapes: Sequence[int], seed: int, trials: int) -> np.ndarray:
     """Independent standard Gamma variates of one link, one row per shape,
-    in a (len(shapes), trials) buffer of their own. Block b of link ℓ is one
-    ``standard_gamma(shapes, size=(n_b, len(shapes)))`` call on
-    ``Generator(SFC64([seed, ℓ, b]))``, ℓ the link's index in ``_LINKS``,
-    one trial after another; it is transposed into the buffer. An unknown
-    link raises ``ValueError``.
+    in a (len(shapes), trials) buffer of their own. Row r is one scalar-shape
+    ``standard_gamma(shapes[r], out=buf[r])`` call on
+    ``Generator(SFC64([seed, ℓ, r]))``, ℓ the link's index in ``_LINKS``, so
+    trial t of a row is the t-th draw of its stream. An unknown link raises
+    ``ValueError``.
     """
     index = _LINKS.index(link)
     buf = np.empty((len(shapes), trials))
-    for block in range(-(-trials // BLOCK)):
-        part = buf[:, block * BLOCK:(block + 1) * BLOCK]
-        rng = np.random.Generator(np.random.SFC64([seed, index, block]))
-        part[...] = rng.standard_gamma(shapes, size=part.shape[::-1]).T
+    for row, shape in enumerate(shapes):
+        np.random.Generator(np.random.SFC64([seed, index, row])).standard_gamma(shape, out=buf[row])
     return buf
 
 
@@ -477,7 +471,7 @@ class SchemeSpec:
             object.__setattr__(self, "beams", _integer("beams", self.beams, 0))
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "streams": list(self.streams)}
+        return {**vars(self), "streams": list(self.streams)}
 
 
 def simulate_scheme(spec: SchemeSpec, config, snr_db: Sequence[float], trials: int, seed: int) -> RateTrace:

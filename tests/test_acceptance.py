@@ -542,12 +542,13 @@ def test_battery_traces_sha256():
     # Re-recorded when each link came to be drawn as the Gamma variates of
     # its Wishart matrix, once the small-box exact means, the channel-level
     # reference, the exact and paired slopes, the coverage test and criteria
-    # 4-8 passed on the new stream. The digest was the same with numpy held
-    # to its baseline SIMD dispatch, though a trial's rate can move by an
-    # ulp there.
+    # 4-8 passed on the new stream. Re-recorded when each row of a link's
+    # Wishart model got its own substream, once the same tests passed on it.
+    # The digest was the same with numpy held to its baseline SIMD dispatch,
+    # though a trial's rate can move by an ulp there.
     h = hashlib.sha256()
     for _, config, spec, _ in prelog_battery.battery_entries():
         h.update(trace_to_csv(simulate_scheme(spec, config, GRID, 2000, SEED)).encode())
     assert h.hexdigest() == (
-        "6ccb78617add4b9d5342c76d167ffaa64734119103f9bf8c636ca229a641fda7"
+        "00b3492f7257a23f613bfc84dc99401dc3cb9b3e177f2ab4e2aeccced27de367"
     )

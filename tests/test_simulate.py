@@ -1,5 +1,6 @@
 """Monte Carlo layer tests: draws, scheme kernels, the driver, CSV."""
 
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -29,7 +30,6 @@ from mimodof import (
 )
 from mimodof import cli, simulate
 from mimodof.simulate import (
-    BLOCK,
     SCHEME_KINDS,
     _SCHEMES,
     _db_to_linear,
@@ -41,6 +41,9 @@ from mimodof.simulate import (
 )
 
 GRID = (10.0, 20.0, 30.0)
+
+# Trials of every golden run.
+GOLDEN_TRIALS = 2055
 
 # Every link name; a link's index here keys its random substreams.
 LINK_ORDER = ("H1", "H2", "H11", "H12", "H21", "H22")
@@ -159,68 +162,75 @@ class TestDraws:
         other_seed = draw_all(LINK_SHAPES, 8, 5)
         assert not np.array_equal(a["H11"], other_seed["H11"])
 
-    def test_prefix_across_block_boundary(self):
-        # The short run draws the second block only up to trial BLOCK + 3,
-        # the long run in full; every shared trial agrees.
-        short = draw_all(LINK_SHAPES, 7, BLOCK + 4)
-        long = draw_all(LINK_SHAPES, 7, 3 * BLOCK)
+    @pytest.mark.parametrize("trials", [1, 1031])
+    def test_prefix_of_a_longer_run(self, trials):
+        # A short run's draws are the first trials of a longer run's.
+        short = draw_all(LINK_SHAPES, 7, trials)
+        long = draw_all(LINK_SHAPES, 7, 3079)
         for link in LINK_SHAPES:
-            assert np.array_equal(short[link], long[link][:, : BLOCK + 4])
+            assert np.array_equal(short[link], long[link][:, :trials])
 
-    def test_blocks_follow_reference_stream(self):
-        # Block b of link l is one standard_gamma(shapes, size=(n_b, k))
-        # call on Generator(SFC64([seed, l, b])), l the link's index in the
-        # fixed link order; the last block is partial. Each link holds the
-        # same values with the trial axis moved last.
-        trials = 2 * BLOCK + 7
-        stacked = draw_all(LINK_SHAPES, 7, trials)
+    def test_rows_follow_reference_stream(self):
+        # Row r of link l is one scalar-shape standard_gamma call for the
+        # whole run on Generator(SFC64([seed, l, r])), l the link's index in
+        # the fixed link order.
+        stacked = draw_all(LINK_SHAPES, 7, GOLDEN_TRIALS)
         for link, shapes in LINK_SHAPES.items():
-            blocks = []
-            for b in range(3):
-                rng = np.random.Generator(np.random.SFC64([7, LINK_ORDER.index(link), b]))
-                blocks.append(rng.standard_gamma(shapes, size=(min(BLOCK, trials - b * BLOCK), len(shapes))))
-            assert np.array_equal(stacked[link], np.concatenate(blocks).T)
+            rows = [
+                np.random.Generator(np.random.SFC64([7, LINK_ORDER.index(link), r])).standard_gamma(
+                    shape, size=GOLDEN_TRIALS
+                )
+                for r, shape in enumerate(shapes)
+            ]
+            assert np.array_equal(stacked[link], rows)
+
+    def test_row_draws_do_not_depend_on_other_rows(self):
+        # A row's draws depend only on (seed, link, row, shape): changing the
+        # middle shape moves the middle row alone.
+        a = _draw("H1", [4, 3, 1], 7, GOLDEN_TRIALS)
+        b = _draw("H1", [4, 2, 1], 7, GOLDEN_TRIALS)
+        assert np.array_equal(a[[0, 2]], b[[0, 2]])
+        assert not np.array_equal(a[1], b[1])
 
     def test_draws_golden(self):
-        # sha256 of every link's raw draws at 2*BLOCK + 7 trials, seed 7: the
+        # sha256 of every link's raw draws at GOLDEN_TRIALS, seed 7: the
         # random stream itself, before any rate is taken. It is the same with
         # numpy held to its baseline SIMD dispatch.
-        stacked = draw_all(LINK_SHAPES, 7, 2 * BLOCK + 7)
+        stacked = draw_all(LINK_SHAPES, 7, GOLDEN_TRIALS)
         h = hashlib.sha256()
         for link in LINK_SHAPES:
             h.update(stacked[link].tobytes())
-        assert h.hexdigest() == "a72cda96346c68dcbc05ce478ff411b4df10dd67cbb58c74522c3a7899bae500"
+        assert h.hexdigest() == "6094406514abd76597fe79300089b99a019f0b1e90d47532cc3fa26746d6cf98"
 
     @pytest.mark.parametrize("links", [("H1", "H2"), ("H11", "H12", "H22")], ids=["bc", "ic"])
     def test_link_draws_do_not_depend_on_other_links(self, links):
-        # A link's draws depend only on (seed, link, block): drawn after the
+        # A link's draws depend only on (seed, link, row): drawn after the
         # whole network, one link at a time in reverse order, they are the
         # same bits.
-        trials = 2 * BLOCK + 7
-        whole = draw_all({link: LINK_SHAPES[link] for link in links}, 7, trials)
+        whole = draw_all({link: LINK_SHAPES[link] for link in links}, 7, GOLDEN_TRIALS)
         for link in reversed(links):
-            assert np.array_equal(_draw(link, LINK_SHAPES[link], 7, trials), whole[link])
+            assert np.array_equal(_draw(link, LINK_SHAPES[link], 7, GOLDEN_TRIALS), whole[link])
 
     def test_draws_are_lazy_and_refuse_an_unknown_link(self, monkeypatch):
         # A scheme draws a link only when it reads it, and then only that
-        # link. A link name outside the fixed order is refused before any
-        # draw.
+        # link, one substream per row. A link name outside the fixed order is
+        # refused before any draw.
         config = BcConfig(4, 2, 3)
         seeds, read = [], []
         sfc64 = np.random.SFC64
         monkeypatch.setattr(np.random, "SFC64", lambda seed: seeds.append(seed) or sfc64(seed))
         spec = SchemeSpec("point-to-point", user=2)
         _SCHEMES[spec.kind](config, spec, GRID, lambda link, shapes: read.append(link) or _draw(link, shapes, 7, 10))
-        assert read == ["H2"] and seeds == [[7, 1, 0]]
+        rows = [[7, 1, r] for r in range(len(_wishart(3, 4)))]
+        assert read == ["H2"] and seeds == rows
         with pytest.raises(ValueError):
             _draw("H3", [1], 7, 10)
-        assert seeds == [[7, 1, 0]]
+        assert seeds == rows
 
     def test_peak_memory_is_one_buffer(self):
         # Every link is read: the draws live in one (variates, trials)
-        # buffer per link, and each block passes through a block-sized
-        # array. Transposing a whole trials-first buffer instead would
-        # double the peak.
+        # buffer per link, and each row is drawn in place. A temporary the
+        # size of one row, a fifteenth of the whole here, would show.
         trials = 10_000
         variates = sum(len(shapes) for shapes in LINK_SHAPES.values())
         _draw("H11", [1], 7, 1)  # numpy sets up its generator state once per process
@@ -231,7 +241,7 @@ class TestDraws:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * variates * trials * np.dtype(float).itemsize
+        assert peak <= 1.05 * variates * trials * np.dtype(float).itemsize
 
     def test_shapes(self):
         stacked = draw_all(LINK_SHAPES, 0, 1)
@@ -763,23 +773,24 @@ class TestTimeDivision:
 
 
 class TestCappedContrast:
-    # sha256 of trace_to_csv(capped_tdm_trace(...)) at 2*BLOCK + 7 trials,
+    # sha256 of trace_to_csv(capped_tdm_trace(...)) at GOLDEN_TRIALS,
     # seed 7, recorded from the two-run form: solo point-to-point traces on
     # the nominal and the half-dB grid, joined at tau = 1/2 after reduction.
     # The second grid's half-dB points 10 and 20 lie on it. Re-recorded when
-    # each link moved to its own SFC64 substreams, and again when each link
-    # came to be drawn as the Gamma variates of its Wishart matrix.
+    # each link moved to its own SFC64 substreams, when each link came to be
+    # drawn as the Gamma variates of its Wishart matrix, and when each row of
+    # those variates got its own substream.
     BATTERY_GRID = (30.0, 40.0, 50.0, 60.0, 70.0)
     GOLDEN = [
-        (BcConfig(4, 2, 3), BATTERY_GRID, "833602a541ad3bd4916511728da75bc92bee34bea6807b1d67f4c78f62a9d967"),
-        (IcConfig(1, 3, 1, 4), BATTERY_GRID, "a47c3e063e4b8a51e9edb0a74b525be884b2120998cc6230963d4d4bc51d9009"),
-        (BcConfig(4, 2, 3), (10.0, 20.0, 30.0, 40.0), "a13f4df332de1783a0fdaf64f45619c24b5e0a0d599f086c71c689b3b77bb08c"),
+        (BcConfig(4, 2, 3), BATTERY_GRID, "f618672de0596c127e5bea6501f789bf768a60e71ff6bee6c6ac719ffa9936bc"),
+        (IcConfig(1, 3, 1, 4), BATTERY_GRID, "ffaca9cf29c5f80351d5f1d5685dcdcfddf3278ff7f393b3695cc1f998d2063b"),
+        (BcConfig(4, 2, 3), (10.0, 20.0, 30.0, 40.0), "9273e93f9199a551bcd7347907a81e4750831a9bcd1636da7a4502419e5a2341"),
     ]
     IDS = ["bc-423", "ic-1314", "bc-423-overlap"]
 
     @pytest.mark.parametrize("config, grid, digest", GOLDEN, ids=IDS)
     def test_capped_trace_golden(self, config, grid, digest):
-        trace = load_battery_script().capped_tdm_trace(config, grid, 2 * BLOCK + 7, 7)
+        trace = load_battery_script().capped_tdm_trace(config, grid, GOLDEN_TRIALS, 7)
         assert trace.snr_db == grid
         assert hashlib.sha256(trace_to_csv(trace).encode()).hexdigest() == digest
 
@@ -793,7 +804,7 @@ class TestCappedContrast:
             return _draw(link, *args)
 
         monkeypatch.setattr(simulate, "_draw", counted)
-        load_battery_script().capped_tdm_trace(config, grid, 2 * BLOCK + 7, 7)
+        load_battery_script().capped_tdm_trace(config, grid, GOLDEN_TRIALS, 7)
         assert calls == (["H1", "H2"] if isinstance(config, BcConfig) else ["H11", "H22"])
 
 
@@ -901,7 +912,7 @@ class TestIsotropicInput:
         # A white input at P/M per antenna over the served user's own link is
         # point-to-point on that link: the same draws and the same trace.
         spec = SchemeSpec("isotropic-bc", user=user)
-        trials = 2 * BLOCK + 7
+        trials = GOLDEN_TRIALS
         assert simulate_scheme(spec, config, GRID, trials, 7) == solo(config, user, GRID, trials, 7)
 
 
@@ -955,36 +966,26 @@ class TestTraces:
 
 
 class TestDrivers:
-    # sha256 of each kind's trace_to_csv at 2*BLOCK + 7 trials, seed 7.
-    # Point-to-point's is the trace the threaded drivers wrote at thread
-    # counts 1 and 3 alike. The others were recorded on the same draws once
-    # Gram side 3 and zero-forcing took Gram-Schmidt kernels, within
-    # 4.0e-16 relative of the threaded drivers' traces. Time division's was
-    # re-recorded once it scaled per-trial rates by tau = 0.3 before the
-    # reduction, within 3.4e-16 relative of the reduced-then-scaled trace.
-    # Isotropic input's was re-recorded once it became point-to-point on the
-    # served user's link; it is that user's point-to-point trace. All five
-    # were re-recorded when each link moved to its own SFC64 substreams, and
-    # again when each link came to be drawn as the Gamma variates of its
-    # Wishart matrix, once the exact-mean, channel-reference, slope and
-    # coverage tests passed on the new stream.
-    ACROSS_BLOCKS = {
-        "point-to-point": "8ed4d3e000775d876d085750f8ae49733b7d511b122b44255151bf8868dc99c8",
-        "time-division": "147153053a372e3914dc1a979d3601575e82e3139068bd590bb2ecdb57454aaa",
-        "receiver-zero-forcing": "ae9b9a0001b57faeaac7ed9753263925334fcc74ea6025aa1b8e8c4726461a26",
-        "ia-power-scaling": "8d75c416457867be827b535873f18d7574936ef66bbacf9615d1c2c0e2e8ed2b",
-        "isotropic-bc": "d98b3a40f37e52becc64c7ee14a7126bec8f2797cb6827438731a2419a650c6a",
+    # sha256 of each kind's trace_to_csv at GOLDEN_TRIALS, seed 7.
+    # Re-recorded at each change of random stream, last when each row of a
+    # link's Wishart model got its own substream, and each time only once
+    # the exact-mean, channel-reference, slope and coverage tests passed on
+    # the new stream.
+    TRACE_GOLDENS = {
+        "point-to-point": "f5b834acb5decf89c1994eff1006cafc52df724e8e8bb6b9944bb70250e3e2cb",
+        "time-division": "fa14edea71f0fb47322125b9d6b015817790f46df2455bd4219f9e5ec15e4a7e",
+        "receiver-zero-forcing": "5cb026ddcbc16101aa657cc109dcdacdd2be495caa18fa3418aafc95fc578d22",
+        "ia-power-scaling": "a4b4a6e44a29ff85d2f40bbbb03d8bc4a85ed3dae1e98971f565b54f6004f05a",
+        "isotropic-bc": "9fa3b3ef49546c0bb4fcf4510b2c069209c8eafb3ac60ec5583c85619882987f",
     }
 
     @pytest.mark.parametrize("spec, config", ONE_OF_EACH, ids=[s.kind for s, _ in ONE_OF_EACH])
-    def test_every_scheme_thread_invariant_across_blocks(self, spec, config):
-        # Three blocks, the last one partial: the one-thread draws give the
-        # trace every thread count used to give, bit for bit.
-        trace = simulate_scheme(spec, config, GRID, 2 * BLOCK + 7, 7)
+    def test_every_scheme_trace_golden(self, spec, config):
+        trace = simulate_scheme(spec, config, GRID, GOLDEN_TRIALS, 7)
         digest = hashlib.sha256(trace_to_csv(trace).encode()).hexdigest()
-        assert digest == self.ACROSS_BLOCKS[spec.kind]
+        assert digest == self.TRACE_GOLDENS[spec.kind]
 
-    def test_thread_cases_cover_every_kind(self):
+    def test_golden_cases_cover_every_kind(self):
         assert {s.kind for s, _ in ONE_OF_EACH} == set(SCHEME_KINDS)
 
     def test_threads_env_var_is_ignored(self, monkeypatch):
@@ -1003,7 +1004,7 @@ class TestDrivers:
         # lengths follow. Each trace equals the reduction of the same rates
         # in fresh arrays.
         spec, config = SchemeSpec("time-division", tau=tau), IcConfig(2, 3, 2, 3)
-        for trials in (2 * BLOCK + 7, 100):
+        for trials in (GOLDEN_TRIALS, 100):
             trace = simulate_scheme(spec, config, GRID, trials, 7)
             rates = _SCHEMES[spec.kind](config, spec, GRID, lambda link, shapes: _draw(link, shapes, 7, trials))
             for rate, columns in zip(rates, ((trace.rate1, trace.stderr1), (trace.rate2, trace.stderr2))):
@@ -1081,26 +1082,26 @@ class TestDrivers:
     @pytest.mark.parametrize(
         "spec, config, links",
         [
-            (P2P, BcConfig(4, 2, 3), ["H1"]),
-            (SchemeSpec("point-to-point", user=2), IcConfig(3, 2, 2, 4), ["H22"]),
-            (SchemeSpec("isotropic-bc", user=2), BcConfig(4, 2, 3), ["H2"]),
-            (SchemeSpec("time-division", tau=1.0), BcConfig(4, 2, 3), ["H1"]),
-            (SchemeSpec("time-division", tau=0.0), BcConfig(4, 2, 3), ["H2"]),
-            (SchemeSpec("time-division", tau=0.3), IcConfig(2, 3, 2, 3), ["H11", "H22"]),
-            (IA, IcConfig(1, 3, 1, 4), ["H11", "H12", "H22"]),
-            (ZF, IcConfig(2, 1, 2, 3), ["H11", "H22"]),
-            (SchemeSpec("receiver-zero-forcing", streams=(0, 2)), IcConfig(1, 2, 1, 2), ["H22"]),
+            (P2P, BcConfig(4, 2, 3), {"H1": 3}),
+            (SchemeSpec("point-to-point", user=2), IcConfig(3, 2, 2, 4), {"H22": 3}),
+            (SchemeSpec("isotropic-bc", user=2), BcConfig(4, 2, 3), {"H2": 5}),
+            (SchemeSpec("time-division", tau=1.0), BcConfig(4, 2, 3), {"H1": 3}),
+            (SchemeSpec("time-division", tau=0.0), BcConfig(4, 2, 3), {"H2": 5}),
+            (SchemeSpec("time-division", tau=0.3), IcConfig(2, 3, 2, 3), {"H11": 3, "H22": 5}),
+            (IA, IcConfig(1, 3, 1, 4), {"H11": 1, "H12": 1, "H22": 5}),
+            (ZF, IcConfig(2, 1, 2, 3), {"H11": 1, "H22": 1}),
+            (SchemeSpec("receiver-zero-forcing", streams=(0, 2)), IcConfig(1, 2, 1, 2), {"H22": 3}),
         ],
         ids=["p2p", "p2p-user2", "iso-user2", "tdm-tau1", "tdm-tau0", "tdm-tau0.3", "ia", "zf-1-1", "zf-0-2"],
     )
     def test_draws_only_the_links_the_scheme_reads(self, spec, config, links, monkeypatch):
-        # Each link the scheme reads is drawn once, one substream per block
-        # over three blocks; no other link is drawn.
+        # Each link the scheme reads is drawn once, one substream per row of
+        # its Wishart model; no other link is drawn.
         drawn = []
         sfc64 = np.random.SFC64
-        monkeypatch.setattr(np.random, "SFC64", lambda seed: drawn.append(seed[1]) or sfc64(seed))
-        simulate_scheme(spec, config, GRID, 2 * BLOCK + 7, 7)
-        assert sorted(drawn) == [LINK_ORDER.index(link) for link in links for _ in range(3)]
+        monkeypatch.setattr(np.random, "SFC64", lambda seed: drawn.append(seed) or sfc64(seed))
+        simulate_scheme(spec, config, GRID, GOLDEN_TRIALS, 7)
+        assert sorted(drawn) == [[7, LINK_ORDER.index(link), r] for link, rows in links.items() for r in range(rows)]
 
     def test_scheme_spec_validation(self):
         with pytest.raises(ValueError, match="unknown scheme kind"):
@@ -1128,6 +1129,15 @@ class TestDrivers:
             with pytest.raises(ValueError, match="power_exponent must be a real number"):
                 SchemeSpec(kind="ia-power-scaling", power_exponent=value)
         assert SchemeSpec(kind="time-division", tau=1).to_dict()["tau"] == 1
+
+    @pytest.mark.parametrize(
+        "spec",
+        [spec for spec, _ in ONE_OF_EACH] + [SchemeSpec("ia-power-scaling", beams=2, power_exponent=1)],
+        ids=[*(s.kind for s, _ in ONE_OF_EACH), "ia-beams"],
+    )
+    def test_to_dict_is_asdict_with_a_streams_list(self, spec):
+        reference = {**dataclasses.asdict(spec), "streams": list(spec.streams)}
+        assert spec.to_dict() == reference and list(spec.to_dict()) == list(reference)
 
     def test_streams_are_stored_as_a_tuple(self):
         # Any sequence of two ints is kept as a tuple, so specs hash and a
