@@ -2,9 +2,10 @@
 """Sweep antenna configurations and tabulate region classifications.
 
 Walks every interference configuration (M1, M2, N1, N2) in [1, limit]^4,
-classifies each into its case, and writes one JSON document per config to a
-JSONL file. Prints a census at the end: how many configs land in each case,
-how many have a known region, and how many match the CSIT region exactly.
+classifies and checks each (the first to fail ``case_partition_check``'s
+rules stops the run), and writes one JSON document per config to a JSONL
+file. Prints a census at the end: how many configs land in each case, how
+many have a known region, and how many match the CSIT region exactly.
 
 Bad input (an unparsable flag, a ``--limit`` below 1, or an ``--out`` that
 cannot be opened for writing) exits 3 with a one-line message before the
@@ -21,7 +22,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from mimodof.catalog import _check_partition, _integer, _sweep
+from mimodof.catalog import _integer, _sweep
 from mimodof.cli import _Parser
 
 
@@ -35,8 +36,6 @@ def main(argv=None) -> int:
                         help="sweep antenna counts 1..limit on all four nodes")
     parser.add_argument("--out", type=Path, default=None,
                         help="JSONL output path (omit to skip writing)")
-    parser.add_argument("--check", action="store_true",
-                        help="also run the exhaustive partition/sandwich check")
     args = parser.parse_args(argv)
     try:  # checked and opened before the sweep, so bad input costs no sweep
         _integer("limit", args.limit, 1)
@@ -48,20 +47,16 @@ def main(argv=None) -> int:
     known = 0
     csit_equal = 0
     rows = []
-    relations: dict = {}
-    # One sweep serves the check and the table, so each distinct region is
-    # reduced once and each relation the check reads is decided once.
+    # The sweep checks each row it yields, so each distinct region is reduced
+    # once for the check and the table.
     for config, result in _sweep(args.limit):
-        if args.check:
-            _check_partition(config, result, relations)
         doc = result.to_dict()
         doc["antennas"] = [config.M1, config.M2, config.N1, config.N2]
         cases[census_key(doc["label"])] += 1
         known += doc["label"]["region_known"]
         csit_equal += doc["label"]["csit_equal"]
         rows.append(doc)
-    if args.check:
-        print(f"partition check passed on [1, {args.limit}]^4")
+    print(f"partition check passed on [1, {args.limit}]^4")
 
     if out is not None:
         with out:

@@ -17,12 +17,13 @@ configurations split into cases after normalizing so that N1 <= N2:
 
 The classifier picks the case on the normalized ordering but writes each
 region's facets in the caller's user order, so every distinct region is
-reduced exactly once. A sweep over many configurations (the partition check,
-the region atlas) shares one memo of regions keyed by those rows and the
-tag, so it too reduces each distinct region once. The partition check keeps
-a second memo over its sweep, of each subset and equality answer by the pair
-of region objects, so it decides each relation once while its label rules
-still run for every configuration.
+reduced exactly once; the label comes whole from one table, ``_LABELS``. A
+sweep over many configurations (the partition check, the region atlas)
+shares one memo of regions keyed by those rows and the tag, so it too
+reduces each distinct region once, and it checks each row against the
+table's label for the case the conditions pick and against geometry. A
+second memo over the sweep, of each subset and equality answer by the pair
+of region objects, decides each relation once.
 """
 
 from __future__ import annotations
@@ -96,9 +97,6 @@ class IcConfig(_AntennaCounts):
     N1: int
     N2: int
 
-    def swapped(self) -> "IcConfig":
-        return IcConfig(self.M2, self.M1, self.N2, self.N1)
-
 
 @dataclass(frozen=True)
 class CaseLabel:
@@ -114,6 +112,22 @@ class CaseLabel:
     region_known: bool
     csit_equal: bool
     scheme: str
+
+
+# Every label the classifier gives, keyed by (case, swapped, N1 < N2) on the
+# normalized ordering, with each case's facts written once: region known,
+# equal to the CSIT region (by the caps, case II lies strictly inside), and
+# scheme. Users swap only when N1 > N2, and case III needs N1 < N2.
+_LABELS = {
+    (case_id, swapped, unequal): CaseLabel(TABLE_UNEQUAL if unequal else TABLE_EQUAL, case_id, swapped, *facts)
+    for case_id, *facts in (
+        ("I", True, True, SCHEME_RX_ZF),
+        ("II", True, False, SCHEME_TDM),
+        ("III", False, False, SCHEME_UNKNOWN),
+    )
+    for swapped, unequal in ((False, False), (False, True), (True, True))
+    if unequal or case_id != "III"
+}
 
 
 @dataclass(frozen=True)
@@ -244,33 +258,24 @@ def _classify(config: IcConfig, memo: dict) -> ClassifiedRegions:
     if m2 <= n1 or (n1 == n2 and m1 <= n1):
         # Receiver zero-forcing: the caps plus the first receiver's
         # dimension as sum cap.
-        case_id, scheme = "I", SCHEME_RX_ZF
+        case_id = "I"
         no_csit = outer = inner = build(
             [(1, 0, min(m1, n1)), (0, 1, q), (1, 1, n1)], "ic-no-csit"
         )
     elif n1 <= m1:
-        case_id, scheme = "II", SCHEME_TDM
+        case_id = "II"
         no_csit = outer = inner = build([_triangle(n1, q)], "ic-no-csit")
     else:
         # Here M1 < N1 < M2. The inner bound is the hull of (0,0), (M1,0),
         # the zero-forcing corner (M1, N1-M1) and the time-division endpoint
         # (0, q), a proper quadrilateral.
-        case_id, scheme = "III", SCHEME_UNKNOWN
+        case_id = "III"
         no_csit = None
         a, c = m1, n1 - m1
         outer = build([_triangle(n1, q), (1, 0, a), (0, 1, q)], "ic-outer")
         inner = build([(1, 0, a), (q - c, a, a * q)], "ic-inner")
     csit = _memo_region(memo, _csit_rows(config), "ic-csit")
-
-    label = CaseLabel(
-        table=TABLE_UNEQUAL if n1 < n2 else TABLE_EQUAL,
-        case_id=case_id,
-        swapped=swapped,
-        region_known=no_csit is not None,
-        # By the caps, case I is the CSIT region and case II lies strictly inside.
-        csit_equal=case_id == "I",
-        scheme=scheme,
-    )
+    label = _LABELS[case_id, swapped, n1 < n2]
     return ClassifiedRegions(label=label, no_csit=no_csit, outer=outer, inner=inner, csit=csit)
 
 
@@ -283,15 +288,20 @@ def _normalized_conditions(m1: int, m2: int, n1: int, n2: int) -> list[bool]:
 
 def _sweep(limit: int) -> Iterator[tuple[IcConfig, ClassifiedRegions]]:
     """Yield ``(config, ic_classify(config))`` for every config in
-    [1, limit]^4, in ``product`` order.
+    [1, limit]^4, in ``product`` order, each once ``_check_partition``
+    passes it.
 
-    One memo serves the whole sweep, so each distinct region is reduced
-    once; it goes when the sweep does.
+    One memo of regions and one of their relations serve the whole sweep,
+    so each distinct region is reduced once and each relation decided once;
+    both go when the sweep does.
     """
     memo: dict = {}
+    relations: dict = {}
     for antennas in product(range(1, limit + 1), repeat=4):
         config = IcConfig(*antennas)
-        yield config, _classify(config, memo)
+        cr = _classify(config, memo)
+        _check_partition(config, cr, relations)
+        yield config, cr
 
 
 def _related(relations: dict, test, a: DofRegion, b: DofRegion) -> bool:
@@ -307,55 +317,47 @@ def _related(relations: dict, test, a: DofRegion, b: DofRegion) -> bool:
 
 
 def _check_partition(config: IcConfig, cr: ClassifiedRegions, relations: dict) -> None:
-    """Raise CasePartitionError unless the case conditions pick exactly the
-    case ``cr`` reports for ``config`` and every advertised invariant holds.
+    """Raise CasePartitionError unless the case conditions pick exactly one
+    case for ``config``, ``cr`` carries the ``_LABELS`` label of that case,
+    and its regions bear out the label and nest as advertised.
 
     ``relations`` memoizes the region relations over one sweep (see
-    ``_related``); the label rules run for every config.
+    ``_related``); the label rule runs for every config.
     """
     swapped, m1, m2, n1, n2 = _normalized(config)
-    if cr.label.swapped != swapped:
-        raise CasePartitionError(config, "swapped flag disagrees with the receiver counts")
     conditions = _normalized_conditions(m1, m2, n1, n2)
     if sum(conditions) != 1:
         raise CasePartitionError(config, "case conditions do not pick exactly one case")
-    if cr.label.case_id != ("I", "II", "III")[conditions.index(True)]:
-        raise CasePartitionError(config, "classifier picked a case other than the one its conditions give")
-    if cr.label.table != (TABLE_UNEQUAL if n1 < n2 else TABLE_EQUAL):
-        raise CasePartitionError(config, "table disagrees with the normalized receiver counts")
+    case_id = ("I", "II", "III")[conditions.index(True)]
+    if cr.label != _LABELS[case_id, swapped, n1 < n2]:
+        raise CasePartitionError(config, "label differs from the one its case conditions give")
     if not _related(relations, is_subset, cr.inner, cr.outer):
         raise CasePartitionError(config, "inner bound not contained in outer bound")
     if not _related(relations, is_subset, cr.outer, cr.csit):
         raise CasePartitionError(config, "outer bound not contained in the CSIT region")
-    known = cr.label.region_known
-    if known != (cr.no_csit is not None):
+    known = cr.no_csit is not None
+    if cr.label.region_known != known:
         raise CasePartitionError(config, "region_known flag disagrees with no_csit presence")
-    expect_unknown = cr.label.table == TABLE_UNEQUAL and cr.label.case_id == "III"
-    if known == expect_unknown:
-        raise CasePartitionError(config, "region_known wrong for this case")
     if cr.label.csit_equal != (known and _related(relations, equals, cr.no_csit, cr.csit)):
-        raise CasePartitionError(config, "csit_equal disagrees with comparing the region to the CSIT region")
+        reason = "case I region must equal" if case_id == "I" else "case II region must shrink strictly from"
+        raise CasePartitionError(config, reason + " the CSIT region")
+    # With N1 = N2 the conditions give only case I or II, so the label rule
+    # refuses case III there, and this rule refuses unequal bounds.
     if known and not (
         _related(relations, equals, cr.inner, cr.no_csit) and _related(relations, equals, cr.outer, cr.no_csit)
     ):
         raise CasePartitionError(config, "known region must coincide with both bounds")
-    # With N1 = N2 the rules above already refuse case III (the conditions
-    # give only I or II) and unequal bounds (the region must be known).
-    if cr.label.case_id == "I" and not cr.label.csit_equal:
-        raise CasePartitionError(config, "case I region must equal the CSIT region")
-    if cr.label.case_id == "II" and cr.label.csit_equal:
-        raise CasePartitionError(config, "case II region must shrink strictly from the CSIT region")
 
 
 def case_partition_check(limit: int) -> bool:
     """Sweep all configs with antenna counts in [1, limit] and verify that
-    the case conditions partition them and the advertised invariants hold.
+    the case conditions partition them and the advertised invariants hold:
+    ``_sweep`` checks each row, so this only drains it.
 
     Returns True, or raises CasePartitionError naming the first violating
     configuration.
     """
     _integer("limit", limit, 1)
-    relations: dict = {}
-    for config, cr in _sweep(limit):
-        _check_partition(config, cr, relations)
+    for _ in _sweep(limit):
+        pass
     return True

@@ -117,9 +117,10 @@ def _log_det_rate(gammas: np.ndarray, share: float = 1.0, time: float = 1.0) -> 
     return rate
 
 
-def _exact_row_sums(values: np.ndarray) -> list[float]:
-    """The exactly rounded sum of each row of a 2-D float array, equal to
-    ``math.fsum`` of the row bit for bit.
+def _exact_row_sums(rest: np.ndarray, q: np.ndarray) -> list[float]:
+    """The exactly rounded sum of each row of a 2-D float array ``rest``,
+    equal to ``math.fsum`` of the row bit for bit. The passes overwrite
+    ``rest``; ``q`` is scratch of the same shape.
 
     Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
     summation part I", SIAM J. Sci. Comput. 31(1), 2008): with σ a power of
@@ -137,13 +138,6 @@ def _exact_row_sums(values: np.ndarray) -> list[float]:
     Non-finite input, or input so large that σ overflows, raises
     ``SimulationError``.
     """
-    rest = np.array(values, dtype=float)  # a copy: the passes consume it
-    return _consume_row_sums(rest, np.empty_like(rest))
-
-
-def _consume_row_sums(rest: np.ndarray, q: np.ndarray) -> list[float]:
-    # _exact_row_sums of rest, which the passes overwrite; q is scratch of
-    # the same shape, and also where |rest| goes.
     n = rest.shape[1]
     headroom = (n - 1).bit_length() + 1  # 2**headroom >= 2n
     partials = []
@@ -186,12 +180,12 @@ def _mean_stderr(values: np.ndarray) -> tuple[list[float], list[float]]:
     count = values.shape[1]
     rest, q = np.empty((2, *values.shape))
     np.copyto(rest, values)
-    means = [total / count for total in _consume_row_sums(rest, q)]
+    means = [total / count for total in _exact_row_sums(rest, q)]
     if count < 2:
         return means, [0.0] * len(means)
     np.subtract(values, np.array(means)[:, None], out=rest)
     rest **= 2
-    var = [total / (count - 1) for total in _consume_row_sums(rest, q)]
+    var = [total / (count - 1) for total in _exact_row_sums(rest, q)]
     return means, [math.sqrt(v / count) for v in var]
 
 

@@ -168,7 +168,7 @@ class TestClassifierProperties:
         # Exchanging the users mirrors every region as a whole: the stored
         # facets (in canonical order), the vertices and the tag.
         cr = ic_classify(config)
-        swapped = ic_classify(config.swapped())
+        swapped = ic_classify(IcConfig(config.M2, config.M1, config.N2, config.N1))
 
         def whole(region):
             return (
@@ -218,6 +218,15 @@ class TestGolden:
             h.update(json.dumps(doc, sort_keys=True).encode())
         assert h.hexdigest() == (
             "4c935a7f16e2c6f40d405c0b02b031a6893ac357cab37ee7f40521570c912824"
+        )
+
+    def test_labels_sha256(self):
+        # One hash over every label in [1,8]^4, field for field.
+        h = hashlib.sha256()
+        for antennas in product(range(1, 9), repeat=4):
+            h.update(json.dumps(asdict(ic_classify(IcConfig(*antennas)).label), sort_keys=True).encode())
+        assert h.hexdigest() == (
+            "fe3c0a80d1915c35c029e549c87f9b769e6b15285c4c7d9492a93f4c1895d05e"
         )
 
     def test_broadcast_documents_sha256(self):
@@ -327,7 +336,7 @@ class TestPartitionCheck:
         with pytest.raises(CasePartitionError) as raised:
             case_partition_check(3)
         assert raised.value.config == first
-        assert raised.value.reason == "csit_equal disagrees with comparing the region to the CSIT region"
+        assert raised.value.reason == "label differs from the one its case conditions give"
 
     # Each fault spoils the classifier's output on the configs it names; the
     # check must stop at the first of them, in sweep order, for the reason
@@ -347,16 +356,12 @@ class TestPartitionCheck:
         ),
         "case-one-short-of-csit": (
             lambda config, cr: cr.label.case_id == "I",
-            lambda cr: replace(
-                cr, no_csit=SMALL, outer=SMALL, inner=SMALL, label=replace(cr.label, csit_equal=False)
-            ),
+            lambda cr: replace(cr, no_csit=SMALL, outer=SMALL, inner=SMALL),
             "case I region must equal the CSIT region",
         ),
         "case-two-equal-to-csit": (
             lambda config, cr: cr.label.case_id == "II",
-            lambda cr: replace(
-                cr, no_csit=cr.csit, outer=cr.csit, inner=cr.csit, label=replace(cr.label, csit_equal=True)
-            ),
+            lambda cr: replace(cr, no_csit=cr.csit, outer=cr.csit, inner=cr.csit),
             "case II region must shrink strictly from the CSIT region",
         ),
         "equal-receivers-inner-shrinks": (
@@ -367,7 +372,7 @@ class TestPartitionCheck:
         "equal-receivers-case-three": (
             lambda config, cr: config.N1 == config.N2,
             lambda cr: replace(cr, label=replace(cr.label, case_id="III")),
-            "classifier picked a case other than the one its conditions give",
+            "label differs from the one its case conditions give",
         ),
     }
 
@@ -385,6 +390,44 @@ class TestPartitionCheck:
         with pytest.raises(CasePartitionError) as raised:
             case_partition_check(4)
         assert (raised.value.config, raised.value.reason) == (first, reason)
+
+    # Each fault corrupts one fact of one case in the label table. The
+    # classifier and the label rule then agree, so only the rules that test
+    # the label against the regions can report it.
+    TABLE_FAULTS = {
+        "case-two-claims-csit": ("II", "csit_equal", "case II region must shrink strictly from the CSIT region"),
+        "case-three-claims-known": ("III", "region_known", "region_known flag disagrees with no_csit presence"),
+    }
+
+    @pytest.mark.parametrize("fault", TABLE_FAULTS)
+    def test_each_table_fault_is_reported_at_its_first_config(self, fault, monkeypatch):
+        case_id, field, reason = self.TABLE_FAULTS[fault]
+        first = next(config for config, cr in catalog._sweep(4) if cr.label.case_id == case_id)
+        corrupt = {
+            key: replace(label, **{field: True}) if key[0] == case_id else label
+            for key, label in catalog._LABELS.items()
+        }
+        monkeypatch.setattr(catalog, "_LABELS", corrupt)
+        with pytest.raises(CasePartitionError) as raised:
+            case_partition_check(4)
+        assert (raised.value.config, raised.value.reason) == (first, reason)
+
+    def test_overlapping_conditions_are_reported(self, monkeypatch):
+        # A reference rule that holds beside the true case everywhere still
+        # picks the right label first, so only the count of cases reports it.
+        conditions = catalog._normalized_conditions
+        monkeypatch.setattr(catalog, "_normalized_conditions", lambda *counts: conditions(*counts) + [True])
+        with pytest.raises(CasePartitionError) as raised:
+            case_partition_check(2)
+        assert (raised.value.config, raised.value.reason) == (
+            IcConfig(1, 1, 1, 1), "case conditions do not pick exactly one case"
+        )
+
+    def test_sweep_labels_are_the_table(self):
+        # Every label a sweep yields is one of the table's objects, and every
+        # entry of the table is given somewhere on [1,8]^4.
+        table = {id(label) for label in catalog._LABELS.values()}
+        assert {id(cr.label) for _, cr in catalog._sweep(8)} == table
 
     def test_the_relation_memo_never_answers_for_an_unseen_object(self, monkeypatch):
         # Every config gets fresh copies of its bounds, which die with it, and
@@ -440,8 +483,9 @@ class TestAtlasScript:
             (["--limit", "many"], "invalid int value: 'many'"),
             (["--out", "missing/atlas.jsonl"], "No such file or directory: 'missing/atlas.jsonl'"),
             (["--out", "d"], "Is a directory: 'd'"),
+            (["--check"], "unrecognized arguments: --check"),
         ],
-        ids=["zero-limit", "unparsable-limit", "out-in-missing-dir", "out-is-dir"],
+        ids=["zero-limit", "unparsable-limit", "out-in-missing-dir", "out-is-dir", "check-is-gone"],
     )
     def test_bad_input_exits_three_before_the_sweep(self, argv, message, capsys, monkeypatch, tmp_path):
         atlas = load_atlas_script()
@@ -476,7 +520,7 @@ class TestAtlasScript:
         monkeypatch.setattr(
             catalog, "region_from_halfspaces", lambda rows, tag: calls.append(tag) or reduce(rows, tag=tag)
         )
-        assert load_atlas_script().main(["--limit", "4", "--check"]) == 0
+        assert load_atlas_script().main(["--limit", "4"]) == 0
         assert len(calls) == 101
         assert capsys.readouterr().out.splitlines()[:2] == [
             "partition check passed on [1, 4]^4", "swept 256 configs on [1, 4]^4",

@@ -291,6 +291,12 @@ def fsum_rows(values):
     return [math.fsum(row) for row in values.tolist()]
 
 
+def exact_row_sums(values):
+    # The reduction consumes its input, so it gets a copy and a scratch array.
+    rest = np.array(values, dtype=float)
+    return _exact_row_sums(rest, np.empty_like(rest))
+
+
 def same_bits(a, b):
     return np.array(a, dtype=float).tobytes() == np.array(b, dtype=float).tobytes()
 
@@ -359,7 +365,7 @@ class TestExactRowSums:
     @given(float_rows())
     @settings(max_examples=300, deadline=None)
     def test_matches_fsum(self, values):
-        assert same_bits(_exact_row_sums(values), fsum_rows(values))
+        assert same_bits(exact_row_sums(values), fsum_rows(values))
 
     @pytest.mark.parametrize(
         "row",
@@ -380,12 +386,12 @@ class TestExactRowSums:
     )
     def test_edge_rows(self, row):
         values = np.array([row])
-        assert same_bits(_exact_row_sums(values), fsum_rows(values))
+        assert same_bits(exact_row_sums(values), fsum_rows(values))
 
     @given(wide_rows())
     @settings(max_examples=150, deadline=None)
     def test_matches_fsum_on_wide_rows(self, values):
-        assert same_bits(_exact_row_sums(values), fsum_rows(values))
+        assert same_bits(exact_row_sums(values), fsum_rows(values))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
     @pytest.mark.parametrize(
@@ -402,7 +408,7 @@ class TestExactRowSums:
         # that last bit is in the partials.
         values = sign * np.array([head + [0.0] * (1024 - len(head))])
         assert simulate._decided([sign * head[0]], sign * 2.0**-53, 2.0**-70) is None
-        assert same_bits(_exact_row_sums(values), fsum_rows(values))
+        assert same_bits(exact_row_sums(values), fsum_rows(values))
 
     def test_subnormal_slack_decides_nothing(self):
         # Near 2**-970 the slack of 1500 entries falls below 2**-1022, so no
@@ -412,7 +418,7 @@ class TestExactRowSums:
         values = np.ldexp(rng.standard_normal((3, 1500)), -975 - rng.integers(0, 100, size=(3, 1500)))
         values[2] = 0.0
         values[2, :3] = [2.0**-970, 2.0**-1023, 2.0**-1074]
-        assert same_bits(_exact_row_sums(values), fsum_rows(values))
+        assert same_bits(exact_row_sums(values), fsum_rows(values))
 
     def test_rates_and_squared_deviations(self):
         # Rates and squared deviations spanning 10^-3 to 10^7 SNR, as the
@@ -421,7 +427,7 @@ class TestExactRowSums:
         values = np.stack([rate(_db_to_linear(snr)) for snr in range(-30, 71, 10)])
         deviations = (values - np.array(fsum_rows(values))[:, None] / values.shape[1]) ** 2
         for rows in (values, deviations, values[:, :2], values[:, :1]):
-            assert same_bits(_exact_row_sums(rows), fsum_rows(rows))
+            assert same_bits(exact_row_sums(rows), fsum_rows(rows))
 
     @pytest.mark.parametrize(
         "bad", [math.nan, math.inf, -math.inf, 1.7e308], ids=["nan", "inf", "-inf", "sigma-overflow"]
@@ -431,7 +437,7 @@ class TestExactRowSums:
         values = np.ones((3, 5))
         values[1, 2] = bad
         with pytest.raises(SimulationError, match="not finite"):
-            _exact_row_sums(values)
+            exact_row_sums(values)
         with pytest.raises(SimulationError, match="not finite"):
             _mean_stderr(values)
 

@@ -143,7 +143,7 @@ import importlib.util
 spec = importlib.util.spec_from_file_location("region_atlas", "scripts/region_atlas.py")
 atlas = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(atlas)
-assert atlas.main(["--limit", "2", "--check"]) == 0
+assert atlas.main(["--limit", "2"]) == 0
 """,
 }
 
