@@ -188,14 +188,15 @@ def _scheme_from_args(args) -> SchemeSpec:
 
 
 def _region_for_verify(config, against: str) -> DofRegion:
-    if isinstance(config, BcConfig):
-        if against == "csit":
-            return bc_csit_region(config)
+    bc = isinstance(config, BcConfig)
+    if against == "csit":
+        return bc_csit_region(config) if bc else ic_csit_region(config)
+    if bc:
         # The broadcast region is exact for every configuration, so the
         # exact region, the inner bound and the outer bound all coincide.
         return bc_region(config)
     cr = ic_classify(config)
-    region = dict(zip(_REGIONS, (cr.no_csit, cr.inner, cr.outer, cr.csit)))[against]
+    region = {"exact": cr.no_csit, "inner": cr.inner, "outer": cr.outer}[against]
     if region is None:
         raise ValueError(
             "the exact region for this configuration is not known; "

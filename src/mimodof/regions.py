@@ -2,15 +2,15 @@
 
 A region is the intersection of closed halfspaces ``a1*d1 + a2*d2 <= b``
 with the nonnegative quadrant. Every halfspace is stored as coprime ``int``
-coefficients and every vertex is a ``fractions.Fraction``. The reduction
-enumerates a region's pair-intersection points and recession-ray
-candidates once, each with a bitmask of the rows it violates, and reads
-boundedness, redundancy and the vertex list off those masks. Every
-predicate is an integer cross-multiplication, so vertex lists and minimal
-facet sets are bit-stable and safe to freeze as golden values. Vertices are
-ordered lexicographically by (d1, d2): they are sorted as int pairs over
-their common denominator, never by a float key, and their Fractions are
-built after the sort.
+coefficients and every vertex is a ``fractions.Fraction``. A region's
+vertices are its corners, where two constraint lines meet and every
+constraint holds; with three or more, its facets are the constraints that
+hold with equality at two corners, and a point or a segment drops
+redundant constraints one at a time. Every predicate is an integer
+cross-multiplication, so vertex lists and minimal facet sets are bit-stable
+and safe to freeze as golden values. Vertices are ordered lexicographically
+by (d1, d2): they are sorted as int pairs over their common denominator,
+never by a float key, and their Fractions are built after the sort.
 
 The quadrant constraints ``d1 >= 0`` and ``d2 >= 0`` are implicit: they are
 never stored in a region's halfspace list, but every feasibility test
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 __all__ = [
     "Rational",
@@ -125,70 +125,66 @@ class DofRegion:
     tag: str = ""
 
 
-_AXES = ((-1, 0, 0), (0, -1, 0))
+Row = tuple[int, int, int]  # (a1, a2, b) for a1*d1 + a2*d2 <= b
+_AXES: list[Row] = [(-1, 0, 0), (0, -1, 0)]
+# Shared Fractions for the small whole coordinates that most vertices have.
+_WHOLE = tuple(Fraction(n) for n in range(64))
 
 
-def _reduce(halfspaces: tuple[Halfspace, ...]) -> tuple[tuple[Halfspace, ...], tuple[Vertex, ...]]:
-    """Drop redundant halfspaces and enumerate vertices.
-
-    ``halfspaces`` must already be deduplicated and canonically sorted.
-    Rows are integer triples (a1, a2, b), the halfspaces' then the axes',
-    and row i is bit i of a mask. A point (n1, n2, den) is the vertex
-    (n1/den, n2/den) when den > 0 and the direction (n1, n2) when den == 0;
-    a row holds there iff a1*n1 + a2*n2 <= b*den. One pass finds every
-    candidate, each with the mask of the rows it violates: the meeting
-    point of each pair of rows and each row's nonnegative perpendiculars.
-    The vertices come out in lexicographic (d1, d2) order, sorted on the
-    int pairs (n1*L/den, n2*L/den) with L the lcm of their denominators.
-    """
-    rows = [(h.a1, h.a2, h.b) for h in halfspaces] + list(_AXES)
-    bits = [1 << r for r in range(len(rows))]
-
-    def violated(n1: int, n2: int, den: int) -> int:
-        mask = 0
-        for bit, (a1, a2, b) in zip(bits, rows):
-            if a1 * n1 + a2 * n2 > b * den:
-                mask |= bit
-        return mask
-
-    points = []
+def _corners(rows: list[Row]) -> Optional[set[Row]]:
+    """The corners of ``rows`` (axes included), where two rows meet and all
+    hold, as (n1, n2, den) in lowest terms for (n1/den, n2/den). None if the
+    region is unbounded: some direction (n1, n2) >= 0 holds all rows with b
+    read as 0. An extreme one lies along a row; the axes give the axis ones.
+    Each point's test stops at the first row that fails."""
+    for a1, a2, _ in rows:
+        for n1, n2 in ((a2, -a1), (-a2, a1)):
+            if n1 >= 0 and n2 >= 0 and all(c1 * n1 + c2 * n2 <= 0 for c1, c2, _ in rows):
+                return None
+    corners = set()
     for (a1, a2, b), (c1, c2, c) in combinations(rows, 2):
         det = a1 * c2 - a2 * c1
-        if det == 0:
-            continue
-        n1, n2 = b * c2 - c * a2, a1 * c - c1 * b
-        if det < 0:
-            n1, n2, det = -n1, -n2, -det
-        points.append((n1, n2, det, violated(n1, n2, det)))
-    # Every extreme ray lies on a row's boundary; the axis rows give the axis
-    # directions. No perpendicular is zero: Halfspace rejects a zero normal.
-    rays = [violated(n1, n2, 0) for a1, a2, _ in rows for n1, n2 in ((a2, -a1), (-a2, a1)) if n1 >= 0 and n2 >= 0]
-    if 0 in rays:
+        if det:
+            n1, n2 = b * c2 - c * a2, a1 * c - c1 * b
+            if det < 0:
+                n1, n2, det = -n1, -n2, -det
+            for e1, e2, e in rows:
+                if e1 * n1 + e2 * n2 > e * det:
+                    break
+            else:
+                g = gcd(n1, n2, det)
+                corners.add((n1 // g, n2 // g, det // g))
+    return corners
+
+
+def _reduce(rows: list[Row]) -> tuple[list[Row], tuple[Vertex, ...]]:
+    """The irredundant ``rows`` (distinct, sorted, b >= 0) in their order,
+    and the vertices: the corners of the rows and the axes. With three or
+    more, the facets are the non-axis rows that hold with equality at two
+    corners. Fewer make a point or a segment, which only rows with b = 0 cut
+    out: each row in turn is dropped if the rest are bounded and it holds at
+    all their corners. Vertices sort by (d1, d2) on the ints (n1*L/den,
+    n2*L/den), L the lcm of the dens."""
+    corners = _corners(rows + _AXES)
+    if corners is None:
         raise RegionError("halfspace intersection is unbounded within the quadrant")
-    masks = [p[3] for p in points] + rays
-    kept = (1 << len(rows)) - 1
-    for bit in bits[: len(halfspaces)]:
-        rest = kept ^ bit
-        # The candidates that violate none of the rest include all extreme
-        # points and rays of their polyhedron and lie in it.
-        if not any(mask & bit for mask in masks if not mask & rest):
-            kept = rest
-    # At a point that violates no row, two rows support the region along
-    # different lines, so it is a vertex. Dividing by the gcd merges
-    # duplicates before any Fraction is built.
-    found = set()
-    for n1, n2, den, mask in points:
-        if not mask:
-            g = gcd(n1, n2, den)
-            found.add((n1 // g, n2 // g, den // g))
-    common = lcm(*(den for _, _, den in found))
-    order = sorted((n1 * (common // den), n2 * (common // den), n1, n2, den) for n1, n2, den in found)
-    # Most vertices are integer points, and Fraction(n) skips the gcd.
+    if len(corners) >= 3:
+        tight = [sum(a1 * n1 + a2 * n2 == b * den for n1, n2, den in corners) for a1, a2, b in rows]
+        kept = [row for row, t in zip(rows, tight) if t >= 2 and row not in _AXES]
+    else:
+        kept = rows
+        for a1, a2, b in rows:
+            rest = [r for r in kept if r != (a1, a2, b)]
+            if (implied := _corners(rest + _AXES)) and all(a1 * n1 + a2 * n2 <= b * den for n1, n2, den in implied):
+                kept = rest
+    common = lcm(*(den for _, _, den in corners))
+    order = sorted((n1 * (common // den), n2 * (common // den), n1, n2, den) for n1, n2, den in corners)
+    top = len(_WHOLE)
     vertices = tuple(
-        (Fraction(n1), Fraction(n2)) if den == 1 else (Fraction(n1, den), Fraction(n2, den))
+        (_WHOLE[n1], _WHOLE[n2]) if den == 1 and n1 < top > n2 else (Fraction(n1, den), Fraction(n2, den))
         for _, _, n1, n2, den in order
     )
-    return tuple(h for h, bit in zip(halfspaces, bits) if kept & bit), vertices
+    return kept, vertices
 
 
 def region_from_halfspaces(halfspaces: Iterable, tag: str = "") -> DofRegion:
@@ -205,8 +201,9 @@ def region_from_halfspaces(halfspaces: Iterable, tag: str = "") -> DofRegion:
     for h in hs:
         if h.b < 0:
             raise RegionError(f"halfspace {h} excludes the origin")
-    key = tuple(sorted(set(hs), key=lambda h: (h.a1, h.a2, h.b)))
-    return DofRegion(*_reduce(key), tag)
+    by_row = {(h.a1, h.a2, h.b): h for h in hs}
+    kept, vertices = _reduce(sorted(by_row))
+    return DofRegion(tuple(by_row[row] for row in kept), vertices, tag)
 
 
 def contains(region: DofRegion, point: tuple[Rational, Rational]) -> bool:

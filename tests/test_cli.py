@@ -262,6 +262,18 @@ class TestVerifyCommand:
         }
         assert report["estimate"] == [doc["estimate"]["d1_hat"], doc["estimate"]["d2_hat"]]
 
+    def test_csit_builds_only_the_csit_region(self, capsys, monkeypatch):
+        # The CSIT region needs no case, so even case III grades against it
+        # without a classification.
+        monkeypatch.setattr(cli, "ic_classify", lambda config: pytest.fail("classified"))
+        code, out, _ = run(
+            capsys,
+            "verify", "--channel", "ic", "--antennas", "1,3,2,4", "--scheme", "p2p",
+            "--trials", "100", "--seed", "3", "--against", "csit",
+        )
+        assert code == 0
+        assert json.loads(out)["region_tag"] == "ic-csit"
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_exits_three(self, capsys, tol):
         code, out, err = run(

@@ -461,6 +461,19 @@ def any_halfspace_lists(draw):
     return triples
 
 
+@st.composite
+def degenerate_halfspace_lists(draw):
+    """Lists biased towards points and segments: small integer rows with
+    b = 0 half the time, the axes and the diagonal's two sides as rows, and
+    at most one positive cap."""
+    small = st.integers(-2, 2)
+    row = st.tuples(small, small, st.sampled_from((0, 0, 1, 2))).filter(lambda t: t[:2] != (0, 0))
+    special = st.sampled_from(((-1, 0, 0), (0, -1, 0), (1, -1, 0), (-1, 1, 0)))
+    triples = draw(st.lists(st.one_of(row, special), max_size=4))
+    cap = st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(0, 3))
+    return triples + draw(st.lists(cap, max_size=1))
+
+
 class TestAgainstFractionReference:
     @given(any_halfspace_lists())
     @settings(max_examples=300, deadline=None)
@@ -471,6 +484,14 @@ class TestAgainstFractionReference:
         if not isinstance(got[0], type):  # built, not refused
             assert all(type(c) is int for h in got[0] for c in h)
             assert all(type(c) is F for v in got[1] for c in v)
+
+    # Points and segments take the one-at-a-time rule, and polygons with an
+    # axis or a touching row take the facet rule; random rationals reach
+    # both seldom.
+    @given(degenerate_halfspace_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_points_segments_and_axis_rows(self, triples):
+        assert _outcome(_integer_region, triples) == _outcome(_ref_region, triples)
 
     # Cases random lists seldom reach, where removing one halfspace at a
     # time in canonical order decides which facets stay: (input, kept
@@ -496,6 +517,7 @@ class TestAgainstFractionReference:
                 [(-1, 1, 0), (1, -1, 0), (1, 1, 2)],
                 [(0, 0), (1, 1)],
             ),
+            ([(2, 1, 0), (1, 2, 0), (1, 1, 0)], [(2, 1, 0)], [(0, 0)]),
         ],
         ids=[
             "origin-alone",
@@ -508,6 +530,7 @@ class TestAgainstFractionReference:
             "caps-redundant-in-turn-on-d1-axis",
             "caps-redundant-in-turn-on-d2-axis",
             "caps-redundant-in-turn-on-diagonal",
+            "origin-cut-by-three-rows",
         ],
     )
     def test_degenerate_inputs(self, triples, kept, vertices):
